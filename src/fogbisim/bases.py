@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .terms import Substitution, apply_subst, omega_iterate, pressize, propsize, varin
-from .grammar import Grammar
+from .terms import Substitution, apply_subst, omega_iterate, pressize, varin
+from .grammar import Grammar, step_increment
 from .lts import run_word
 from .equiv import EqOracle, find_sink_witness
 from .plays import BalancedPlay, PivotPath, Segmentation, p_top_form
@@ -54,10 +54,6 @@ class NsgSequence:
     def element(self, ts, j) -> tuple[int, int]:
         e, f = self.tops[j]
         return (apply_subst(ts, e, self.sigma), apply_subst(ts, f, self.sigma))
-
-
-def _step_increment(g: Grammar) -> int:
-    return max((propsize(g.ts, [r.rhs]) for r in g.rules), default=0)
 
 
 def check_nsg_sequence(o: EqOracle, seq: NsgSequence, p: NsgParams) -> bool:
@@ -124,7 +120,7 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
     if i != p.n:
         binding[i] = seq.sigma.lookup(p.n)
     new_sigma = Substitution(ts, binding)
-    stepinc = _step_increment(g)
+    stepinc = step_increment(g)
     new_p = NsgParams(p.n - 1, 2 * p.s + p.g * (1 + k) + k * stepinc, p.g)
     new_seq = NsgSequence(new_tops, new_sigma)
     for jj, (e, f) in enumerate(retained):
@@ -158,7 +154,7 @@ class Candidate:
         self.o = o
         self.params = params
         ts = o.g.ts
-        stepinc = _step_increment(o.g)
+        stepinc = step_increment(o.g)
         self.layers: dict[int, set] = {j: set() for j in range(params.n + 1)}
         for e, f in pairs:
             lv = pair_level(ts, e, f)
@@ -279,7 +275,7 @@ def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):
     layer threshold exceeded the cap or some pair's eq-level reached the
     cutoff (such pairs are treated as equivalent and left out).
     """
-    stepinc = _step_increment(o.g)
+    stepinc = step_increment(o.g)
     universe = list(enumerate_pairs(o, params.n, cap))
     capped = False
     ambiguous = False

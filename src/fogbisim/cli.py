@@ -1,12 +1,12 @@
 """Command-line driver: reproducible workflows over grammar files.
 
 Exit codes: 0 success / not distinguished, 1 distinguished or check
-failure, 2 usage or parse error, 3 indeterminate (cutoff reached).
+failure, 2 usage, parse or internal error, 3 indeterminate (cutoff
+reached).
 """
 
 import argparse
 import json
-import random
 import sys
 
 from .terms import TermError, parse_term, pressize, render_term
@@ -17,8 +17,8 @@ from .grammar import (
 from .lts import run_word, step_action, step_rule
 from .equiv import EqOracle, EquivError
 from .plays import (
-    PlaysError, build_optimal_play, refine_segments, transform_to_balanced,
-    verify_balanced,
+    PlaysError, PlaysIndeterminate, build_optimal_play, refine_segments,
+    transform_to_balanced, verify_balanced,
 )
 from .bases import (
     BasesError, BasesIndeterminate, NsgParams, bound_of_candidate,
@@ -326,11 +326,8 @@ def cmd_pipeline(args):
         checks.append({"name": "stair-%d-nsg-sequence" % idx, "ok": ok,
                        "detail": "z=%d" % seq.z})
         # reduce one step where the reduction precondition holds
-        from .terms import apply_subst
-        e1, f1 = seq.tops[0]
-        k = o.level(e1, f1)
-        ell = o.level(apply_subst(g.ts, e1, seq.sigma),
-                      apply_subst(g.ts, f1, seq.sigma))
+        k = o.level(*seq.tops[0])
+        ell = o.level(*seq.element(g.ts, 0))
         if params.n > 0 and k < ell < o.cutoff and seq.z > k + 1:
             try:
                 reduce_nsg_step(o, seq, params)
@@ -364,7 +361,6 @@ def _build_parser():
         p.add_argument("--grammar", required=True, help="grammar file")
         p.add_argument("--cutoff", type=int, default=12)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(fn=fn)
         return p
 
@@ -406,23 +402,19 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except CliError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return ex.code
-    except BasesIndeterminate as ex:
+    except (BasesIndeterminate, PlaysIndeterminate) as ex:
         print("indeterminate: %s" % ex, file=sys.stderr)
         return EXIT_INDETERMINATE
-    except PlaysError as ex:
-        if "starvation" in str(ex):
-            print("indeterminate: %s" % ex, file=sys.stderr)
-            return EXIT_INDETERMINATE
+    except (GrammarError, TermError, EquivError, BasesError, PlaysError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_USAGE
-    except (GrammarError, TermError, EquivError, BasesError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
+    except Exception as ex:
+        print("error: %s: %s" % (type(ex).__name__, ex), file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -45,6 +45,11 @@ class Grammar:
         for r in rules:
             self.rules_by_lhs[r.lhs].append(r)
         self._validate()
+        # enabled actions per nonterminal, in declaration order
+        order = {act: i for i, act in enumerate(self.actions)}
+        self.actions_by_lhs: dict[str, list[str]] = {
+            a: sorted({r.action for r in rs}, key=order.get)
+            for a, rs in self.rules_by_lhs.items()}
 
     def _validate(self):
         for r in self.rules:
@@ -158,22 +163,24 @@ def compute_sink_table(g: Grammar) -> SinkTable:
             best[(nt, i)] = None
 
     def sink_term(t: int, i: int):
-        """Best known word sinking the finite term t to x_i, or None."""
-        node = g.ts.node(t)
-        if node[0] == "var":
-            return () if node[1] == i else None
-        b = None
-        for j, child in enumerate(node[2], 1):
-            head = best.get((node[1], j))
-            if head is None:
+        """Best known word sinking the finite term t to x_i, or None;
+        built in ascending id order, so children come first."""
+        word = {}
+        for u in sorted(g.ts.reachable([t])):
+            node = g.ts.nodes[u]
+            if node[0] == "var":
+                word[u] = () if node[1] == i else None
                 continue
-            tail = sink_term(child, i)
-            if tail is None:
-                continue
-            cand = head + tail
-            if better(cand, b):
-                b = cand
-        return b
+            b = None
+            for j, child in enumerate(node[2], 1):
+                head = best.get((node[1], j))
+                if head is None or word[child] is None:
+                    continue
+                cand = head + word[child]
+                if better(cand, b):
+                    b = cand
+            word[u] = b
+        return word[t]
 
     changed = True
     while changed:
@@ -220,6 +227,11 @@ def nonvar_subterms_of_rhs(g: Grammar) -> set[int]:
     return out
 
 
+def step_increment(g: Grammar) -> int:
+    """Largest nonterminal-node count of a rule right-hand side."""
+    return max((propsize(g.ts, [r.rhs]) for r in g.rules), default=0)
+
+
 def compute_constants(g: Grammar, sink: SinkTable | None = None) -> GrammarConstants:
     ts = g.ts
     sink = sink or compute_sink_table(g)
@@ -227,7 +239,7 @@ def compute_constants(g: Grammar, sink: SinkTable | None = None) -> GrammarConst
     # height(E)-1 over all rhs, clamped at 0
     hinc = max((height(ts, r.rhs) - 1 for r in g.rules), default=0)
     hinc = max(hinc, 0)
-    stepinc = max((propsize(ts, [r.rhs]) for r in g.rules), default=0)
+    stepinc = step_increment(g)
     d0 = 1 + sink.max_len()
     nN = len(g.arities)
     nR = len(g.rules)

@@ -9,7 +9,7 @@ d0-sinking factorization, and the unique simple-stair decomposition.
 
 from __future__ import annotations
 
-from .terms import Substitution, apply_subst
+from .terms import instantiate
 from .grammar import Grammar, GrammarError
 
 
@@ -41,8 +41,7 @@ def step_rule(g: Grammar, t: int, rid: str):
     node = g.ts.node(t)
     if node[0] == "var" or node[1] != r.lhs:
         return None
-    sigma = Substitution(g.ts, {i: c for i, c in enumerate(node[2], 1)})
-    return apply_subst(g.ts, r.rhs, sigma)
+    return instantiate(g.ts, r.rhs, dict(enumerate(node[2], 1)))
 
 
 def step_action(g: Grammar, t: int, action: str) -> list[tuple[str, int]]:
@@ -63,10 +62,7 @@ def step_action(g: Grammar, t: int, action: str) -> list[tuple[str, int]]:
 
 def enabled_actions(g: Grammar, t: int) -> list[str]:
     node = g.ts.node(t)
-    if node[0] == "var":
-        return []
-    return sorted({r.action for r in g.rules_by_lhs.get(node[1], [])},
-                  key=g.actions.index)
+    return [] if node[0] == "var" else g.actions_by_lhs[node[1]]
 
 
 def run_word(g: Grammar, t: int, word) -> PathRecord | None:

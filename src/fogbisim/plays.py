@@ -14,12 +14,16 @@ from __future__ import annotations
 
 from .terms import Substitution, apply_subst, pressize
 from .grammar import Grammar, SinkTable, GrammarConstants
-from .lts import run_word, d0_sinking_split
+from .lts import run_word, d0_sinking_split, step_action, step_rule
 from .equiv import EqOracle, EquivError, attacker_optimal, defender_optimal
 
 
 class PlaysError(Exception):
     pass
+
+
+class PlaysIndeterminate(PlaysError):
+    """An answer would require eq-levels beyond the oracle cutoff."""
 
 
 class Play:
@@ -133,13 +137,13 @@ def build_optimal_play(o: EqOracle, t: int, u: int) -> Play:
 class BalanceInfo:
     """Everything produced by one balancing step."""
 
-    def __init__(self, side, rho, pivot, nonterminal, sigma_p, e_prime,
+    def __init__(self, side, rho, pivot, nonterminal, kids, e_prime,
                  sigma_pp, vbar, bal_pair):
         self.side = side            # "L" or "R"
         self.rho = rho              # the length-d0 play that was balanced
         self.pivot = pivot          # U (for L) or T (for R)
         self.nonterminal = nonterminal
-        self.sigma_p = sigma_p      # sigma' with T = A(x1..xm) sigma'
+        self.kids = kids            # T = A(kids), i.e. x_i sigma' = kids[i-1]
         self.e_prime = e_prime      # abstract E' with A(x..) -u-> E'
         self.sigma_pp = sigma_pp    # sigma'' with x_i sigma'' = V_i
         self.vbar = vbar            # i -> rule word from pivot to V_i
@@ -147,7 +151,8 @@ class BalanceInfo:
 
 
 def enables_balancing(g: Grammar, rho: Play, side: str, d0: int):
-    """Root-performability of the side's word; None or (A, sigma', E')."""
+    """Root-performability of the side's word; None or (A, kids, E')
+    where the side's start term is A(kids)."""
     if rho.length() != d0:
         return None
     t = rho.start[0] if side == "L" else rho.start[1]
@@ -158,33 +163,15 @@ def enables_balancing(g: Grammar, rho: Play, side: str, d0: int):
     p = run_word(g, g.lhs_term(node[1]), word)
     if p is None:
         return None
-    sigma_p = Substitution(g.ts, {i: c for i, c in enumerate(node[2], 1)})
-    return (node[1], sigma_p, p.end)
-
-
-def enables_L_balancing(g: Grammar, rho: Play, d0: int):
-    return enables_balancing(g, rho, "L", d0)
-
-
-def enables_R_balancing(g: Grammar, rho: Play, d0: int):
-    return enables_balancing(g, rho, "R", d0)
+    return (node[1], node[2], p.end)
 
 
 def label_matched_reachable(g: Grammar, t: int, labels):
     """All (rule word, end) with the given action labels, in rule order."""
     out = [((), t)]
     for a in labels:
-        nxt = []
-        for w, cur in out:
-            node = g.ts.node(cur)
-            if node[0] == "var":
-                continue
-            for r in g.rules_by_lhs.get(node[1], []):
-                if r.action != a:
-                    continue
-                nxt_term = run_word(g, cur, [r.rid]).end
-                nxt.append((w + (r.rid,), nxt_term))
-        out = nxt
+        out = [(w + (rid,), v)
+               for w, cur in out for rid, v in step_action(g, cur, a)]
     return out
 
 
@@ -196,7 +183,7 @@ def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
     dec = enables_balancing(g, rho, side, d0)
     if dec is None:
         raise PlaysError("play does not enable %s-balancing" % side)
-    a_name, sigma_p, e_prime = dec
+    a_name, kids, e_prime = dec
     pivot = rho.start[1] if side == "L" else rho.start[0]
     other_finish = rho.finish[1] if side == "L" else rho.finish[0]
     e_pair = o.level(*rho.finish)
@@ -215,14 +202,14 @@ def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
         labels = [g.rule_by_id[r].action for r in w_ai]
         best = None
         for w, v in label_matched_reachable(g, pivot, labels):
-            lv = o.level(apply_subst(ts, ts.var(i), sigma_p), v)
+            lv = o.level(kids[i - 1], v)
             if lv <= e_pair:
                 continue
             key = (-lv, tuple(order[r] for r in w))
             if best is None or key < best[0]:
                 best = (key, w, v)
         if best is None:
-            raise PlaysError(
+            raise PlaysIndeterminate(
                 "cutoff starvation: no qualifying V_%d for pivot" % i)
         vbar[i] = best[1]
         binding[i] = best[2]
@@ -232,7 +219,7 @@ def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
                 else (other_finish, new_side_term))
     if o.level(*bal_pair) != e_pair:
         raise PlaysError("balancing changed the eq-level (internal bug)")
-    return BalanceInfo(side, rho, pivot, a_name, sigma_p, e_prime,
+    return BalanceInfo(side, rho, pivot, a_name, kids, e_prime,
                        sigma_pp, vbar, bal_pair)
 
 
@@ -313,14 +300,9 @@ def _abstract_death(g: Grammar, e_prime: int, word):
             return (p, node[1])
         if p == len(word):
             return None
-        nxt = None
-        r = g.rule_by_id[word[p]]
-        if r.lhs == node[1]:
-            sigma = Substitution(g.ts, {i: c for i, c in enumerate(node[2], 1)})
-            nxt = apply_subst(g.ts, r.rhs, sigma)
-        if nxt is None:
+        cur = step_rule(g, cur, word[p])
+        if cur is None:
             return None
-        cur = nxt
     return None
 
 

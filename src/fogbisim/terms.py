@@ -5,11 +5,12 @@ subterms) is represented by an integer handle (TermId) into a TermStore.
 The store keeps exactly one node per distinct subterm, so handle
 equality is term equality and pressize is a reachable-node count.
 
-Interning goes through a single canonicalization routine that quotients
-the input graph by bisimulation (partition refinement) and then matches
-the quotient against the store bottom-up: acyclic nodes by plain
-hash-consing, cyclic strongly connected components by a canonical
-serialization of their subgraph.
+Finite terms over canonical children are interned by plain
+hash-consing. Graphs that may contain cycles go through a
+canonicalization routine that quotients the input graph by bisimulation
+(partition refinement) and then matches the quotient against the store
+bottom-up: acyclic nodes by hash-consing, cyclic strongly connected
+components by a canonical serialization of their subgraph.
 """
 
 from __future__ import annotations
@@ -30,8 +31,13 @@ class TermStore:
     """Append-only interning table for regular terms.
 
     Nodes are tuples: (VAR, index) or (APP, nonterminal, child_ids).
-    Children of stored nodes are store ids; cycles appear as ids that
-    are not smaller than the referring node's id.
+    Children of stored nodes are store ids. The store keeps one node per
+    bisimulation class, and an acyclic node is always interned after its
+    children, so every arc below a finite term leads to a smaller id,
+    while every cycle has an arc to an id no smaller than its source.
+    Finite terms can therefore be built and walked in ascending id order
+    by plain hash-consing (`app`, `instantiate`); `intern_raw` is needed
+    only for input that creates a cycle.
     """
 
     def __init__(self):
@@ -482,41 +488,22 @@ def render_term(ts: TermStore, t: TermId) -> str:
 
 
 def _render_finite(ts: TermStore, t: TermId) -> str:
-    node = ts.node(t)
-    if node[0] == VAR:
-        return "x%d" % node[1]
-    if not node[2]:
-        return node[1]
-    return "%s(%s)" % (node[1], ",".join(_render_finite(ts, c) for c in node[2]))
+    text: dict[TermId, str] = {}
+    for u in sorted(ts.reachable([t])):
+        node = ts.nodes[u]
+        if node[0] == VAR:
+            text[u] = "x%d" % node[1]
+        elif not node[2]:
+            text[u] = node[1]
+        else:
+            text[u] = "%s(%s)" % (node[1], ",".join(text[c] for c in node[2]))
+    return text[t]
 
 
 def is_finite(ts: TermStore, t: TermId) -> bool:
-    """True iff the presentation reachable from t is acyclic."""
-    state: dict[TermId, int] = {}  # 1 = on path, 2 = done
-
-    def walk(u) -> bool:
-        stack = [(u, 0)]
-        while stack:
-            v, i = stack.pop()
-            if i == 0:
-                if state.get(v) == 1:
-                    return False
-                if state.get(v) == 2:
-                    continue
-                state[v] = 1
-            kids = ts.children(v)
-            if i < len(kids):
-                stack.append((v, i + 1))
-                child = kids[i]
-                if state.get(child) == 1:
-                    return False
-                if state.get(child) != 2:
-                    stack.append((child, 0))
-            else:
-                state[v] = 2
-        return True
-
-    return walk(t)
+    """True iff the presentation reachable from t is acyclic, i.e. every
+    arc below t leads to a smaller id."""
+    return all(c < u for u in ts.reachable([t]) for c in ts.children(u))
 
 
 def pressize(ts: TermStore, roots) -> int:
@@ -536,22 +523,11 @@ def height(ts: TermStore, t: TermId) -> int:
     """Maximal depth of a subterm occurrence; finite terms only."""
     if not is_finite(ts, t):
         raise TermError("height is undefined for infinite terms")
-    memo: dict[TermId, int] = {}
-
-    def h(u) -> int:
-        if u in memo:
-            return memo[u]
+    h: dict[TermId, int] = {}
+    for u in sorted(ts.reachable([t])):
         kids = ts.children(u)
-        memo[u] = 0 if not kids else 1 + max(h(c) for c in kids)
-        return memo[u]
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10 * len(ts.nodes) + 100))
-    try:
-        return h(t)
-    finally:
-        sys.setrecursionlimit(old)
+        h[u] = 1 + max(h[c] for c in kids) if kids else 0
+    return h[t]
 
 
 def varin(ts: TermStore, roots) -> set[int]:
@@ -593,12 +569,29 @@ class Substitution:
         return "[%s]" % inner
 
 
+def instantiate(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
+    """Eσ for a finite E, where binding maps variable indices to ids.
+
+    Builds every node below t in ascending id order, so each node's
+    children are already canonical and plain hash-consing finds any
+    existing node, cyclic ones included.
+    """
+    out: dict[TermId, TermId] = {}
+    for u in sorted(ts.reachable([t])):
+        node = ts.nodes[u]
+        if node[0] == VAR:
+            out[u] = binding.get(node[1], u)
+        else:
+            out[u] = ts._intern((APP, node[1], tuple(out[c] for c in node[2])))
+    return out[t]
+
+
 def apply_subst(ts: TermStore, t: TermId, sigma: Substitution) -> TermId:
     """Eσ: redirect each arc leading to a supported variable."""
     if not sigma.map:
         return t
-    if ts.is_var(t):
-        return sigma.lookup(ts.var_index(t))
+    if is_finite(ts, t):
+        return instantiate(ts, t, sigma.map)
     raw = {}
     for tid in ts.reachable([t]):
         node = ts.node(tid)

@@ -1,9 +1,11 @@
+import pathlib
 import random
 
 import pytest
 
 from fogbisim.terms import (
-    Substitution, apply_subst, omega_iterate, parse_term, pressize, varin,
+    Substitution, apply_subst, is_finite, omega_iterate, parse_term, pressize,
+    varin,
 )
 from fogbisim.grammar import compute_constants, compute_sink_table, parse_grammar
 from fogbisim.equiv import EqOracle
@@ -16,6 +18,8 @@ from fogbisim.bases import (
 )
 
 from gen import random_grammar, random_ground_term, random_finite_term
+
+GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
 
 G1 = (
     "nonterminals: A/1, Z/0\n"
@@ -235,6 +239,34 @@ def test_enumerate_terms_g1():
         assert pressize(ts, [t]) <= 2
         assert varin(ts, [t]) <= {1}
     assert terms == enumerate_terms(g, 1, 2)  # deterministic
+
+
+def has_cycle(ts, t):
+    """Explicit DFS with an on-path set: the independent finiteness oracle."""
+    on_path, done = set(), set()
+    stack = [(t, iter(ts.children(t)))]
+    on_path.add(t)
+    while stack:
+        u, kids = stack[-1]
+        c = next(kids, None)
+        if c is None:
+            stack.pop()
+            on_path.discard(u)
+            done.add(u)
+        elif c in on_path:
+            return True
+        elif c not in done:
+            on_path.add(c)
+            stack.append((c, iter(ts.children(c))))
+    return False
+
+
+def test_is_finite_matches_dfs_on_enumerated_terms():
+    g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
+    terms = enumerate_terms(g, 1, 3)
+    assert any(has_cycle(g.ts, t) for t in terms)
+    for t in terms:
+        assert is_finite(g.ts, t) == (not has_cycle(g.ts, t))
 
 
 def test_enumerate_pairs_properties():

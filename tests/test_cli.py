@@ -146,3 +146,35 @@ def test_pipeline_indeterminate(capsys):
     code, _, err = run(capsys, "pipeline", "--grammar", G1, "--cutoff", "5",
                        "--left", "Z", "--right", "Z")
     assert code == 3
+
+
+def test_balancing_indeterminate_and_error_exit_codes(capsys, monkeypatch):
+    import fogbisim.cli as cli
+    from fogbisim.plays import PlaysError, PlaysIndeterminate
+
+    def raise_with(ex):
+        def fake(*args, **kw):
+            raise ex
+        return fake
+
+    argv = ("balance", "--grammar", GCHAIN, "--left", "A(Z)", "--right", "B(Z)")
+    monkeypatch.setattr(cli, "transform_to_balanced",
+                        raise_with(PlaysIndeterminate("cutoff starvation")))
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("indeterminate:")
+    monkeypatch.setattr(cli, "transform_to_balanced",
+                        raise_with(PlaysError("cutoff starvation")))
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("left, right, cutoff", [
+    ("A(" * 20 + "Z" + ")" * 20, "A(" * 21 + "Z" + ")" * 21, "1000"),
+    ("A(" * 1200 + "Z" + ")" * 1200, "Z", "12"),
+])
+def test_internal_error_exits_2_without_traceback(capsys, left, right, cutoff):
+    code, _, err = run(capsys, "eqlevel", "--grammar", G1, "--left", left,
+                       "--right", right, "--cutoff", cutoff)
+    assert code == 2
+    assert err.startswith("error: RecursionError: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -8,9 +8,8 @@ from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle
 from fogbisim.plays import (
     BalancedPlay, ModifiedPlay, Play, PlaysError, balance_step,
-    build_optimal_play, crucial_segment_length, econc, enables_L_balancing,
-    enables_R_balancing, enables_balancing, label_matched_reachable,
-    p_top_form, pivot_top_presentation, refine_segments,
+    build_optimal_play, crucial_segment_length, econc, enables_balancing,
+    label_matched_reachable, p_top_form, pivot_top_presentation, refine_segments,
     transform_to_balanced, verify_balanced, _abstract_death,
 )
 
@@ -147,13 +146,13 @@ def test_enables_balancing_worked_example():
     t1 = step_rule(g, t, "r1")
     t2 = step_rule(g, t1, "r3")
     rho = Play([(t, t), (t1, t1), (t2, t2)], [("r1", "r1"), ("r3", "r3")])
-    got = enables_L_balancing(g, rho, 2)
+    got = enables_balancing(g, rho, "L", 2)
     assert got is not None
-    a_name, sigma_p, e_prime = got
-    assert a_name == "A"
+    a_name, kids, e_prime = got
+    assert a_name == "A" and kids == ts.children(t)
     assert e_prime == parse_term(ts, "B2(C(x2,x1))", g.arities)
-    assert enables_R_balancing(g, rho, 2) is not None
-    assert enables_L_balancing(g, rho, 3) is None  # wrong length
+    assert enables_balancing(g, rho, "R", 2) is not None
+    assert enables_balancing(g, rho, "L", 3) is None  # wrong length
 
 
 def test_enables_balancing_sinking_prefix():
@@ -165,7 +164,7 @@ def test_enables_balancing_sinking_prefix():
          (p.end, p.end)],
         [("r1", "r1"), ("r1", "r1")])
     # A(x1) -r1-> x1 dies before step 2: not root-performable
-    assert enables_L_balancing(g, rho, 2) is None
+    assert enables_balancing(g, rho, "L", 2) is None
 
 
 def test_enables_balancing_variable_landing():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -216,6 +218,68 @@ def mk_subst(ts, pairs):
     return Substitution(ts, {i: build(ts, tr) for i, tr in pairs})
 
 
+# cyclic images over NT, in the term-graph text format
+CYCLIC = [
+    "node n = C(n)\nroot t = n",
+    "node n = A(n,b)\nnode b = B\nroot t = n",
+    "node n = A(m,x1)\nnode m = C(n)\nroot t = n",
+    "node n = A(m,m)\nnode m = C(n)\nroot t = n",
+]
+
+
+@st.composite
+def images(draw):
+    kind = draw(st.sampled_from(["tree", "graph", "omega"]))
+    if kind == "graph":
+        return (kind, draw(st.sampled_from(CYCLIC)))
+    tree = draw(finite_terms(max_depth=2))
+    return (kind, tree, draw(st.integers(min_value=1, max_value=3)))
+
+
+def mk_image(ts, img):
+    if img[0] == "graph":
+        return intern_graph(ts, img[1])["t"]
+    t = build(ts, img[1])
+    return t if img[0] == "tree" else omega_iterate(ts, t, img[2])
+
+
+def subst_by_raw_graph(ts, t, binding):
+    """Reference for tσ: one raw graph holding t's nodes and a fresh copy
+    of every image's presentation, interned by partition refinement."""
+    raw = {}
+    for img in binding.values():
+        for u in ts.reachable([img]):
+            node = ts.node(u)
+            raw[("img", u)] = node if node[0] == "var" else \
+                ("app", node[1], [("img", c) for c in node[2]])
+
+    def ref(u):
+        node = ts.node(u)
+        if node[0] == "var" and node[1] in binding:
+            return ("img", binding[node[1]])
+        return ("t", u)
+
+    for u in ts.reachable([t]):
+        node = ts.node(u)
+        if node[0] == "app":
+            raw[("t", u)] = ("app", node[1], [ref(c) for c in node[2]])
+        elif node[1] not in binding:
+            raw[("t", u)] = node
+    [out] = ts.intern_raw(raw, [ref(t)])
+    return out
+
+
+@given(finite_terms(), st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), images()), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_apply_subst_matches_raw_graph_interning(tree, pairs):
+    ts = TermStore()
+    sigma = Substitution(ts, {i: mk_image(ts, img) for i, img in pairs})
+    t = build(ts, tree)
+    want = subst_by_raw_graph(ts, t, sigma.map)
+    assert apply_subst(ts, t, sigma) == want
+
+
 @given(finite_terms(), substs(), substs())
 @settings(max_examples=150, deadline=None)
 def test_subst_application_distributes(tree, p1, p2):
@@ -293,3 +357,15 @@ def test_is_finite():
     e1, _, e3 = fig1_terms(ts)
     assert is_finite(ts, e1)
     assert not is_finite(ts, e3)
+
+
+def test_deep_finite_term_walkers_are_iterative():
+    ts = TermStore()
+    t = ts.app("B", ())
+    for _ in range(5000):
+        t = ts.app("C", (t,))
+    limit = sys.getrecursionlimit()
+    assert is_finite(ts, t)
+    assert height(ts, t) == 5000
+    assert render_term(ts, t) == "C(" * 5000 + "B" + ")" * 5000
+    assert sys.getrecursionlimit() == limit
