@@ -13,8 +13,6 @@ loop grows a candidate until every enumerated pair outside it is
 
 from __future__ import annotations
 
-from itertools import product
-
 from .terms import Substitution, apply_subst, omega_iterate, pressize, varin
 from .grammar import Grammar, step_increment
 from .lts import run_word
@@ -137,9 +135,12 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
 
 def pair_level(ts, e: int, f: int):
     """The j with varin(E,F) = {x1..xj}, or None for non-prefix sets."""
-    vs = varin(ts, [e, f])
-    j = len(vs)
-    return j if vs == set(range(1, j + 1)) else None
+    return _prefix_level(varin(ts, [e, f]))
+
+
+def _prefix_level(vs):
+    """j if the indices vs are exactly 1..j (max equals count), else None."""
+    return len(vs) if max(vs, default=0) == len(vs) else None
 
 
 class Candidate:
@@ -212,60 +213,60 @@ def bound_of_candidate(c: Candidate) -> Bound:
 def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
                     budget: int = 2_000_000) -> list[int]:
     """All canonical regular terms with variables among x1..max_vars and
-    at most max_size distinct subterms, by brute-force enumeration of
-    term graphs (cyclic ones included)."""
+    at most max_size distinct subterms (cyclic ones included).
+
+    Each graph of k nodes, all reachable from root node 0, is built once,
+    in breadth-first numbering: nodes are filled in index order and each
+    child is a node already referenced or exactly the next unreferenced
+    index; it then goes through one `intern_raw` call. The budget bounds
+    the brute-force space of options**k graphs, an upper bound on the
+    graphs generated."""
     ts = g.ts
     out = set()
     for k in range(1, max_size + 1):
-        options = [("var", i) for i in range(1, max_vars + 1)]
-        for nt in g.arities:
-            for kids in product(range(k), repeat=g.arities[nt]):
-                options.append(("app", nt, kids))
-        total = len(options) ** k
+        total = (max_vars + sum(k ** m for m in g.arities.values())) ** k
         if total > budget:
             raise BasesError(
                 "enumeration budget exceeded (%d graphs of %d nodes)"
                 % (total, k))
-        for assignment in product(options, repeat=k):
-            # only graphs whose nodes are all reachable from node 0;
-            # smaller graphs were enumerated at smaller k
-            seen = {0}
-            stack = [0]
-            while stack:
-                node = assignment[stack.pop()]
-                if node[0] == "app":
-                    for child in node[2]:
-                        if child not in seen:
-                            seen.add(child)
-                            stack.append(child)
-            if len(seen) != k:
+        # partial graphs: (filled nodes, number of nodes referenced so far)
+        stack = [((), 1)]
+        while stack:
+            nodes, n_ref = stack.pop()
+            if len(nodes) == n_ref:  # closed: every referenced node filled
+                if n_ref == k:
+                    out.add(ts.intern_raw(dict(enumerate(nodes)), [0])[0])
                 continue
-            raw = {}
-            for idx, node in enumerate(assignment):
-                if node[0] == "var":
-                    raw[idx] = ("var", node[1])
-                else:
-                    raw[idx] = ("app", node[1], list(node[2]))
-            out.add(ts.intern_raw(raw, [0])[0])
+            stack += [(nodes + (("var", i),), n_ref)
+                      for i in range(1, max_vars + 1)]
+            for nt, m in g.arities.items():
+                # child tuples, each with the count referenced after it
+                opts = [((), n_ref)]
+                for _ in range(m):
+                    opts = [(kids + (c,), max(d, c + 1)) for kids, d in opts
+                            for c in range(min(d + 1, k))]
+                stack += [(nodes + (("app", nt, kids),), d) for kids, d in opts]
     return sorted(out)
 
 
 def enumerate_pairs(o: EqOracle, max_vars: int, max_size: int):
     """Ordered-canonical pairs (E,F), E <= F, E != F, whose variables
     form a prefix set; yields (pair, level, pressize, eq-level)."""
-    g = o.g
-    ts = g.ts
-    terms = enumerate_terms(g, max_vars, max_size)
+    ts = o.g.ts
+    terms = enumerate_terms(o.g, max_vars, max_size)
+    # subterms and variables of each term, so that a pair's are unions
+    reach = [frozenset(ts.reachable([t])) for t in terms]
+    vs = [frozenset(ts.var_index(u) for u in r if ts.is_var(u)) for r in reach]
     for a in range(len(terms)):
         for b in range(a + 1, len(terms)):
-            e, f = terms[a], terms[b]
-            lv = pair_level(ts, e, f)
-            if lv is None or lv > max_vars:
-                continue
-            sz = pressize(ts, [e, f])
+            # the size bound rejects most pairs, so it is tested first
+            sz = len(reach[a] | reach[b])
             if sz > max_size:
                 continue
-            yield ((e, f), lv, sz, o.level(e, f))
+            lv = _prefix_level(vs[a] | vs[b])
+            if lv is None or lv > max_vars:
+                continue
+            yield ((terms[a], terms[b]), lv, sz, o.level(terms[a], terms[b]))
 
 
 def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):

@@ -77,16 +77,11 @@ def _emit(args, payload, lines):
             print(line)
 
 
-def _constants_dict(c):
-    return {name: getattr(c, name) for name in GrammarConstants.FIELDS}
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_validate(args):
     g = _load_grammar(args)
-    c = compute_constants(g)
-    cd = _constants_dict(c)
+    cd = compute_constants(g).as_dict()
     lines = ["nonterminals: %d" % len(g.arities),
              "rules: %d" % len(g.rules),
              "actions: %d" % len(g.actions)]
@@ -99,7 +94,7 @@ def cmd_validate(args):
 
 def cmd_constants(args):
     g = _load_grammar(args)
-    cd = _constants_dict(compute_constants(g))
+    cd = compute_constants(g).as_dict()
     _emit(args, {"command": "constants", "constants": cd},
           ["%s\t%s" % (k, cd[k]) for k in GrammarConstants.FIELDS])
     return EXIT_OK

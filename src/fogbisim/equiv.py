@@ -162,9 +162,8 @@ def defender_optimal(o: EqOracle, t: int, u: int, side: str, rid: str, succ: int
     replies = step_action(g, there, action)
     if not replies:
         raise EquivError("no response exists (internal inconsistency)")
-    order = g.rule_order()
     best = None
-    for rid2, u2 in sorted(replies, key=lambda p: order[p[0]]):
+    for rid2, u2 in sorted(replies, key=lambda p: g.rule_order[p[0]]):
         lv = o.level(succ, u2)
         if best is None or lv > best[0]:
             best = (lv, rid2, u2)

@@ -50,6 +50,7 @@ class Grammar:
         self.actions_by_lhs: dict[str, list[str]] = {
             a: sorted({r.action for r in rs}, key=order.get)
             for a, rs in self.rules_by_lhs.items()}
+        self.rule_order = {r.rid: i for i, r in enumerate(self.rules)}
 
     def _validate(self):
         for r in self.rules:
@@ -67,9 +68,6 @@ class Grammar:
         """A(x1..xm) for the nonterminal's declared arity."""
         m = self.arities[nt]
         return self.ts.app(nt, tuple(self.ts.var(i) for i in range(1, m + 1)))
-
-    def rule_order(self) -> dict[str, int]:
-        return {r.rid: i for i, r in enumerate(self.rules)}
 
 
 def parse_grammar(text: str, ts: TermStore | None = None) -> Grammar:
@@ -145,7 +143,7 @@ def compute_sink_table(g: Grammar) -> SinkTable:
     word[A,i] relaxes via each rule A -r-> E using the best way to sink
     the finite term E to x_i; iterate to a fixpoint.
     """
-    order = g.rule_order()
+    order = g.rule_order
 
     def better(a, b):
         # a beats b: shorter, or equal length and lexicographically less

@@ -189,7 +189,6 @@ def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
     e_pair = o.level(*rho.finish)
     if e_pair >= o.cutoff:
         raise PlaysError("eq-level at cutoff; cannot balance")
-    order = g.rule_order()
     m = g.arities[a_name]
     vbar = {}
     binding = {}
@@ -205,7 +204,7 @@ def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
             lv = o.level(kids[i - 1], v)
             if lv <= e_pair:
                 continue
-            key = (-lv, tuple(order[r] for r in w))
+            key = (-lv, tuple(g.rule_order[r] for r in w))
             if best is None or key < best[0]:
                 best = (key, w, v)
         if best is None:

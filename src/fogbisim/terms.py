@@ -419,42 +419,20 @@ def _is_var(s: str) -> bool:
 
 
 def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) -> TermId:
-    """Parse the inline finite-term syntax, e.g. A(D(x5,C(x2,B)),x5,B)."""
-    pos = [0]
+    """Parse the inline finite-term syntax, e.g. A(D(x5,C(x2,B)),x5,B),
+    keeping the open applications on a stack rather than recursing."""
     s = text.strip()
+    pos = 0
 
     def fail(msg):
-        raise TermError("%s at position %d in %r" % (msg, pos[0], s))
+        raise TermError("%s at position %d in %r" % (msg, pos, s))
 
     def skip_ws():
-        while pos[0] < len(s) and s[pos[0]].isspace():
-            pos[0] += 1
+        nonlocal pos
+        while pos < len(s) and s[pos].isspace():
+            pos += 1
 
-    def parse() -> TermId:
-        skip_ws()
-        start = pos[0]
-        while pos[0] < len(s) and (s[pos[0]].isalnum() or s[pos[0]] in "_'"):
-            pos[0] += 1
-        name = s[start:pos[0]]
-        if not name:
-            fail("expected a term")
-        if _is_var(name):
-            return ts.var(int(name[1:]))
-        kids = []
-        if pos[0] < len(s) and s[pos[0]] == "(":
-            pos[0] += 1
-            while True:
-                kids.append(parse())
-                skip_ws()
-                if pos[0] >= len(s):
-                    fail("unbalanced parens")
-                if s[pos[0]] == ",":
-                    pos[0] += 1
-                    continue
-                if s[pos[0]] == ")":
-                    pos[0] += 1
-                    break
-                fail("expected ',' or ')'")
+    def app(name, kids) -> TermId:
         if arities is not None:
             if name not in arities:
                 fail("unknown nonterminal %r" % name)
@@ -463,8 +441,38 @@ def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) 
                      % (name, arities[name], len(kids)))
         return ts.app(name, tuple(kids))
 
-    t = parse()
-    if pos[0] != len(s):
+    open_apps = []  # (name, children so far) of each unclosed "name("
+    while True:
+        skip_ws()
+        start = pos
+        while pos < len(s) and (s[pos].isalnum() or s[pos] in "_'"):
+            pos += 1
+        name = s[start:pos]
+        if not name:
+            fail("expected a term")
+        if _is_var(name):
+            t = ts.var(int(name[1:]))
+        elif pos < len(s) and s[pos] == "(":
+            pos += 1
+            open_apps.append((name, []))
+            continue
+        else:
+            t = app(name, [])
+        # t is complete: close every application it ends
+        while open_apps:
+            open_apps[-1][1].append(t)
+            skip_ws()
+            if pos >= len(s):
+                fail("unbalanced parens")
+            if s[pos] not in ",)":
+                fail("expected ',' or ')'")
+            pos += 1
+            if s[pos - 1] == ",":
+                break
+            t = app(*open_apps.pop())
+        else:
+            break
+    if pos != len(s):
         fail("trailing input")
     return t
 

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from itertools import product
 
 import pytest
 
@@ -269,6 +270,81 @@ def test_is_finite_matches_dfs_on_enumerated_terms():
         assert is_finite(g.ts, t) == (not has_cycle(g.ts, t))
 
 
+def reference_enumerate_terms(g, max_vars, max_size, budget=2_000_000):
+    """Brute-force reference for enumerate_terms: every assignment of
+    options to k numbered nodes, kept when all nodes are reachable from
+    node 0, deduplicated by interning."""
+    ts = g.ts
+    out = set()
+    for k in range(1, max_size + 1):
+        options = [("var", i) for i in range(1, max_vars + 1)]
+        for nt in g.arities:
+            for kids in product(range(k), repeat=g.arities[nt]):
+                options.append(("app", nt, kids))
+        total = len(options) ** k
+        if total > budget:
+            raise BasesError(
+                "enumeration budget exceeded (%d graphs of %d nodes)"
+                % (total, k))
+        for assignment in product(options, repeat=k):
+            seen = {0}
+            stack = [0]
+            while stack:
+                node = assignment[stack.pop()]
+                if node[0] == "app":
+                    for child in node[2]:
+                        if child not in seen:
+                            seen.add(child)
+                            stack.append(child)
+            if len(seen) != k:
+                continue
+            raw = {}
+            for idx, node in enumerate(assignment):
+                if node[0] == "var":
+                    raw[idx] = ("var", node[1])
+                else:
+                    raw[idx] = ("app", node[1], list(node[2]))
+            out.add(ts.intern_raw(raw, [0])[0])
+    return sorted(out)
+
+
+def assert_same_enumeration(g, max_vars, max_size, budget=2_000_000):
+    """Reference and enumerate_terms in one store: equal id lists, or
+    the same BasesError."""
+    try:
+        want = reference_enumerate_terms(g, max_vars, max_size, budget)
+    except BasesError as ex:
+        with pytest.raises(BasesError) as got:
+            enumerate_terms(g, max_vars, max_size, budget)
+        assert str(got.value) == str(ex)
+        return
+    assert enumerate_terms(g, max_vars, max_size, budget) == want
+
+
+@pytest.mark.parametrize("name", ["g1.fog", "gchain.fog", "gnull.fog"])
+def test_enumerate_terms_matches_reference(name):
+    g = parse_grammar(open(GRAMMARS / name).read())
+    for max_vars in range(3):
+        for size in range(1, 4):
+            assert_same_enumeration(g, max_vars, size)
+
+
+def test_enumerate_terms_matches_reference_on_random_grammars():
+    for seed in range(20):
+        g = random_grammar(seed)
+        for max_vars in range(3):
+            for size in range(1, 4):
+                assert_same_enumeration(g, max_vars, size, budget=4000)
+
+
+def test_enumerate_terms_budget():
+    g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
+    with pytest.raises(BasesError) as ex:
+        enumerate_terms(g, 1, 5)
+    assert str(ex.value) == \
+        "enumeration budget exceeded (33554432 graphs of 5 nodes)"
+
+
 def test_enumerate_pairs_properties():
     g = g1()
     o = EqOracle(g, 8)
@@ -278,6 +354,15 @@ def test_enumerate_pairs_properties():
         assert e < f
         assert pair_level(g.ts, e, f) == lv <= 1
         assert sz == pressize(g.ts, [e, f]) <= 2
+    # complete: every pair of enumerated terms that passes the filter
+    terms = enumerate_terms(g, 1, 2)
+    want = []
+    for i, e in enumerate(terms):
+        for f in terms[i + 1:]:
+            lv = pair_level(g.ts, e, f)
+            if lv is not None and lv <= 1 and pressize(g.ts, [e, f]) <= 2:
+                want.append((e, f))
+    assert [pr for pr, lv, sz, eq in pairs] == want
 
 
 # -- full bases --------------------------------------------------------------

@@ -170,7 +170,6 @@ def test_balancing_indeterminate_and_error_exit_codes(capsys, monkeypatch):
 
 @pytest.mark.parametrize("left, right, cutoff", [
     ("A(" * 20 + "Z" + ")" * 20, "A(" * 21 + "Z" + ")" * 21, "1000"),
-    ("A(" * 1200 + "Z" + ")" * 1200, "Z", "12"),
 ])
 def test_internal_error_exits_2_without_traceback(capsys, left, right, cutoff):
     code, _, err = run(capsys, "eqlevel", "--grammar", G1, "--left", left,
@@ -178,3 +177,11 @@ def test_internal_error_exits_2_without_traceback(capsys, left, right, cutoff):
     assert code == 2
     assert err.startswith("error: RecursionError: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_eqlevel_deeply_nested_term(capsys):
+    # parse_term keeps its own stack, so nesting depth is unlimited
+    left = "A(" * 1200 + "Z" + ")" * 1200
+    code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", left,
+                         "--right", "Z", "--cutoff", "12")
+    assert (code, out, err) == (1, "finite 0\n", "")

@@ -368,4 +368,5 @@ def test_deep_finite_term_walkers_are_iterative():
     assert is_finite(ts, t)
     assert height(ts, t) == 5000
     assert render_term(ts, t) == "C(" * 5000 + "B" + ")" * 5000
+    assert parse_term(ts, render_term(ts, t)) == t
     assert sys.getrecursionlimit() == limit
