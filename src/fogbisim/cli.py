@@ -6,6 +6,7 @@ reached).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,9 +22,9 @@ from .plays import (
     transform_to_balanced, verify_balanced,
 )
 from .bases import (
-    BasesError, BasesIndeterminate, NsgParams, bound_of_candidate,
-    build_full_base_capped, check_nsg_sequence, present_stair_as_nsg,
-    reduce_nsg_step, sound_candidate_search,
+    BasesError, BasesIndeterminate, NsgParams, build_full_base_capped,
+    check_nsg_sequence, present_stair_as_nsg, reduce_nsg_step,
+    sound_candidate_search,
 )
 
 SCHEMA = 1
@@ -345,7 +346,9 @@ def cmd_pipeline(args):
 
 # -- parser ------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first call and reused after."""
     top = argparse.ArgumentParser(
         prog="fogbisim",
         description="bisimulation eq-level tools for first-order grammars")

@@ -52,8 +52,17 @@ class EqOracle:
 
     Internally levels are plain ints e with the convention that
     e < budget means "exactly e" and e == budget means "at least
-    budget". The memo keeps exact values forever and the best lower
-    bound proven so far.
+    budget". The memo keeps exact values forever (`exact`) and the best
+    lower bound proven so far (`lower`).
+
+    One game node is the generator `_game`: it yields the sub-queries
+    (t2, u2, cap) the memo cannot answer and receives their levels.
+    `level` drives these generators on one explicit work stack, so the
+    search depth, at most the budget, is not bounded by Python's
+    recursion limit. Each reply is asked at cap = best - 1, where best
+    is the attacker's best so far: a reply at or above best - 1 cannot
+    lower best (alpha-beta pruning). Successors come from the table
+    that `step_action` keeps on the grammar.
     """
 
     def __init__(self, g: Grammar, cutoff: int):
@@ -67,12 +76,8 @@ class EqOracle:
     def _key(self, t: int, u: int) -> tuple[int, int]:
         return (t, u) if t <= u else (u, t)
 
-    def level(self, t: int, u: int, budget: int | None = None) -> int:
-        """e < budget: exact; e == budget: at least budget."""
-        if budget is None:
-            budget = self.cutoff
-        if budget > self.cutoff:
-            raise EquivError("budget %d exceeds cutoff %d" % (budget, self.cutoff))
+    def _known(self, t: int, u: int, budget: int) -> int | None:
+        """The level of (t, u) capped at budget, if the memo settles it."""
         if t == u:
             return budget
         key = self._key(t, u)
@@ -81,35 +86,61 @@ class EqOracle:
             return min(e, budget)
         if self.lower.get(key, -1) >= budget:
             return budget
-        e = self._compute(t, u, budget)
-        if e < budget:
-            self.exact[key] = e
-        else:
-            self.lower[key] = max(self.lower.get(key, 0), budget)
+        return None
+
+    def level(self, t: int, u: int, budget: int | None = None) -> int:
+        """e < budget: exact; e == budget: at least budget."""
+        if budget is None:
+            budget = self.cutoff
+        if budget > self.cutoff:
+            raise EquivError("budget %d exceeds cutoff %d" % (budget, self.cutoff))
+        e = self._known(t, u, budget)
+        if e is not None:
+            return e
+        stack = [(self._key(t, u), budget, self._game(t, u, budget))]
+        while stack:
+            key, b, game = stack[-1]
+            try:
+                t2, u2, cap = game.send(e)
+            except StopIteration as done:
+                stack.pop()
+                e = done.value
+                if e < b:
+                    self.exact[key] = e
+                else:
+                    self.lower[key] = b  # _known saw a smaller bound or none
+                continue
+            stack.append((self._key(t2, u2), cap, self._game(t2, u2, cap)))
+            e = None
         return e
 
-    def _compute(self, t: int, u: int, budget: int) -> int:
+    def _game(self, t: int, u: int, budget: int):
+        """One game node: returns the level of (t, u) capped at budget."""
         ts = self.g.ts
         if ts.is_var(t) or ts.is_var(u):
             return 0  # t != u here; the variable stipulation
-        if enabled_actions(self.g, t) != enabled_actions(self.g, u):
-            return 0
-        if budget == 0:
+        actions = enabled_actions(self.g, t)
+        if actions != enabled_actions(self.g, u):
             return 0
         best = budget  # min over attacker moves of (1 + max over responses)
-        for a in enabled_actions(self.g, t):
+        for a in actions:
             left = step_action(self.g, t, a)
             right = step_action(self.g, u, a)
             for moves, replies in ((left, right), (right, left)):
                 for _, t2 in moves:
+                    if best <= 1:
+                        return best  # every move scores at least 1
+                    cap = best - 1
                     worst = 0
                     for _, u2 in replies:
-                        worst = max(worst, self.level(t2, u2, budget - 1))
-                        if worst >= budget - 1:
-                            break
-                    best = min(best, 1 + worst)
-                    if best == 0:
-                        return 0
+                        e = self._known(t2, u2, cap)
+                        if e is None:
+                            e = yield (t2, u2, cap)
+                        if e > worst:
+                            worst = e
+                            if worst >= cap:
+                                break
+                    best = 1 + worst  # worst <= cap, so best never rises
         return best
 
     # -- public API ----------------------------------------------------------

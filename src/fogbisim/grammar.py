@@ -51,6 +51,8 @@ class Grammar:
             a: sorted({r.action for r in rs}, key=order.get)
             for a, rs in self.rules_by_lhs.items()}
         self.rule_order = {r.rid: i for i, r in enumerate(self.rules)}
+        # (term, action) -> successors; filled by lts.step_action
+        self.successors: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
 
     def _validate(self):
         for r in self.rules:

@@ -44,19 +44,22 @@ def step_rule(g: Grammar, t: int, rid: str):
     return instantiate(g.ts, r.rhs, dict(enumerate(node[2], 1)))
 
 
-def step_action(g: Grammar, t: int, action: str) -> list[tuple[str, int]]:
-    """All (rule id, successor) pairs under rules with the given label."""
-    if action not in g.actions:
-        raise GrammarError("unknown action %r" % action)
-    node = g.ts.node(t)
-    if node[0] == "var":
-        return []
-    out = []
-    for r in g.rules_by_lhs.get(node[1], []):
-        if r.action == action:
-            t2 = step_rule(g, t, r.rid)
-            if t2 is not None:
-                out.append((r.rid, t2))
+def step_action(g: Grammar, t: int, action: str) -> tuple[tuple[str, int], ...]:
+    """All (rule id, successor) pairs under rules with the given label.
+
+    Memoized in `g.successors`: hash-consing keeps term ids stable, so
+    each (term, action) is stepped once per grammar.
+    """
+    key = (t, action)
+    out = g.successors.get(key)
+    if out is None:
+        if action not in g.actions:
+            raise GrammarError("unknown action %r" % action)
+        node = g.ts.node(t)
+        out = () if node[0] == "var" else tuple(
+            (r.rid, step_rule(g, t, r.rid))
+            for r in g.rules_by_lhs.get(node[1], ()) if r.action == action)
+        g.successors[key] = out
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .terms import Substitution, apply_subst, pressize
 from .grammar import Grammar, SinkTable, GrammarConstants
 from .lts import run_word, d0_sinking_split, step_action, step_rule
-from .equiv import EqOracle, EquivError, attacker_optimal, defender_optimal
+from .equiv import EqOracle, attacker_optimal, defender_optimal
 
 
 class PlaysError(Exception):
@@ -428,25 +428,32 @@ def p_top_form(ts, w: int, p: int):
     per distinct cut subterm)."""
     mapping: dict = {}
     binding: dict = {}
-    counter = [0]
-
-    def fresh(key, target):
-        if key not in mapping:
-            counter[0] += 1
-            mapping[key] = counter[0]
-            binding[counter[0]] = target
-        return ts.var(mapping[key])
-
-    def cut(t, depth):
+    cut: dict = {}  # (t, depth) -> t cut at that depth
+    stack = [(w, p)]
+    # explicit depth-first walk, children left to right; a cut point is
+    # numbered when first reached, a node is built once its children are
+    while stack:
+        item = stack[-1]
+        if item in cut:
+            stack.pop()
+            continue
+        t, depth = item
         node = ts.node(t)
-        if node[0] == "var":
-            return fresh(("v", node[1]), t)
-        if depth == 0:
-            return fresh(("t", t), t)
-        return ts.app(node[1], tuple(cut(c, depth - 1) for c in node[2]))
-
-    g_top = cut(w, p)
-    return g_top, Substitution(ts, binding)
+        if node[0] == "var" or depth == 0:
+            key = ("v", node[1]) if node[0] == "var" else ("t", t)
+            if key not in mapping:
+                mapping[key] = len(mapping) + 1
+                binding[mapping[key]] = t
+            cut[item] = ts.var(mapping[key])
+            stack.pop()
+            continue
+        todo = [(c, depth - 1) for c in node[2] if (c, depth - 1) not in cut]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        cut[item] = ts.app(node[1], tuple(cut[(c, depth - 1)] for c in node[2]))
+    return cut[(w, p)], Substitution(ts, binding)
 
 
 def pivot_top_presentation(g: Grammar, info: BalanceInfo, d0: int):

@@ -1,8 +1,6 @@
 import json
 import pathlib
 
-import pytest
-
 from fogbisim.cli import main
 
 GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
@@ -168,15 +166,40 @@ def test_balancing_indeterminate_and_error_exit_codes(capsys, monkeypatch):
     assert code == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("left, right, cutoff", [
-    ("A(" * 20 + "Z" + ")" * 20, "A(" * 21 + "Z" + ")" * 21, "1000"),
-])
-def test_internal_error_exits_2_without_traceback(capsys, left, right, cutoff):
-    code, _, err = run(capsys, "eqlevel", "--grammar", G1, "--left", left,
-                       "--right", right, "--cutoff", cutoff)
-    assert code == 2
-    assert err.startswith("error: RecursionError: ")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
+    import fogbisim.cli as cli
+
+    def boom(*args, **kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "EqOracle", boom)
+    code, out, err = run(capsys, "eqlevel", "--grammar", G1,
+                         "--left", "A(Z)", "--right", "Z")
+    assert (code, out, err) == (2, "", "error: RuntimeError: boom\n")
+
+
+def test_eqlevel_high_cutoff_gets_real_answer(capsys):
+    # the oracle keeps its own work stack, so the cutoff is not bounded
+    # by Python's recursion limit
+    left = "A(" * 20 + "Z" + ")" * 20
+    right = "A(" * 21 + "Z" + ")" * 21
+    code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", left,
+                         "--right", right, "--cutoff", "1000")
+    assert (code, out, err) == (1, "finite 20\n", "")
+
+
+def test_eqlevel_game_deeper_than_recursion_limit(tmp_path, capsys):
+    grammar = tmp_path / "grow.fog"
+    grammar.write_text("nonterminals: A/1, B/1, Z/0\n"
+                       "actions: a\n"
+                       "rule r1: A(x1) -a-> A(A(x1))\n"
+                       "rule r2: B(x1) -a-> B(B(x1))\n"
+                       "rule r3: Z -a-> Z\n")
+    # every round of the game goes one level deeper: 5000 nested queries
+    code, out, err = run(capsys, "eqlevel", "--grammar", str(grammar),
+                         "--left", "A(Z)", "--right", "B(Z)",
+                         "--cutoff", "5000")
+    assert (code, out, err) == (0, "at-least 5000\n", "")
 
 
 def test_eqlevel_deeply_nested_term(capsys):

@@ -114,6 +114,27 @@ def test_memoized_matches_naive(seed):
         assert o.level(t, u, 5) == naive_level(g, t, u, 5)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_shared_memo_mixed_budgets(seed):
+    # lower bounds left in the memo by capped searches must never
+    # mislead a later query at another budget
+    rng = random.Random(seed)
+    g = random_grammar(seed)
+    cutoff = 8
+    pairs = [(random_ground_term(rng, g, rng.randint(0, 3)),
+              random_ground_term(rng, g, rng.randint(0, 3)))
+             for _ in range(10)]
+    want = {(t, u): EqOracle(g, cutoff).level(t, u) for t, u in pairs}
+    queries = [(t, u, b) for t, u in pairs for b in range(cutoff + 1)]
+    rng.shuffle(queries)
+    # a seeded order, then rising budgets (stable sort): each query at b
+    # meets the bounds that queries at b - 1 left behind
+    for order in (list(queries), sorted(queries, key=lambda q: q[2])):
+        shared = EqOracle(g, cutoff)
+        for t, u, b in order:
+            assert shared.level(t, u, b) == min(want[(t, u)], b), (t, u, b)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_hierarchy_and_symmetry(seed):
     rng = random.Random(seed)

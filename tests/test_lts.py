@@ -48,7 +48,7 @@ def test_step_rule_fig1():
 def test_step_rule_variable_dead():
     g = fig1()
     assert step_rule(g, g.ts.var(3), "r1") is None
-    assert step_action(g, g.ts.var(3), "a") == []
+    assert step_action(g, g.ts.var(3), "a") == ()
 
 
 def test_step_action_fig1():
@@ -62,6 +62,28 @@ def test_step_action_g1():
     g = g1()
     t = parse_term(g.ts, "A(Z)", g.arities)
     assert [r for r, _ in step_action(g, t, "a")] == ["r1"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_step_action_table_matches_step_rule(seed):
+    rng = random.Random(seed)
+    g = random_grammar(seed)
+    frontier = [random_ground_term(rng, g, rng.randint(0, 3)) for _ in range(5)]
+    asked = []
+    for _ in range(3):  # fill the table while the store grows
+        nxt = []
+        for t in frontier:
+            for a in g.actions:
+                got = step_action(g, t, a)
+                assert step_action(g, t, a) is got  # served from the table
+                asked.append((t, a, got))
+                nxt += [t2 for _, t2 in got]
+        frontier = nxt[:40]
+    assert len(g.successors) == len({(t, a) for t, a, _ in asked})
+    for t, a, got in asked:
+        fresh = tuple((r.rid, step_rule(g, t, r.rid)) for r in g.rules
+                      if r.action == a and step_rule(g, t, r.rid) is not None)
+        assert got == fresh
 
 
 def test_run_word():

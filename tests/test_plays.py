@@ -214,6 +214,17 @@ def test_p_top_form_round_trip_and_numbering():
     assert top1 == parse_term(ts, "A(x1,x2,x3)", g.arities)
 
 
+def test_p_top_form_deep_term():
+    # the cut walks an explicit stack: depth is not bounded by recursion
+    g = g1()
+    ts = g.ts
+    w = parse_term(ts, "A(" * 3000 + "Z" + ")" * 3000, g.arities)
+    top, sigma = p_top_form(ts, w, 2999)
+    assert varin(ts, [top]) == {1}
+    assert sigma.lookup(1) == parse_term(ts, "A(Z)", g.arities)
+    assert apply_subst(ts, top, sigma) == w
+
+
 def test_p_top_form_shares_repeated_cut_subterms():
     g = g1()
     ts = g.ts
