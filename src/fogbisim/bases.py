@@ -17,7 +17,9 @@ from .terms import Substitution, apply_subst, omega_iterate, pressize, varin
 from .grammar import Grammar, step_increment
 from .lts import run_word
 from .equiv import EqOracle, find_sink_witness
-from .plays import BalancedPlay, PivotPath, Segmentation, p_top_form
+from .plays import (
+    BalancedPlay, PivotPath, Segmentation, p_top_form, present_over_top,
+)
 
 
 class BasesError(Exception):
@@ -348,7 +350,7 @@ def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
 # -- stair presentation of crucial-segment bal-results -----------------------
 
 def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
-                         seg: Segmentation, idx: int, d0: int) -> NsgSequence:
+                         seg: Segmentation, idx: int) -> NsgSequence:
     """Present the bal-result chain of one crucial segment as an
     (n,s,g)-sequence: the stair from the last initial-pair subterm V on
     the preceding pivot-path segment is replayed abstractly from
@@ -368,7 +370,7 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     if ts.is_var(v):
         raise BasesError("stair base is a dead variable (classifier bug)")
     a_name = ts.root(v)
-    top_v, sigma = p_top_form(ts, v, d0)
+    top_v, sigma = p_top_form(ts, v, g.constants.d0)
     sbb = Substitution(ts, {h: ch for h, ch
                             in enumerate(ts.children(top_v), 1)})
 
@@ -389,20 +391,8 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
         if apply_subst(ts, g_i, sigma) != info.pivot:
             raise BasesError("stair presentation misses the pivot "
                              "(internal bug)")
-        u_word = (info.rho.right_word() if info.side == "L"
-                  else info.rho.left_word())
-        pf = run_word(g, g_i, u_word)
-        if pf is None:
-            raise BasesError("pivot top is not d0-safe (internal bug)")
-        binding = {}
-        for h, wv in info.vbar.items():
-            pv = run_word(g, g_i, wv)
-            if pv is None:
-                raise BasesError("pivot top cannot replay a v-bar word "
-                                 "(internal bug)")
-            binding[h] = pv.end
-        e_top = apply_subst(ts, info.e_prime, Substitution(ts, binding))
-        pair = ((e_top, pf.end) if info.side == "L" else (pf.end, e_top))
+        e_top, f_top = present_over_top(g, info, g_i)
+        pair = ((e_top, f_top) if info.side == "L" else (f_top, e_top))
         got = (apply_subst(ts, pair[0], sigma), apply_subst(ts, pair[1], sigma))
         if got != info.bal_pair:
             raise BasesError("presented tops do not instantiate to the "

@@ -11,10 +11,7 @@ import json
 import sys
 
 from .terms import TermError, parse_term, pressize, render_term
-from .grammar import (
-    GrammarConstants, GrammarError, compute_constants, compute_sink_table,
-    parse_grammar,
-)
+from .grammar import GrammarConstants, GrammarError, parse_grammar
 from .lts import run_word, step_action, step_rule
 from .equiv import EqOracle, EquivError
 from .plays import (
@@ -60,6 +57,21 @@ def _parse_term_arg(g, text):
         raise CliError("term error in %r: %s" % (text, ex))
 
 
+def _load_pair(args):
+    """The grammar, its oracle, the --left and --right terms and their
+    eq-level."""
+    g = _load_grammar(args)
+    o = EqOracle(g, args.cutoff)
+    t = _parse_term_arg(g, args.left)
+    u = _parse_term_arg(g, args.right)
+    return g, o, t, u, o.eq_level(t, u)
+
+
+def _indeterminate(args, why):
+    print("eq-level at least %d: %s" % (args.cutoff, why), file=sys.stderr)
+    return EXIT_INDETERMINATE
+
+
 def _word_arg(g, text):
     word = tuple(w for w in text.replace(",", " ").split() if w)
     for rid in word:
@@ -82,7 +94,7 @@ def _emit(args, payload, lines):
 
 def cmd_validate(args):
     g = _load_grammar(args)
-    cd = compute_constants(g).as_dict()
+    cd = g.constants.as_dict()
     lines = ["nonterminals: %d" % len(g.arities),
              "rules: %d" % len(g.rules),
              "actions: %d" % len(g.actions)]
@@ -95,7 +107,7 @@ def cmd_validate(args):
 
 def cmd_constants(args):
     g = _load_grammar(args)
-    cd = compute_constants(g).as_dict()
+    cd = g.constants.as_dict()
     _emit(args, {"command": "constants", "constants": cd},
           ["%s\t%s" % (k, cd[k]) for k in GrammarConstants.FIELDS])
     return EXIT_OK
@@ -145,11 +157,7 @@ def cmd_run(args):
 
 
 def cmd_eqlevel(args):
-    g = _load_grammar(args)
-    o = EqOracle(g, args.cutoff)
-    t = _parse_term_arg(g, args.left)
-    u = _parse_term_arg(g, args.right)
-    lv = o.eq_level(t, u)
+    lv = _load_pair(args)[4]
     word = "finite" if lv.is_finite() else "at-least"
     _emit(args, {"command": "eqlevel", "kind": word, "value": lv.value},
           ["%s %d" % (word, lv.value)])
@@ -157,11 +165,7 @@ def cmd_eqlevel(args):
 
 
 def cmd_decide(args):
-    g = _load_grammar(args)
-    o = EqOracle(g, args.cutoff)
-    t = _parse_term_arg(g, args.left)
-    u = _parse_term_arg(g, args.right)
-    lv = o.eq_level(t, u)
+    lv = _load_pair(args)[4]
     if lv.is_finite():
         _emit(args, {"command": "decide", "verdict": "distinguished",
                      "level": lv.value},
@@ -174,15 +178,9 @@ def cmd_decide(args):
 
 
 def cmd_play(args):
-    g = _load_grammar(args)
-    o = EqOracle(g, args.cutoff)
-    t = _parse_term_arg(g, args.left)
-    u = _parse_term_arg(g, args.right)
-    lv = o.eq_level(t, u)
+    g, o, t, u, lv = _load_pair(args)
     if not lv.is_finite():
-        print("eq-level at least %d: no finite optimal play" % args.cutoff,
-              file=sys.stderr)
-        return EXIT_INDETERMINATE
+        return _indeterminate(args, "no finite optimal play")
     if lv.value == 0:
         _emit(args, {"command": "play", "eqlevel": 0, "steps": []},
               ["eqlevel 0: immediately distinguished"])
@@ -204,15 +202,12 @@ def cmd_play(args):
     return EXIT_OK
 
 
-def _run_balance(o, g, t, u):
-    sink = compute_sink_table(g)
-    c = compute_constants(g, sink)
-    bp, pp = transform_to_balanced(o, t, u, sink, c.d0)
-    seg = refine_segments(g, bp, pp, set(g.ts.reachable([t, u])))
-    return c, bp, pp, seg
+def _run_balance(o, t, u):
+    bp, pp = transform_to_balanced(o, t, u)
+    return bp, pp, refine_segments(o.g, bp, pp)
 
 
-def _balance_rows(g, c, bp, seg):
+def _balance_rows(g, bp):
     rows = [{"kind": "mu", "j": 0, "unc": 0, "dsink": bp.mu0.length()}]
     for j in range(1, bp.ell + 1):
         info = bp.balances[j - 1]
@@ -227,17 +222,11 @@ def _balance_rows(g, c, bp, seg):
 
 
 def cmd_balance(args):
-    g = _load_grammar(args)
-    o = EqOracle(g, args.cutoff)
-    t = _parse_term_arg(g, args.left)
-    u = _parse_term_arg(g, args.right)
-    lv = o.eq_level(t, u)
+    g, o, t, u, lv = _load_pair(args)
     if not lv.is_finite():
-        print("eq-level at least %d: nothing to balance" % args.cutoff,
-              file=sys.stderr)
-        return EXIT_INDETERMINATE
-    c, bp, pp, seg = _run_balance(o, g, t, u)
-    rows = _balance_rows(g, c, bp, seg)
+        return _indeterminate(args, "nothing to balance")
+    bp, pp, seg = _run_balance(o, t, u)
+    rows = _balance_rows(g, bp)
     lines = ["ell=%d length=%d eqlevel=%d" % (bp.ell, bp.length(), lv.value)]
     for r in rows:
         if r["kind"] == "rho":
@@ -256,17 +245,10 @@ def cmd_balance(args):
 
 
 def cmd_verify(args):
-    g = _load_grammar(args)
-    o = EqOracle(g, args.cutoff)
-    t = _parse_term_arg(g, args.left)
-    u = _parse_term_arg(g, args.right)
-    lv = o.eq_level(t, u)
+    _, o, t, u, lv = _load_pair(args)
     if not lv.is_finite():
-        print("eq-level at least %d: nothing to verify" % args.cutoff,
-              file=sys.stderr)
-        return EXIT_INDETERMINATE
-    c, bp, pp, seg = _run_balance(o, g, t, u)
-    rep = verify_balanced(o, bp, pp, seg, c)
+        return _indeterminate(args, "nothing to verify")
+    rep = verify_balanced(o, *_run_balance(o, t, u))
     lines = ["%s\t%s\t%s" % (name, "ok" if ok else "FAIL", detail)
              for name, ok, detail in rep.checks]
     _emit(args, {"command": "verify", "ok": rep.ok(),
@@ -276,6 +258,11 @@ def cmd_verify(args):
 
 
 def cmd_base(args):
+    for flag, value in (("--n", args.n), ("--s", args.s),
+                        ("--g", args.g_param), ("--max-size", args.max_size),
+                        ("--sound-c", args.sound_c)):
+        if value is not None and value < 0:
+            raise CliError("%s must be nonnegative, got %d" % (flag, value))
     g = _load_grammar(args)
     o = EqOracle(g, args.cutoff)
     params = NsgParams(args.n, args.s, args.g_param)
@@ -303,21 +290,16 @@ def cmd_base(args):
 
 
 def cmd_pipeline(args):
-    g = _load_grammar(args)
-    o = EqOracle(g, args.cutoff)
-    t = _parse_term_arg(g, args.left)
-    u = _parse_term_arg(g, args.right)
-    lv = o.eq_level(t, u)
+    g, o, t, u, lv = _load_pair(args)
     if not lv.is_finite():
-        print("eq-level at least %d: pipeline needs a finite level"
-              % args.cutoff, file=sys.stderr)
-        return EXIT_INDETERMINATE
-    c, bp, pp, seg = _run_balance(o, g, t, u)
-    rep = verify_balanced(o, bp, pp, seg, c)
+        return _indeterminate(args, "pipeline needs a finite level")
+    bp, pp, seg = _run_balance(o, t, u)
+    rep = verify_balanced(o, bp, pp, seg)
     checks = [{"name": n, "ok": ok, "detail": d} for n, ok, d in rep.checks]
+    c = g.constants
     params = NsgParams(c.n, c.s, c.g)
     for idx in range(len(seg.crucial)):
-        seq = present_stair_as_nsg(o, bp, pp, seg, idx, c.d0)
+        seq = present_stair_as_nsg(o, bp, pp, seg, idx)
         ok = check_nsg_sequence(o, seq, params)
         checks.append({"name": "stair-%d-nsg-sequence" % idx, "ok": ok,
                        "detail": "z=%d" % seq.z})

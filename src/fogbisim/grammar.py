@@ -53,6 +53,11 @@ class Grammar:
         self.rule_order = {r.rid: i for i, r in enumerate(self.rules)}
         # (term, action) -> successors; filled by lts.step_action
         self.successors: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
+        # computed on first use, so that parsing does not pay for them; set
+        # here rather than cached in __dict__, which would slow every
+        # attribute read on the grammar
+        self._sink: SinkTable | None = None
+        self._constants: GrammarConstants | None = None
 
     def _validate(self):
         for r in self.rules:
@@ -65,6 +70,20 @@ class Grammar:
                 raise GrammarError(
                     "rule %s: rhs uses x%d beyond arity %d of %s"
                     % (r.rid, min(bad), self.arities[r.lhs], r.lhs))
+
+    @property
+    def sink(self) -> SinkTable:
+        """The shortest sink-word table, computed on first use."""
+        if self._sink is None:
+            self._sink = compute_sink_table(self)
+        return self._sink
+
+    @property
+    def constants(self) -> GrammarConstants:
+        """The derived constants, computed on first use."""
+        if self._constants is None:
+            self._constants = compute_constants(self)
+        return self._constants
 
     def lhs_term(self, nt: str) -> int:
         """A(x1..xm) for the nonterminal's declared arity."""
@@ -85,10 +104,14 @@ def parse_grammar(text: str, ts: TermStore | None = None) -> Grammar:
         try:
             if line.startswith("nonterminals:"):
                 for part in line[len("nonterminals:"):].split(","):
-                    name, ar = part.strip().split("/")
+                    name, ar = part.split("/")
+                    name = name.strip()
                     if name in arities:
                         raise GrammarError("duplicate nonterminal %r" % name)
-                    arities[name.strip()] = int(ar)
+                    arities[name] = int(ar)
+                    if arities[name] < 0:
+                        raise GrammarError("negative arity %d of %r"
+                                           % (arities[name], name))
             elif line.startswith("actions:"):
                 for part in line[len("actions:"):].split(","):
                     a = part.strip()
@@ -109,9 +132,13 @@ def parse_grammar(text: str, ts: TermStore | None = None) -> Grammar:
                         raise GrammarError(
                             "line %d: lhs arguments must be x1..xm in order" % lineno)
                 else:
-                    lhs_name = lhs_term
+                    lhs_name, args = lhs_term, []
                 if lhs_name not in arities:
                     raise GrammarError("line %d: unknown lhs %r" % (lineno, lhs_name))
+                if len(args) != arities[lhs_name]:
+                    raise GrammarError(
+                        "line %d: lhs %s has %d arguments, its arity is %d"
+                        % (lineno, lhs_name, len(args), arities[lhs_name]))
                 rhs = parse_term(ts, rhs_txt.strip(), arities)
                 rules.append(Rule(head.strip(), lhs_name, action, rhs))
             else:
@@ -232,9 +259,9 @@ def step_increment(g: Grammar) -> int:
     return max((propsize(g.ts, [r.rhs]) for r in g.rules), default=0)
 
 
-def compute_constants(g: Grammar, sink: SinkTable | None = None) -> GrammarConstants:
+def compute_constants(g: Grammar) -> GrammarConstants:
     ts = g.ts
-    sink = sink or compute_sink_table(g)
+    sink = g.sink
     m = max_arity(g)
     # height(E)-1 over all rhs, clamped at 0
     hinc = max((height(ts, r.rhs) - 1 for r in g.rules), default=0)

@@ -13,7 +13,7 @@ crucial segments whose bal-result chains are eq-level decreasing.
 from __future__ import annotations
 
 from .terms import Substitution, apply_subst, pressize
-from .grammar import Grammar, SinkTable, GrammarConstants
+from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
 from .equiv import EqOracle, attacker_optimal, defender_optimal
 
@@ -175,12 +175,11 @@ def label_matched_reachable(g: Grammar, t: int, labels):
     return out
 
 
-def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
-                 d0: int) -> BalanceInfo:
+def balance_step(o: EqOracle, rho: Play, side: str) -> BalanceInfo:
     """One L- or R-balancing step on a play of length d0."""
     g = o.g
     ts = g.ts
-    dec = enables_balancing(g, rho, side, d0)
+    dec = enables_balancing(g, rho, side, g.constants.d0)
     if dec is None:
         raise PlaysError("play does not enable %s-balancing" % side)
     a_name, kids, e_prime = dec
@@ -193,7 +192,7 @@ def balance_step(o: EqOracle, rho: Play, side: str, sink: SinkTable,
     vbar = {}
     binding = {}
     for i in range(1, m + 1):
-        w_ai = sink.get(a_name, i)
+        w_ai = g.sink.get(a_name, i)
         if w_ai is None:
             vbar[i] = ()
             binding[i] = pivot
@@ -305,16 +304,10 @@ def _abstract_death(g: Grammar, e_prime: int, word):
     return None
 
 
-def transform_to_balanced(o: EqOracle, t: int, u: int,
-                          sink: SinkTable | None = None,
-                          d0: int | None = None):
+def transform_to_balanced(o: EqOracle, t: int, u: int):
     """The full phase procedure; returns (BalancedPlay, PivotPath)."""
-    from .grammar import compute_sink_table
     g = o.g
-    if sink is None:
-        sink = compute_sink_table(g)
-    if d0 is None:
-        d0 = 1 + sink.max_len()
+    d0 = g.constants.d0
     if o.level(t, u) >= o.cutoff:
         raise PlaysError("eq-level at/above cutoff")
     pi = build_optimal_play(o, t, u)
@@ -345,7 +338,7 @@ def transform_to_balanced(o: EqOracle, t: int, u: int,
     q, side = got
     mu0 = pi.subplay(0, q)
     rho = pi.subplay(q, q + d0)
-    info = balance_step(o, rho, side, sink, d0)
+    info = balance_step(o, rho, side)
     balances = [info]
     mus = []
     splits = []
@@ -369,7 +362,7 @@ def transform_to_balanced(o: EqOracle, t: int, u: int,
         else:
             splits.append(None)
         rho2 = cont.subplay(q2, q2 + d0)
-        balances.append(balance_step(o, rho2, side2, sink, d0))
+        balances.append(balance_step(o, rho2, side2))
 
     bp = BalancedPlay((t, u), mu0, balances, mus, splits)
     return bp, _build_pivot_path(g, bp)
@@ -456,25 +449,31 @@ def p_top_form(ts, w: int, p: int):
     return cut[(w, p)], Substitution(ts, binding)
 
 
-def pivot_top_presentation(g: Grammar, info: BalanceInfo, d0: int):
-    """Presentation of a bal-result over a d0-top form of the
-    pivot: returns (G, sigma, E, F) with bal-result = (E sigma, F sigma)
-    on the balanced side."""
-    ts = g.ts
-    g_top, sigma = p_top_form(ts, info.pivot, d0)
+def present_over_top(g: Grammar, info: BalanceInfo, top: int):
+    """(E, F) with the bal-result = (E sigma, F sigma) on the balanced
+    side whenever top sigma is the pivot: F replays the pivot's rho
+    word from top, and E is E' over the v-bar words replayed from top."""
     u_word = (info.rho.right_word() if info.side == "L"
               else info.rho.left_word())
-    pf = run_word(g, g_top, u_word)
+    pf = run_word(g, top, u_word)
     if pf is None:
-        raise PlaysError("d0-top form is not d0-safe (internal bug)")
-    f_top = pf.end
+        raise PlaysError("pivot top is not d0-safe (internal bug)")
     binding = {}
     for i, w in info.vbar.items():
-        pi = run_word(g, g_top, w)
-        if pi is None:
-            raise PlaysError("vbar word not performable from the top")
-        binding[i] = pi.end
-    e_top = apply_subst(ts, info.e_prime, Substitution(ts, binding))
+        pv = run_word(g, top, w)
+        if pv is None:
+            raise PlaysError("pivot top cannot replay a v-bar word "
+                             "(internal bug)")
+        binding[i] = pv.end
+    return apply_subst(g.ts, info.e_prime, Substitution(g.ts, binding)), pf.end
+
+
+def pivot_top_presentation(g: Grammar, info: BalanceInfo):
+    """Presentation of a bal-result over the d0-top form of the
+    pivot: returns (G, sigma, E, F) with bal-result = (E sigma, F sigma)
+    on the balanced side."""
+    g_top, sigma = p_top_form(g.ts, info.pivot, info.rho.length())
+    e_top, f_top = present_over_top(g, info, g_top)
     return g_top, sigma, e_top, f_top
 
 
@@ -488,11 +487,12 @@ class Segmentation:
         self.crucial = crucial        # list of (k_j, k_{j+1}) index pairs
 
 
-def refine_segments(g: Grammar, bp: BalancedPlay, pp: PivotPath,
-                    subterms: set[int]) -> Segmentation:
+def refine_segments(g: Grammar, bp: BalancedPlay,
+                    pp: PivotPath) -> Segmentation:
     """Split sinking parts at the first visit of a subterm of the
     initial pair on both sides; mark close pivots; extract crucial
     segments."""
+    subterms = g.ts.reachable(bp.start_pair)
     ell = bp.ell
     csink = {0: bp.mu0.length()}
     usink = {0: 0}
@@ -559,9 +559,10 @@ class VerifyReport:
 
 
 def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
-                    seg: Segmentation, consts: GrammarConstants) -> VerifyReport:
+                    seg: Segmentation) -> VerifyReport:
     g = o.g
     ts = g.ts
+    consts = g.constants
     rep = VerifyReport()
     t0, u0 = bp.start_pair
     psz = pressize(ts, [t0, u0])
@@ -634,7 +635,7 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     for idx, info in enumerate(bp.balances, 1):
         if o.level(*info.bal_pair) != o.level(*info.rho.finish):
             sound_ok = False
-        g_top, sigma, e_top, f_top = pivot_top_presentation(g, info, d0)
+        g_top, sigma, e_top, f_top = pivot_top_presentation(g, info)
         left = apply_subst(ts, e_top, sigma)
         right = apply_subst(ts, f_top, sigma)
         want = (info.bal_pair if info.side == "L"

@@ -104,49 +104,31 @@ class TermStore:
         """Canonicalize a raw graph and return ids for the given roots.
 
         raw maps node names to (VAR, index) or (APP, nonterminal,
-        [refs]) where each ref is a node name or ("id", TermId).
-        Cycles among raw nodes are allowed.
+        [names]). The graph is closed: every name a node refers to is a
+        node of raw, so refinement sees every node a cycle could be
+        bisimilar to. Cycles among raw nodes are allowed.
         """
         for name, node in raw.items():
             if node[0] == VAR:
                 continue
             for ref in node[2]:
-                if isinstance(ref, tuple) and ref[0] == "id":
-                    self._check(ref[1])
-                elif ref not in raw:
+                if ref not in raw:
                     raise TermError("dangling reference %r in node %r" % (ref, name))
 
         blocks = self._refine(raw)
         # quotient graph: one node per block
-        rep = {}  # name -> block id
-        for b, members in enumerate(blocks):
-            for name in members:
-                rep[name] = b
+        rep = {name: b for b, members in enumerate(blocks) for name in members}
         qnodes = {}
         for b, members in enumerate(blocks):
             node = raw[members[0]]
-            if node[0] == VAR:
-                qnodes[b] = (VAR, node[1])
-            else:
-                refs = []
-                for ref in node[2]:
-                    if isinstance(ref, tuple) and ref[0] == "id":
-                        refs.append(ref)
-                    else:
-                        refs.append(("blk", rep[ref]))
-                qnodes[b] = (APP, node[1], refs)
+            qnodes[b] = ((VAR, node[1]) if node[0] == VAR
+                         else (APP, node[1], [rep[ref] for ref in node[2]]))
 
         assign = self._assign_ids(qnodes)
-        out = []
-        for r in roots:
-            if isinstance(r, tuple) and r[0] == "id":
-                out.append(r[1])
-            else:
-                out.append(assign[rep[r]])
-        return out
+        return [assign[rep[r]] for r in roots]
 
     def _refine(self, raw: dict) -> list[list]:
-        """Partition refinement over raw nodes; store ids are atoms."""
+        """Partition refinement over the nodes of a closed raw graph."""
         names = sorted(raw.keys(), key=repr)
 
         def initial(name):
@@ -170,13 +152,8 @@ class TermStore:
                 if node[0] == VAR:
                     sig[name] = (VAR, node[1])
                 else:
-                    parts = []
-                    for ref in node[2]:
-                        if isinstance(ref, tuple) and ref[0] == "id":
-                            parts.append(("ext", ref[1]))
-                        else:
-                            parts.append(("blk", block_of[ref]))
-                    sig[name] = (APP, node[1], tuple(parts))
+                    sig[name] = (APP, node[1],
+                                 tuple(block_of[ref] for ref in node[2]))
             groups = {}
             for name in names:
                 groups.setdefault((block_of[name], sig[name]), []).append(name)
@@ -197,28 +174,16 @@ class TermStore:
         order = self._sccs(qnodes)
         assign: dict = {}
         for scc in order:
-            if len(scc) == 1 and not self._self_reaches(qnodes, scc[0], assign):
-                b = scc[0]
-                node = qnodes[b]
-                if node[0] == VAR:
-                    assign[b] = self.var(node[1])
-                else:
-                    kids = tuple(self._resolve(ref, assign) for ref in node[2])
-                    assign[b] = self._intern((APP, node[1], kids))
+            b = scc[0]
+            node = qnodes[b]
+            if node[0] == VAR:
+                assign[b] = self.var(node[1])
+            elif len(scc) == 1 and b not in node[2]:
+                kids = tuple(assign[ref] for ref in node[2])
+                assign[b] = self._intern((APP, node[1], kids))
             else:
                 self._assign_cyclic(qnodes, scc, assign)
         return assign
-
-    def _resolve(self, ref, assign) -> TermId:
-        if ref[0] == "id":
-            return ref[1]
-        return assign[ref[1]]
-
-    def _self_reaches(self, qnodes, b, assign) -> bool:
-        node = qnodes[b]
-        if node[0] == VAR:
-            return False
-        return any(ref[0] == "blk" and ref[1] == b for ref in node[2])
 
     def _sccs(self, qnodes) -> list[list]:
         """SCCs of the quotient graph in reverse topological order."""
@@ -231,9 +196,7 @@ class TermStore:
 
         def succs(b):
             node = qnodes[b]
-            if node[0] == VAR:
-                return []
-            return [ref[1] for ref in node[2] if ref[0] == "blk"]
+            return [] if node[0] == VAR else node[2]
 
         def strongconnect(b):
             # iterative Tarjan
@@ -296,15 +259,9 @@ class TermStore:
             fresh[b] = tid
         for b in scc:
             node = qnodes[b]
-            kids = []
-            for ref in node[2]:
-                if ref[0] == "id":
-                    kids.append(ref[1])
-                elif ref[1] in members:
-                    kids.append(fresh[ref[1]])
-                else:
-                    kids.append(assign[ref[1]])
-            stored = (APP, node[1], tuple(kids))
+            kids = tuple(fresh[ref] if ref in members else assign[ref]
+                         for ref in node[2])
+            stored = (APP, node[1], kids)
             self.nodes[fresh[b]] = stored
             self._hashcons[stored] = fresh[b]
             self._cyclic_index[keys[b]] = fresh[b]
@@ -324,21 +281,16 @@ class TermStore:
             numbering[v] = len(numbering)
             order.append(v)
             node = qnodes[v]
-            kids = [ref[1] for ref in node[2]
-                    if ref[0] == "blk" and ref[1] in members]
+            kids = [ref for ref in node[2] if ref in members]
             for w in reversed(kids):
                 if w not in numbering:
                     stack.append(w)
         # second pass now that every reachable member is numbered
         for v in order:
             node = qnodes[v]
-            parts = []
-            for ref in node[2]:
-                if ref[0] == "blk" and ref[1] in members:
-                    parts.append(("loc", numbering[ref[1]]))
-                else:
-                    parts.append(("ext", self._resolve(ref, assign)))
-            out.append((node[1], tuple(parts)))
+            parts = tuple(("loc", numbering[ref]) if ref in members
+                          else ("ext", assign[ref]) for ref in node[2])
+            out.append((node[1], parts))
         return tuple(out)
 
     # -- raw-graph extraction (for substitution and rendering) ---------------
@@ -600,23 +552,30 @@ def apply_subst(ts: TermStore, t: TermId, sigma: Substitution) -> TermId:
         return t
     if is_finite(ts, t):
         return instantiate(ts, t, sigma.map)
-    raw = {}
-    for tid in ts.reachable([t]):
-        node = ts.node(tid)
-        if node[0] == VAR:
-            if node[1] not in sigma.map:
-                raw[tid] = node
-            # supported vars are replaced at the arcs below
-        else:
-            refs = []
-            for c in node[2]:
-                cn = ts.node(c)
-                if cn[0] == VAR and cn[1] in sigma.map:
-                    refs.append(("id", sigma.map[cn[1]]))
-                else:
-                    refs.append(c)
-            raw[tid] = (APP, node[1], refs)
-    [out] = ts.intern_raw(raw, [t])
+    return _redirect(ts, t, sigma.map, sigma.map.values())
+
+
+def _redirect(ts: TermStore, t: TermId, target: dict, below=()) -> TermId:
+    """Intern t with every arc into a variable x_i of `target` turned
+    toward the raw node target[i]. t's nodes are renamed apart as
+    ("t", id); the stored nodes reachable from `below` join the graph
+    under their own ids, so the graph is closed and a new cycle that
+    runs through them is matched with the stored term it equals."""
+    raw = {u: ts.nodes[u] for u in ts.reachable(below)}
+
+    def name(u):
+        node = ts.nodes[u]
+        if node[0] == VAR and node[1] in target:
+            return target[node[1]]
+        return ("t", u)
+
+    for u in ts.reachable([t]):
+        node = ts.nodes[u]
+        if node[0] == APP:
+            raw[("t", u)] = (APP, node[1], [name(c) for c in node[2]])
+        elif node[1] not in target:
+            raw[("t", u)] = node
+    [out] = ts.intern_raw(raw, [name(t)])
     return out
 
 
@@ -636,18 +595,5 @@ def omega_iterate(ts: TermStore, h: TermId, i: int) -> TermId:
         return h
     if i not in varin(ts, [h]):
         return h
-    raw = {}
-    for tid in ts.reachable([h]):
-        n = ts.node(tid)
-        if n[0] == VAR:
-            if n[1] != i:
-                raw[tid] = n
-        else:
-            refs = []
-            for c in n[2]:
-                cn = ts.node(c)
-                # arcs to x_i turn into arcs back to the (raw) root
-                refs.append(h if cn[0] == VAR and cn[1] == i else c)
-            raw[tid] = (APP, n[1], refs)
-    [out] = ts.intern_raw(raw, [h])
-    return out
+    # arcs to x_i turn into arcs back to the (raw) root
+    return _redirect(ts, h, {i: ("t", h)})

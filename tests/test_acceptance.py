@@ -190,11 +190,8 @@ def bundled_pairs():
 
 
 def run_pipeline(g, o, t, u):
-    sink = compute_sink_table(g)
-    c = compute_constants(g, sink)
-    bp, pp = transform_to_balanced(o, t, u, sink, c.d0)
-    seg = refine_segments(g, bp, pp, set(g.ts.reachable([t, u])))
-    return c, bp, pp, seg
+    bp, pp = transform_to_balanced(o, t, u)
+    return g.constants, bp, pp, refine_segments(g, bp, pp)
 
 
 def test_criterion_06_balanced_play_harness():
@@ -203,7 +200,7 @@ def test_criterion_06_balanced_play_harness():
         assert len(pairs) >= 200
         for g, o, t, u in pairs:
             c, bp, pp, seg = run_pipeline(g, o, t, u)
-            rep = verify_balanced(o, bp, pp, seg, c)
+            rep = verify_balanced(o, bp, pp, seg)
             assert rep.ok(), (rep.failures(), t, u)
 
 
@@ -221,7 +218,7 @@ def test_criterion_07_stair_sequences():
             c, bp, pp, seg = run_pipeline(g, o, t, u)
             params = NsgParams(c.n, c.s, c.g)
             for idx, (kj, kj1) in enumerate(seg.crucial):
-                seq = present_stair_as_nsg(o, bp, pp, seg, idx, c.d0)
+                seq = present_stair_as_nsg(o, bp, pp, seg, idx)
                 assert check_nsg_sequence(o, seq, params)
                 for i, top in enumerate(seq.tops):
                     assert pressize(g.ts, list(top)) <= c.s + i * c.g

@@ -8,7 +8,7 @@ from fogbisim.terms import (
     Substitution, apply_subst, is_finite, omega_iterate, parse_term, pressize,
     varin,
 )
-from fogbisim.grammar import compute_constants, compute_sink_table, parse_grammar
+from fogbisim.grammar import parse_grammar
 from fogbisim.equiv import EqOracle
 from fogbisim.plays import refine_segments, transform_to_balanced
 from fogbisim.bases import (
@@ -477,11 +477,8 @@ GNULL = (
 
 def full_pipeline(g, t, u, cutoff=8):
     o = EqOracle(g, cutoff)
-    sink = compute_sink_table(g)
-    c = compute_constants(g, sink)
-    bp, pp = transform_to_balanced(o, t, u, sink, c.d0)
-    seg = refine_segments(g, bp, pp, set(g.ts.reachable([t, u])))
-    return o, c, bp, pp, seg
+    bp, pp = transform_to_balanced(o, t, u)
+    return o, g.constants, bp, pp, refine_segments(g, bp, pp)
 
 
 def test_present_stair_nullary():
@@ -492,7 +489,7 @@ def test_present_stair_nullary():
     assert len(seg.crucial) == 2
     params = NsgParams(c.n, c.s, c.g)
     for idx in range(len(seg.crucial)):
-        seq = present_stair_as_nsg(o, bp, pp, seg, idx, c.d0)
+        seq = present_stair_as_nsg(o, bp, pp, seg, idx)
         assert seq.z == seg.crucial[idx][1] - seg.crucial[idx][0] == 1
         assert check_nsg_sequence(o, seq, params)
         # tops instantiate to the bal-results, levels matching
@@ -519,15 +516,14 @@ def test_present_stair_battery():
     for g, o, t, u in stair_instances():
         if checked >= 8:
             break
-        sink = compute_sink_table(g)
-        c = compute_constants(g, sink)
-        bp, pp = transform_to_balanced(o, t, u, sink, c.d0)
+        c = g.constants
+        bp, pp = transform_to_balanced(o, t, u)
         if bp.ell == 0:
             continue
-        seg = refine_segments(g, bp, pp, set(g.ts.reachable([t, u])))
+        seg = refine_segments(g, bp, pp)
         params = NsgParams(c.n, c.s, c.g)
         for idx in range(len(seg.crucial)):
-            seq = present_stair_as_nsg(o, bp, pp, seg, idx, c.d0)
+            seq = present_stair_as_nsg(o, bp, pp, seg, idx)
             assert check_nsg_sequence(o, seq, params)
             kj, kj1 = seg.crucial[idx]
             assert seq.z == kj1 - kj

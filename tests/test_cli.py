@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from fogbisim.cli import main
 
 GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
@@ -37,6 +39,15 @@ def test_validate_bad_grammar(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--grammar", str(bad))
     assert code == 2
     assert "error" in err
+
+
+def test_validate_rejects_lhs_arity_mismatch(tmp_path, capsys):
+    bad = tmp_path / "bad.fog"
+    bad.write_text("nonterminals: A/1\nactions: a\nrule r1: A(x1,x2) -a-> x1\n")
+    code, out, err = run(capsys, "validate", "--grammar", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: grammar error: line 3: lhs A has 2 arguments, "
+                   "its arity is 1\n")
 
 
 def test_constants_match_module(capsys):
@@ -125,6 +136,17 @@ def test_base_complete_and_sound(capsys):
                        "--n", "0", "--s", "2", "--g", "0", "--max-size", "2",
                        "--sound-c", "1")
     assert code == 0 and "status=sound" in out
+
+
+@pytest.mark.parametrize("flag", ["--n", "--s", "--g", "--max-size",
+                                  "--sound-c"])
+def test_base_rejects_negative_parameters(capsys, flag):
+    argv = {"--n": "0", "--s": "2", "--g": "0", "--max-size": "2"}
+    argv[flag] = "-1"
+    code, out, err = run(capsys, "base", "--grammar", G1,
+                         *[x for kv in argv.items() for x in kv])
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be nonnegative, got -1\n" % flag
 
 
 def test_pipeline_and_determinism(capsys):

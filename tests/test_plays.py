@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fogbisim.terms import apply_subst, parse_term, pressize, varin, omega_iterate
-from fogbisim.grammar import compute_constants, compute_sink_table, parse_grammar
+from fogbisim.grammar import parse_grammar
 from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle
 from fogbisim.plays import (
@@ -63,12 +63,10 @@ def tower(g, n):
 
 def pipeline(g, t, u, cutoff=8):
     o = EqOracle(g, cutoff)
-    sink = compute_sink_table(g)
-    c = compute_constants(g, sink)
-    bp, pp = transform_to_balanced(o, t, u, sink, c.d0)
-    seg = refine_segments(g, bp, pp, set(g.ts.reachable([t, u])))
-    rep = verify_balanced(o, bp, pp, seg, c)
-    return o, c, bp, pp, seg, rep
+    bp, pp = transform_to_balanced(o, t, u)
+    seg = refine_segments(g, bp, pp)
+    rep = verify_balanced(o, bp, pp, seg)
+    return o, g.constants, bp, pp, seg, rep
 
 
 # -- optimal plays -----------------------------------------------------------
@@ -253,12 +251,10 @@ def test_balance_step_chain_grammar():
     t = parse_term(ts, "A(Z)", g.arities)
     u = parse_term(ts, "B(Z)", g.arities)
     assert o.level(t, u) == 2
-    sink = compute_sink_table(g)
-    c = compute_constants(g, sink)
-    assert c.d0 == 2
+    assert g.constants.d0 == 2
     play = build_optimal_play(o, t, u)
     rho = play.subplay(0, 2)
-    info = balance_step(o, rho, "L", sink, 2)
+    info = balance_step(o, rho, "L")
     z = parse_term(ts, "Z", g.arities)
     assert info.pivot == u
     assert info.vbar == {1: ("b1",)}
@@ -270,22 +266,20 @@ def test_balance_step_chain_grammar():
 def test_balance_step_not_enabled():
     g = g1()
     o = EqOracle(g, 12)
-    sink = compute_sink_table(g)
+    assert g.constants.d0 == 2
     play = build_optimal_play(o, tower(g, 2), tower(g, 4))
     with pytest.raises(PlaysError):
-        balance_step(o, play.subplay(0, 2), "L", sink, 2)
+        balance_step(o, play.subplay(0, 2), "L")
 
 
 def test_balance_step_balresult_size():
     g = parse_grammar(GCHAIN)
     o = EqOracle(g, 8)
-    sink = compute_sink_table(g)
-    c = compute_constants(g, sink)
+    c = g.constants
     t = parse_term(g.ts, "A(Z)", g.arities)
     u = parse_term(g.ts, "B(Z)", g.arities)
-    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2),
-                        "L", sink, c.d0)
-    g_top, sigma, e_top, f_top = pivot_top_presentation(g, info, c.d0)
+    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), "L")
+    g_top, sigma, e_top, f_top = pivot_top_presentation(g, info)
     assert apply_subst(g.ts, e_top, sigma) == info.bal_pair[0]
     assert apply_subst(g.ts, f_top, sigma) == info.bal_pair[1]
     bound = pressize(g.ts, [g_top]) + (c.m + 2) * c.d0 * c.stepinc
@@ -383,11 +377,9 @@ def test_transform_random_battery(seed):
     instances = battery_instances(seed, 15)
     assert len(instances) >= 8
     for g, o, t, u in instances:
-        sink = compute_sink_table(g)
-        c = compute_constants(g, sink)
-        bp, pp = transform_to_balanced(o, t, u, sink, c.d0)
-        seg = refine_segments(g, bp, pp, set(g.ts.reachable([t, u])))
-        rep = verify_balanced(o, bp, pp, seg, c)
+        bp, pp = transform_to_balanced(o, t, u)
+        seg = refine_segments(g, bp, pp)
+        rep = verify_balanced(o, bp, pp, seg)
         assert rep.ok(), (rep.failures(), g.rules, t, u)
         seq = bp.pair_sequence()
         assert len(seq) == len(set(seq))

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fogbisim.terms import (
     TermStore, TermError, Substitution, apply_subst, compose, height,
@@ -267,6 +267,56 @@ def subst_by_raw_graph(ts, t, binding):
             raw[("t", u)] = node
     [out] = ts.intern_raw(raw, [ref(t)])
     return out
+
+
+def test_apply_subst_finds_stored_cycle():
+    # b = A(b, x1) with x1 := w for w = A(w, w) unfolds to w itself
+    ts = TermStore()
+    w = intern_graph(ts, "node a = A(a,a)\nroot t = a")["t"]
+    h = intern_graph(ts, "node b = A(b,x)\nnode x = x1\nroot t = b")["t"]
+    got = apply_subst(ts, h, Substitution(ts, {1: w}))
+    assert (got, pressize(ts, [got])) == (w, 1)
+
+
+@st.composite
+def raw_graphs(draw):
+    """A raw graph of one to three nodes over A/2, C/1, x1 and x2, rooted
+    at node 0; most of them are cyclic."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    node = st.integers(min_value=0, max_value=k - 1)
+    raw = {}
+    for n in range(k):
+        kind = draw(st.sampled_from(["A", "C", "x"]))
+        if kind == "x":
+            raw[n] = ("var", draw(st.integers(min_value=1, max_value=2)))
+        else:
+            raw[n] = ("app", kind, [draw(node) for _ in range(2 if kind == "A" else 1)])
+    return raw
+
+
+STORE_STEP = st.tuples(raw_graphs(), st.integers(min_value=1, max_value=2),
+                       st.integers(min_value=0, max_value=99),
+                       st.integers(min_value=0, max_value=99))
+
+
+@given(st.lists(STORE_STEP, min_size=1, max_size=6))
+# w = A(w,w), then h = A(h,x1) with x1 := w, as in the test above
+@example([({0: ("app", "A", [0, 0])}, 1, 0, 0),
+          ({0: ("app", "A", [0, 1]), 1: ("var", 1)}, 1, 3, 0)])
+@settings(max_examples=200, deadline=None)
+def test_store_holds_one_node_per_class(steps):
+    ts = TermStore()
+    terms = []
+    for raw, i, a, b in steps:
+        terms.append(ts.intern_raw(raw, [0])[0])
+        terms.append(omega_iterate(ts, terms[a % len(terms)], i))
+        t, img = terms[a % len(terms)], terms[b % len(terms)]
+        sigma = Substitution(ts, {i: img})
+        terms.append(apply_subst(ts, t, sigma))
+        assert terms[-1] == subst_by_raw_graph(ts, t, sigma.map)
+    # refining the whole store finds no two bisimilar nodes
+    blocks = ts._refine(dict(enumerate(ts.nodes)))
+    assert all(len(block) == 1 for block in blocks)
 
 
 @given(finite_terms(), st.lists(
