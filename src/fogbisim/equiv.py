@@ -183,8 +183,8 @@ def attacker_optimal(o: EqOracle, t: int, u: int):
 
 
 def defender_optimal(o: EqOracle, t: int, u: int, side: str, rid: str, succ: int):
-    """The response maximizing the successor pair's eq-level;
-    ties broken by least rule id in declaration order."""
+    """The response maximizing the successor pair's eq-level; a tie
+    goes to the first reply of `step_action`, in declaration order."""
     g = o.g
     if o.level(t, u) < 1:
         raise EquivError("defender_optimal needs eqlevel >= 1")
@@ -194,7 +194,7 @@ def defender_optimal(o: EqOracle, t: int, u: int, side: str, rid: str, succ: int
     if not replies:
         raise EquivError("no response exists (internal inconsistency)")
     best = None
-    for rid2, u2 in sorted(replies, key=lambda p: g.rule_order[p[0]]):
+    for rid2, u2 in replies:
         lv = o.level(succ, u2)
         if best is None or lv > best[0]:
             best = (lv, rid2, u2)

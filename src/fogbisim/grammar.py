@@ -41,16 +41,15 @@ class Grammar:
             if r.rid in self.rule_by_id:
                 raise GrammarError("duplicate rule id %r" % r.rid)
             self.rule_by_id[r.rid] = r
+        self._validate()
         self.rules_by_lhs: dict[str, list[Rule]] = {a: [] for a in arities}
         for r in rules:
             self.rules_by_lhs[r.lhs].append(r)
-        self._validate()
         # enabled actions per nonterminal, in declaration order
         order = {act: i for i, act in enumerate(self.actions)}
         self.actions_by_lhs: dict[str, list[str]] = {
             a: sorted({r.action for r in rs}, key=order.get)
             for a, rs in self.rules_by_lhs.items()}
-        self.rule_order = {r.rid: i for i, r in enumerate(self.rules)}
         # (term, action) -> successors; filled by lts.step_action
         self.successors: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
         # computed on first use, so that parsing does not pay for them; set
@@ -60,6 +59,11 @@ class Grammar:
         self._constants: GrammarConstants | None = None
 
     def _validate(self):
+        for kind, names in (("nonterminal name", self.arities),
+                            ("action name", self.actions),
+                            ("rule id", self.rule_by_id)):
+            if "" in names:
+                raise GrammarError("empty %s" % kind)
         for r in self.rules:
             if r.lhs not in self.arities:
                 raise GrammarError("rule %s: unknown nonterminal %r" % (r.rid, r.lhs))
@@ -172,7 +176,7 @@ def compute_sink_table(g: Grammar) -> SinkTable:
     word[A,i] relaxes via each rule A -r-> E using the best way to sink
     the finite term E to x_i; iterate to a fixpoint.
     """
-    order = g.rule_order
+    order = {r.rid: i for i, r in enumerate(g.rules)}
 
     def better(a, b):
         # a beats b: shorter, or equal length and lexicographically less

@@ -34,31 +34,33 @@ class PathRecord:
 
 
 def step_rule(g: Grammar, t: int, rid: str):
-    """Apply one rule at the root; None if it does not fire."""
+    """Apply one rule at the root; None if it does not fire. The step is
+    the rule's entry in the successor table of `step_action`."""
     if rid not in g.rule_by_id:
         raise GrammarError("unknown rule id %r" % rid)
     r = g.rule_by_id[rid]
     node = g.ts.node(t)
     if node[0] == "var" or node[1] != r.lhs:
         return None
-    return instantiate(g.ts, r.rhs, dict(enumerate(node[2], 1)))
+    return dict(step_action(g, t, r.action))[rid]
 
 
 def step_action(g: Grammar, t: int, action: str) -> tuple[tuple[str, int], ...]:
-    """All (rule id, successor) pairs under rules with the given label.
-
-    Memoized in `g.successors`: hash-consing keeps term ids stable, so
-    each (term, action) is stepped once per grammar.
+    """All (rule id, successor) pairs under rules with the given label,
+    in declaration order. This is the only place a rule fires: memoized
+    in `g.successors`, as hash-consing keeps term ids stable, so each
+    (term, action) is stepped once per grammar.
     """
     key = (t, action)
     out = g.successors.get(key)
     if out is None:
         if action not in g.actions:
             raise GrammarError("unknown action %r" % action)
-        node = g.ts.node(t)
-        out = () if node[0] == "var" else tuple(
-            (r.rid, step_rule(g, t, r.rid))
-            for r in g.rules_by_lhs.get(node[1], ()) if r.action == action)
+        g.ts.node(t)  # rejects an unknown id
+        binding = dict(enumerate(g.ts.children(t), 1))
+        out = tuple((r.rid, instantiate(g.ts, r.rhs, binding))
+                    for r in g.rules_by_lhs.get(g.ts.root(t), ())
+                    if r.action == action)
         g.successors[key] = out
     return out
 

@@ -167,7 +167,7 @@ def enables_balancing(g: Grammar, rho: Play, side: str, d0: int):
 
 
 def label_matched_reachable(g: Grammar, t: int, labels):
-    """All (rule word, end) with the given action labels, in rule order."""
+    """All (rule word, end) with the given labels, words in declaration order."""
     out = [((), t)]
     for a in labels:
         out = [(w + (rid,), v)
@@ -203,9 +203,8 @@ def balance_step(o: EqOracle, rho: Play, side: str) -> BalanceInfo:
             lv = o.level(kids[i - 1], v)
             if lv <= e_pair:
                 continue
-            key = (-lv, tuple(g.rule_order[r] for r in w))
-            if best is None or key < best[0]:
-                best = (key, w, v)
+            if best is None or lv > best[0]:
+                best = (lv, w, v)
         if best is None:
             raise PlaysIndeterminate(
                 "cutoff starvation: no qualifying V_%d for pivot" % i)

@@ -199,6 +199,24 @@ def test_attacker_defender_contracts():
     assert o.level(succ, u2) >= e - 1
 
 
+def test_defender_tie_goes_to_the_first_declared_rule():
+    # B's two a-replies tie at level 1 against C; r2 is declared first
+    g = parse_grammar(
+        "nonterminals: A/0, B/0, C/0, D/0, E/0, Z/0\n"
+        "actions: a, b\n"
+        "rule a1: A -a-> C\n"
+        "rule r2: B -a-> D\n"
+        "rule r1: B -a-> E\n"
+        "rule c1: C -b-> C\n"
+        "rule d1: D -b-> Z\n"
+        "rule e1: E -b-> Z\n")
+    o = EqOracle(g, 12)
+    t, u, c, d, e = (parse_term(g.ts, n, g.arities) for n in "ABCDE")
+    assert o.level(c, d) == o.level(c, e) == 1 and o.level(t, u) == 2
+    assert defender_optimal(o, t, u, "L", "a1", c) == ("r2", d)
+    assert defender_optimal(o, u, t, "R", "a1", c) == ("r2", d)
+
+
 def test_attacker_optimal_errors():
     g = g1()
     o = EqOracle(g, 12)

@@ -58,10 +58,22 @@ def test_parse_rejects_duplicate_rule_id():
     "nonterminals: A/-1, B/0\nactions: a\nrule r1: B -a-> B\n",
     # the same name declared twice, once with a space before the slash
     "nonterminals: A/1, A /2\nactions: a\nrule r1: A(x1,x2) -a-> x2\n",
+    # empty names: an action, a rule id and a nonterminal
+    "nonterminals: Z/0\nactions: a,\nrule r1: Z -a-> Z\n",
+    "nonterminals: Z/0\nactions: a\nrule : Z -a-> Z\n",
+    "nonterminals: Z/0, /1\nactions: a\nrule r1: Z -a-> Z\n",
 ])
 def test_parse_rejects_bad_declarations(text):
     with pytest.raises(GrammarError):
         parse_grammar(text)
+
+
+def test_constructor_rejects_unknown_lhs():
+    ts = TermStore()
+    z = ts.app("Z", ())
+    with pytest.raises(GrammarError) as e:
+        Grammar(ts, {"Z": 0}, ["a"], [Rule("r1", "Q", "a", z)])
+    assert str(e.value) == "rule r1: unknown nonterminal 'Q'"
 
 
 def test_sink_and_constants_are_cached_on_the_grammar(monkeypatch):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from fogbisim.terms import parse_term, pressize, height, varin, is_finite
+from fogbisim.terms import (
+    height, instantiate, is_finite, parse_term, pressize, varin,
+)
 from fogbisim.grammar import parse_grammar, compute_constants, compute_sink_table
 from fogbisim.lts import (
     PathRecord, d0_sinking_split, enabled_actions, is_d0_sinking,
@@ -81,9 +83,45 @@ def test_step_action_table_matches_step_rule(seed):
         frontier = nxt[:40]
     assert len(g.successors) == len({(t, a) for t, a, _ in asked})
     for t, a, got in asked:
-        fresh = tuple((r.rid, step_rule(g, t, r.rid)) for r in g.rules
-                      if r.action == a and step_rule(g, t, r.rid) is not None)
+        # every rule with label a and t's root, in declaration order
+        binding = dict(enumerate(g.ts.children(t), 1))
+        fresh = tuple((r.rid, instantiate(g.ts, r.rhs, binding)) for r in g.rules
+                      if r.action == a and r.lhs == g.ts.root(t))
         assert got == fresh
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rule_steps_are_answered_from_the_table(seed, monkeypatch):
+    import fogbisim.lts as lts
+    calls = []
+
+    def counted(ts, t, binding):
+        calls.append(t)
+        return instantiate(ts, t, binding)
+
+    monkeypatch.setattr(lts, "instantiate", counted)
+    rng = random.Random(seed)
+    g = random_grammar(seed)
+    starts = [random_ground_term(rng, g, rng.randint(0, 3)) for _ in range(5)]
+    words = [[rng.choice(g.rules).rid for _ in range(4)] for _ in starts]
+
+    def steps():
+        for t, word in zip(starts, words):
+            for r in g.rules:
+                step_rule(g, t, r.rid)
+            run_word(g, t, word)
+            run_word(g, g.lhs_term(g.rules[0].lhs), word)
+
+    steps()
+    first = len(calls)
+    # one call per successor in the table, none for a repeated step
+    assert first == sum(len(out) for out in g.successors.values()) > 0
+    steps()
+    for (t, a), out in list(g.successors.items()):
+        assert step_action(g, t, a) is out
+        for rid, succ in out:
+            assert step_rule(g, t, rid) == succ
+    assert len(calls) == first
 
 
 def test_run_word():

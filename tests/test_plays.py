@@ -263,6 +263,25 @@ def test_balance_step_chain_grammar():
     assert o.level(*info.bal_pair) == 0
 
 
+def test_balance_step_tie_goes_to_the_first_declared_word():
+    # the chain grammar with a second a-rule on B, declared before b1: both
+    # candidates for V_1 (W and Z) are equivalent to the kid Z, so they tie
+    g = parse_grammar(GCHAIN.replace(
+        "rule b1: B(x1) -a-> x1\n",
+        "rule b9: B(x1) -a-> W\nrule b1: B(x1) -a-> x1\n").replace(
+        "Z/0", "W/0, Z/0") + "rule w1: W -a-> W\n")
+    ts = g.ts
+    o = EqOracle(g, 8)
+    t = parse_term(ts, "A(Z)", g.arities)
+    u = parse_term(ts, "B(Z)", g.arities)
+    w = parse_term(ts, "W", g.arities)
+    assert [r for r, _ in label_matched_reachable(g, u, ["a"])] == [("b9",), ("b1",)]
+    assert o.level(t, u) == 2 and g.constants.d0 == 2
+    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), "L")
+    assert info.vbar == {1: ("b9",)}
+    assert info.sigma_pp.lookup(1) == w
+
+
 def test_balance_step_not_enabled():
     g = g1()
     o = EqOracle(g, 12)
