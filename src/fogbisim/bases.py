@@ -120,8 +120,7 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
     if i != p.n:
         binding[i] = seq.sigma.lookup(p.n)
     new_sigma = Substitution(ts, binding)
-    stepinc = step_increment(g)
-    new_p = NsgParams(p.n - 1, 2 * p.s + p.g * (1 + k) + k * stepinc, p.g)
+    new_p = NsgParams(p.n - 1, next_size(g, p.s, p.g, k), p.g)
     new_seq = NsgSequence(new_tops, new_sigma)
     for jj, (e, f) in enumerate(retained):
         old = o.level(*seq.element(ts, k + 1 + jj))
@@ -134,6 +133,27 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
 
 
 # -- candidates and bounds ---------------------------------------------------
+
+def next_size(g: Grammar, s: int, growth: int, e: int) -> int:
+    """s' = 2s + growth*(1+e) + e*stepinc: the size bound one reduction
+    step past eq-level e, and so the threshold of the next layer down."""
+    return 2 * s + growth * (1 + e) + e * step_increment(g)
+
+
+def layer_thresholds(g: Grammar, params: NsgParams, entries):
+    """Thresholds s_j (s_n = s) and maxima e_j for j = n..0, as dicts.
+
+    entries is a collection of (layer, pressize, eq-level) triples; e_j
+    is the largest eq-level of an entry of layer <= j within s_j, or 0."""
+    s_vals, e_vals = {}, {}
+    s = params.s
+    for j in range(params.n, -1, -1):
+        s_vals[j] = s
+        e_vals[j] = max((eq for lv, sz, eq in entries if lv <= j and sz <= s),
+                        default=0)
+        s = next_size(g, s, params.g, e_vals[j])
+    return s_vals, e_vals
+
 
 def pair_level(ts, e: int, f: int):
     """The j with varin(E,F) = {x1..xj}, or None for non-prefix sets."""
@@ -149,41 +169,36 @@ class Candidate:
     """Layered set of non-equivalent pairs with the s' recursion.
 
     layers[j] holds the pairs whose variables are exactly {x1..xj};
-    validation computes the per-layer thresholds s_j (s_n = s) and
-    maxima e_j going from layer n down to 0.
+    s_vals and e_vals are the `layer_thresholds` of the member pairs,
+    and every pair lies within its own layer's threshold.
     """
 
     def __init__(self, o: EqOracle, params: NsgParams, pairs):
         self.o = o
         self.params = params
         ts = o.g.ts
-        stepinc = step_increment(o.g)
         self.layers: dict[int, set] = {j: set() for j in range(params.n + 1)}
+        entries = {}  # pair -> (layer, pressize, eq-level)
         for e, f in pairs:
             lv = pair_level(ts, e, f)
             if lv is None or lv > params.n:
                 raise BasesError(
                     "pair variables must be a prefix set within x1..x%d"
                     % params.n)
-            if o.level(e, f) >= o.cutoff:
+            eq = o.level(e, f)
+            if eq >= o.cutoff:
                 raise BasesError(
                     "candidate pair not verified non-equivalent below the "
                     "cutoff")
-            self.layers[lv].add((e, f) if e <= f else (f, e))
-        self.s_vals: dict[int, int] = {}
-        self.e_vals: dict[int, int] = {}
-        s = params.s
-        for j in range(params.n, -1, -1):
-            self.s_vals[j] = s
-            members = [pr for lv in range(0, j + 1) for pr in self.layers[lv]]
-            for e, f in self.layers[j]:
-                if pressize(ts, [e, f]) > s:
-                    raise BasesError(
-                        "layer-%d pair exceeds its size threshold %d" % (j, s))
-            sized = [pr for pr in members if pressize(ts, list(pr)) <= s]
-            self.e_vals[j] = max((o.level(e, f) for e, f in sized), default=0)
-            s = 2 * s + params.g * (1 + self.e_vals[j]) \
-                + self.e_vals[j] * stepinc
+            key = (e, f) if e <= f else (f, e)
+            self.layers[lv].add(key)
+            entries[key] = (lv, pressize(ts, [e, f]), eq)
+        self.s_vals, self.e_vals = layer_thresholds(
+            o.g, params, entries.values())
+        over = [lv for lv, sz, _ in entries.values() if sz > self.s_vals[lv]]
+        if over:
+            raise BasesError("layer-%d pair exceeds its size threshold %d"
+                             % (max(over), self.s_vals[max(over)]))
 
     def all_pairs(self):
         return {pr for lay in self.layers.values() for pr in lay}
@@ -196,18 +211,9 @@ class Candidate:
             and key in self.layers[lv]
 
 
-class Bound:
-    def __init__(self, value: int):
-        if value < 1:
-            raise BasesError("the bound is always positive")
-        self.value = value
-
-    def __repr__(self):
-        return "Bound(%d)" % self.value
-
-
-def bound_of_candidate(c: Candidate) -> Bound:
-    return Bound(sum(1 + c.e_vals[j] for j in range(c.params.n + 1)))
+def bound_of_candidate(c: Candidate) -> int:
+    """E_B = sum over j = 0..n of (1 + e_j), at least 1."""
+    return sum(1 + c.e_vals[j] for j in range(c.params.n + 1))
 
 
 # -- enumeration of small regular terms --------------------------------------
@@ -272,36 +278,25 @@ def enumerate_pairs(o: EqOracle, max_vars: int, max_size: int):
 
 
 def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):
-    """The full candidate, restricted to pairs of pressize <= cap.
+    """The full candidate over the pairs of pressize <= cap: each pair
+    below the cutoff that lies within its own layer's threshold, the
+    thresholds being the `layer_thresholds` of all pairs below the cutoff.
 
-    Returns (Candidate, Bound, complete) where complete is False when a
-    layer threshold exceeded the cap or some pair's eq-level reached the
-    cutoff (such pairs are treated as equivalent and left out).
+    Returns (Candidate, E_B, complete); complete is False when some s_j
+    exceeds the cap or a pair at the cutoff (treated as equivalent and
+    left out) lies within its own layer's threshold. For nonnegative n, s
+    and g the thresholds never shrink from layer n down to 0, so a pair
+    of layer lv is within s_j for some j >= lv exactly when within s_lv.
     """
-    stepinc = step_increment(o.g)
     universe = list(enumerate_pairs(o, params.n, cap))
-    capped = False
-    ambiguous = False
-    picked = set()
-    s = params.s
-    for j in range(params.n, -1, -1):
-        if s > cap:
-            capped = True
-        t = min(s, cap)
-        stage = [(pr, lv, sz, eq) for pr, lv, sz, eq in universe
-                 if lv <= j and sz <= t]
-        levels = []
-        for pr, lv, sz, eq in stage:
-            if eq >= o.cutoff:
-                ambiguous = True
-                continue
-            levels.append(eq)
-            if lv == j:
-                picked.add(pr)
-        e = max(levels, default=0)
-        s = 2 * s + params.g * (1 + e) + e * stepinc
-    cand = Candidate(o, params, picked)
-    return cand, bound_of_candidate(cand), (not capped and not ambiguous)
+    s_vals, _ = layer_thresholds(
+        o.g, params, [(lv, sz, eq) for _, lv, sz, eq in universe
+                      if eq < o.cutoff])
+    within = [(pr, eq) for pr, lv, sz, eq in universe if sz <= s_vals[lv]]
+    cand = Candidate(o, params, [pr for pr, eq in within if eq < o.cutoff])
+    complete = max(s_vals.values()) <= cap \
+        and all(eq < o.cutoff for _, eq in within)
+    return cand, bound_of_candidate(cand), complete
 
 
 # -- the soundness machinery -------------------------------------------------
@@ -324,7 +319,7 @@ def speceq_check(o: EqOracle, t: int, u: int, k: int, c: int) -> bool:
 
 def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
     """Grow a candidate until every enumerated pair outside it passes
-    the scale-E_B equivalence test; returns (Candidate, Bound, status)
+    the scale-E_B equivalence test; returns (Candidate, E_B, status)
     with status in {"sound", "indeterminate", "capped"}."""
     universe = list(enumerate_pairs(o, params.n, cap))
     pairs: set = set()
@@ -337,7 +332,7 @@ def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
             if sz > min(cand.s_vals[lv], cap) or pr in pairs:
                 continue
             try:
-                ok = speceq_check(o, pr[0], pr[1], bound.value, c)
+                ok = speceq_check(o, pr[0], pr[1], bound, c)
             except BasesIndeterminate:
                 return cand, bound, "indeterminate"
             if not ok:

@@ -10,7 +10,7 @@ import functools
 import json
 import sys
 
-from .terms import TermError, parse_term, pressize, render_term
+from .terms import TermError, intern_graph, parse_term, pressize, render_term
 from .grammar import GrammarConstants, GrammarError, parse_grammar
 from .lts import run_word, step_action, step_rule
 from .equiv import EqOracle, EquivError
@@ -51,7 +51,10 @@ def _load_grammar(args):
 
 
 def _parse_term_arg(g, text):
+    """The inline syntax, or the graph format of cyclic terms if `=` occurs."""
     try:
+        if "=" in text:
+            return intern_graph(g.ts, text, g.arities)
         return parse_term(g.ts, text, g.arities)
     except TermError as ex:
         raise CliError("term error in %r: %s" % (text, ex))
@@ -117,8 +120,6 @@ def cmd_step(args):
     g = _load_grammar(args)
     t = _parse_term_arg(g, args.term)
     if args.rule:
-        if args.rule not in g.rule_by_id:
-            raise CliError("unknown rule id %r" % args.rule)
         res = step_rule(g, t, args.rule)
         if res is None:
             print("rule %s not applicable" % args.rule, file=sys.stderr)
@@ -282,8 +283,8 @@ def cmd_base(args):
                        "pairs": len(cand.layers[j])})
     lines = ["layer\tj=%d\ts=%d\te=%d\tpairs=%d"
              % (l["level"], l["s"], l["e"], l["pairs"]) for l in layers]
-    lines += ["E_B=%d" % bound.value, "status=%s" % status]
-    _emit(args, {"command": "base", "layers": layers, "E_B": bound.value,
+    lines += ["E_B=%d" % bound, "status=%s" % status]
+    _emit(args, {"command": "base", "layers": layers, "E_B": bound,
                  "status": status}, lines)
     return EXIT_OK if status in ("complete", "sound") \
         else EXIT_INDETERMINATE

@@ -300,7 +300,6 @@ def _abstract_death(g: Grammar, e_prime: int, word):
         cur = step_rule(g, cur, word[p])
         if cur is None:
             return None
-    return None
 
 
 def transform_to_balanced(o: EqOracle, t: int, u: int):
@@ -351,7 +350,7 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
         got = scan(cont, prev.side, death)
         if got is None:
             mus.append(cont)
-            splits.append(None if death is None else death)
+            splits.append(death)
             break
         q2, side2 = got
         mu = cont.subplay(0, q2)
@@ -521,11 +520,7 @@ def refine_segments(g: Grammar, bp: BalancedPlay,
         visited = pp.visit_terms(g, j - 1)
         if any(v in subterms for v in visited):
             close.append(j)
-    crucial = []
-    if close:
-        ks = close + [ell + 1]
-        for a, b in zip(ks, ks[1:]):
-            crucial.append((a, b))
+    crucial = list(zip(close, close[1:] + [ell + 1]))
     return Segmentation(close, usink, csink, crucial)
 
 
@@ -576,17 +571,13 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
             "pairs=%d distinct=%d" % (len(pairs), len(set(pairs))))
 
     # every sinking part is d0-sinking on both sides
-    sink_ok = True
-    checks = [(bp.mu0.left_word(),), (bp.mu0.right_word(),)]
+    words = [bp.mu0.left_word(), bp.mu0.right_word()]
     for j in range(1, bp.ell + 1):
         ds = bp.mu_dsink(j)
         if ds is not None:
-            checks.append((ds.left_word(),))
-            checks.append((ds.right_word(),))
-    for (w,) in checks:
-        if d0_sinking_split(g, w, d0) is None:
-            sink_ok = False
-    rep.add("sink-parts-d0-sinking", sink_ok)
+            words += [ds.left_word(), ds.right_word()]
+    rep.add("sink-parts-d0-sinking",
+            all(d0_sinking_split(g, w, d0) is not None for w in words))
 
     # unclear parts are short
     unc_ok = True

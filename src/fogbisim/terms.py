@@ -307,12 +307,13 @@ class TermStore:
         return seen
 
 
-def intern_graph(ts: TermStore, text: str) -> dict[str, TermId]:
-    """Parse the term-graph text format and intern all named roots.
+def intern_graph(ts: TermStore, text: str,
+                 arities: dict[str, int] | None = None) -> TermId:
+    """Parse the term-graph text format and intern its one root.
 
     Lines: `node <ident> = <Nonterminal>(<arg>,...)`, `node <ident> = x<k>`,
-    `root <name> = <ident>`; `#` comments; cycles allowed.
-    Returns a map root name -> TermId.
+    and one `root <name> = <ident>`; `#` comments; cycles allowed. With
+    arities, every node is checked against them as in `parse_term`.
     """
     raw: dict = {}
     roots: dict[str, str] = {}
@@ -329,18 +330,22 @@ def intern_graph(ts: TermStore, text: str) -> dict[str, TermId]:
             if name in raw:
                 raise TermError("line %d: duplicate node %r" % (lineno, name))
             node, extra = _parse_node(rhs, lineno)
+            if node[0] == APP:
+                bad = _arity_error(arities, node[1], len(node[2]))
+                if bad:
+                    raise TermError("line %d: %s" % (lineno, bad))
             raw[name] = node
             raw.update(extra)
         elif kw == "root":
             roots[name] = rhs
         else:
             raise TermError("line %d: expected node/root, got %r" % (lineno, kw))
-    for name, target in roots.items():
-        if target not in raw:
-            raise TermError("root %r refers to undefined node %r" % (name, target))
-    order = list(roots)
-    ids = ts.intern_raw(raw, [roots[name] for name in order])
-    return dict(zip(order, ids))
+    if len(roots) != 1:
+        raise TermError("expected exactly one root, got %d" % len(roots))
+    ((name, target),) = roots.items()
+    if target not in raw:
+        raise TermError("root %r refers to undefined node %r" % (name, target))
+    return ts.intern_raw(raw, [target])[0]
 
 
 def _parse_node(rhs: str, lineno: int):
@@ -366,6 +371,16 @@ def _parse_node(rhs: str, lineno: int):
     return (APP, rhs, []), {}
 
 
+def _arity_error(arities: dict[str, int] | None, name: str, nkids: int):
+    """Why name applied to nkids children breaks arities, or None."""
+    if arities is None or arities.get(name) == nkids:
+        return None
+    if name not in arities:
+        return "unknown nonterminal %r" % name
+    return ("arity mismatch for %r: expected %d, got %d"
+            % (name, arities[name], nkids))
+
+
 def _is_var(s: str) -> bool:
     return len(s) > 1 and s[0] == "x" and s[1:].isdigit()
 
@@ -385,12 +400,9 @@ def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) 
             pos += 1
 
     def app(name, kids) -> TermId:
-        if arities is not None:
-            if name not in arities:
-                fail("unknown nonterminal %r" % name)
-            if arities[name] != len(kids):
-                fail("arity mismatch for %r: expected %d, got %d"
-                     % (name, arities[name], len(kids)))
+        bad = _arity_error(arities, name, len(kids))
+        if bad:
+            fail(bad)
         return ts.app(name, tuple(kids))
 
     open_apps = []  # (name, children so far) of each unclosed "name("

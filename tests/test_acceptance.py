@@ -258,7 +258,7 @@ def test_criterion_08_bound_mechanization():
                 continue
             seq = NsgSequence(tops, sigma)
             assert check_nsg_sequence(o, seq, p)
-            assert seq.z <= bound.value
+            assert seq.z <= bound
             built += 1
         assert built >= 10
         # reduction preserves per-element eq-levels (revalidated inside)
@@ -292,7 +292,7 @@ def test_criterion_09_soundness_loop():
             full, fbound, complete = build_full_base_capped(o, p, 2)
             assert complete
             assert cand.all_pairs() == full.all_pairs()
-            assert bound.value == fbound.value
+            assert bound == fbound
 
 
 def test_criterion_10_constants_regression():

@@ -8,11 +8,11 @@ from fogbisim.terms import (
     Substitution, apply_subst, is_finite, omega_iterate, parse_term, pressize,
     varin,
 )
-from fogbisim.grammar import parse_grammar
+from fogbisim.grammar import parse_grammar, step_increment
 from fogbisim.equiv import EqOracle
 from fogbisim.plays import refine_segments, transform_to_balanced
 from fogbisim.bases import (
-    BasesError, BasesIndeterminate, Bound, Candidate, NsgParams, NsgSequence,
+    BasesError, BasesIndeterminate, Candidate, NsgParams, NsgSequence,
     bound_of_candidate, build_full_base_capped, check_nsg_sequence,
     enumerate_pairs, enumerate_terms, pair_level, present_stair_as_nsg,
     reduce_nsg_step, sound_candidate_search, speceq_check,
@@ -189,7 +189,7 @@ def test_candidate_bound_hand_built():
     assert cand.s_vals[1] == 6
     # s0 = 2*6 + 0*(1+3) + 3*stepinc with stepinc = 2
     assert cand.s_vals[0] == 18
-    assert bound_of_candidate(cand).value == 6  # (1+3) + (1+1)
+    assert bound_of_candidate(cand) == 6  # (1+3) + (1+1)
     assert layer0 in cand and layer1 in cand
     assert (tower(g, 2), tower(g, 4)) not in cand
 
@@ -215,12 +215,7 @@ def test_bound_monotone_under_growth():
     small = Candidate(o, p, [(tower(g, 0), tower(g, 1))])
     big = Candidate(o, p, [(tower(g, 0), tower(g, 1)),
                            (tower(g, 2), tower(g, 3))])
-    assert bound_of_candidate(big).value >= bound_of_candidate(small).value
-
-
-def test_bound_positive():
-    with pytest.raises(BasesError):
-        Bound(0)
+    assert bound_of_candidate(big) >= bound_of_candidate(small)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -372,7 +367,7 @@ def test_build_full_base_ground():
     o = EqOracle(g, 8)
     cand, bound, complete = build_full_base_capped(o, NsgParams(0, 2, 0), 2)
     assert complete
-    assert bound.value == 1  # all small ground pairs have eq-level 0
+    assert bound == 1  # all small ground pairs have eq-level 0
     z = parse_term(g.ts, "Z", g.arities)
     assert (z, tower(g, 1)) in cand
 
@@ -381,7 +376,7 @@ def test_build_full_base_empty():
     g = parse_grammar("nonterminals: Z/0\nactions: a\nrule z1: Z -a-> Z\n")
     o = EqOracle(g, 8)
     cand, bound, complete = build_full_base_capped(o, NsgParams(0, 0, 0), 1)
-    assert complete and bound.value == 1 and cand.all_pairs() == set()
+    assert complete and bound == 1 and cand.all_pairs() == set()
 
 
 def test_build_full_base_capped_flag():
@@ -390,6 +385,62 @@ def test_build_full_base_capped_flag():
     # layer-0 threshold s0 grows beyond the cap with n = 1
     cand, bound, complete = build_full_base_capped(o, NsgParams(1, 4, 1), 3)
     assert not complete
+
+
+def reference_build_full_base_capped(o, params, cap):
+    """Stage-by-stage reference for build_full_base_capped: for each
+    layer j from n down to 0, the pairs of layer <= j within min(s, cap)
+    give e_j and s grows by the s' recursion; the layer-j pairs below the
+    cutoff are picked. Returns (picked pairs, E_B, complete)."""
+    stepinc = step_increment(o.g)
+    universe = list(enumerate_pairs(o, params.n, cap))
+    capped = False
+    ambiguous = False
+    picked = set()
+    bound = 0
+    s = params.s
+    for j in range(params.n, -1, -1):
+        if s > cap:
+            capped = True
+        t = min(s, cap)
+        stage = [(pr, lv, sz, eq) for pr, lv, sz, eq in universe
+                 if lv <= j and sz <= t]
+        levels = []
+        for pr, lv, sz, eq in stage:
+            if eq >= o.cutoff:
+                ambiguous = True
+                continue
+            levels.append(eq)
+            if lv == j:
+                picked.add(pr)
+        e = max(levels, default=0)
+        bound += 1 + e
+        s = 2 * s + params.g * (1 + e) + e * stepinc
+    return picked, bound, not capped and not ambiguous
+
+
+BASE_PARAMS = [(0, 0, 0), (0, 2, 0), (0, 3, 1), (1, 2, 0), (1, 1, 1),
+               (1, 6, 0), (2, 2, 0), (2, 0, 1)]
+
+
+def assert_same_base(g, caps):
+    o = EqOracle(g, 6)
+    for n, s, gg in BASE_PARAMS:
+        for cap in caps:
+            params = NsgParams(n, s, gg)
+            cand, bound, complete = build_full_base_capped(o, params, cap)
+            assert (cand.all_pairs(), bound, complete) == \
+                reference_build_full_base_capped(o, params, cap), (params, cap)
+
+
+@pytest.mark.parametrize("name", ["g1.fog", "gchain.fog", "gnull.fog"])
+def test_build_full_base_capped_matches_reference(name):
+    assert_same_base(parse_grammar(open(GRAMMARS / name).read()), range(1, 4))
+
+
+def test_build_full_base_capped_matches_reference_on_random_grammars():
+    for seed in range(20):
+        assert_same_base(random_grammar(seed), range(1, 3))
 
 
 # -- the scaled equivalence test ---------------------------------------------
@@ -429,7 +480,7 @@ def test_sound_search_single_term_grammar():
     o = EqOracle(g, 8)
     cand, bound, status = sound_candidate_search(o, NsgParams(0, 2, 0), 1, 2)
     assert status == "sound"
-    assert cand.all_pairs() == set() and bound.value == 1
+    assert cand.all_pairs() == set() and bound == 1
 
 
 def test_sound_search_matches_full_base():
@@ -450,7 +501,7 @@ def test_sound_search_matches_full_base():
         full, fbound, complete = build_full_base_capped(o, p, 2)
         assert complete
         assert cand.all_pairs() == full.all_pairs()
-        assert bound.value == fbound.value
+        assert bound == fbound
 
 
 def test_sound_search_indeterminate():
@@ -564,6 +615,6 @@ def test_sequence_bound_on_g1():
             continue
         seq = NsgSequence(tops, sigma)
         assert check_nsg_sequence(o, seq, p)
-        assert seq.z <= bound.value
+        assert seq.z <= bound
         built += 1
     assert built >= 10

@@ -1,11 +1,13 @@
 import json
 import pathlib
+import shlex
 
 import pytest
 
 from fogbisim.cli import main
 
-GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GRAMMARS = ROOT / "grammars"
 G1 = str(GRAMMARS / "g1.fog")
 GCHAIN = str(GRAMMARS / "gchain.fog")
 GNULL = str(GRAMMARS / "gnull.fog")
@@ -70,6 +72,9 @@ def test_step_rule_and_action(capsys):
     code, _, err = run(capsys, "step", "--grammar", G1,
                        "--term", "Z", "--rule", "r1")
     assert code == 1 and "not applicable" in err
+    code, out, err = run(capsys, "step", "--grammar", G1,
+                         "--term", "A(Z)", "--rule", "r9")
+    assert (code, out, err) == (2, "", "error: unknown rule id 'r9'\n")
 
 
 def test_run_trace_and_dead_word(capsys):
@@ -83,6 +88,41 @@ def test_run_trace_and_dead_word(capsys):
     code, _, err = run(capsys, "run", "--grammar", G1,
                        "--term", "Z", "--word", "nope")
     assert code == 2
+
+
+def test_cyclic_term_in_graph_format(capsys):
+    from fogbisim.terms import TermStore, omega_iterate, render_term
+    ts = TermStore()
+    a_omega = render_term(ts, omega_iterate(ts, ts.app("A", (ts.var(1),)), 1))
+    assert "root t =" in a_omega
+    code, out, _ = run(capsys, "eqlevel", "--grammar", G1,
+                       "--left", a_omega, "--right", "A(Z)")
+    assert code == 1 and out.strip() == "finite 1"
+
+
+@pytest.mark.parametrize("graph, why", [
+    ("node n = A(n,n)\nroot t = n",
+     "line 1: arity mismatch for 'A': expected 1, got 2"),
+    ("node n = Q(n)\nroot t = n", "line 1: unknown nonterminal 'Q'"),
+])
+def test_bad_graph_term_is_one_error_line(capsys, graph, why):
+    code, out, err = run(capsys, "eqlevel", "--grammar", G1,
+                         "--left", graph, "--right", "A(Z)")
+    assert (code, out) == (2, "")
+    assert err == "error: term error in %r: %s\n" % (graph, why)
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    """Every `fogbisim ...` line of README's command block runs cleanly
+    from the repository root."""
+    monkeypatch.chdir(ROOT)
+    text = (ROOT / "README.md").read_text()
+    lines = [ln for ln in text.splitlines() if ln.startswith("fogbisim ")]
+    assert len(lines) >= 11
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code in (0, 1, 3), line
+        assert "error:" not in err and "Traceback" not in err, line
 
 
 def test_eqlevel_and_decide(capsys):

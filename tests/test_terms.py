@@ -57,15 +57,15 @@ def test_height_trivia():
 
 def test_height_rejects_cyclic():
     ts = TermStore()
-    g = intern_graph(ts, "node n = A(n)\nroot t = n")
+    t = intern_graph(ts, "node n = A(n)\nroot t = n")
     with pytest.raises(TermError):
-        height(ts, g["t"])
+        height(ts, t)
 
 
 def test_varin_cyclic():
     ts = TermStore()
-    g = intern_graph(ts, "node n = A(m,n)\nnode m = x3\nroot t = n")
-    assert varin(ts, [g["t"]]) == {3}
+    t = intern_graph(ts, "node n = A(m,n)\nnode m = x3\nroot t = n")
+    assert varin(ts, [t]) == {3}
     assert varin(ts, [parse_term(ts, "B")]) == set()
 
 
@@ -74,7 +74,7 @@ def test_intern_graph_canonical_merge():
     ts = TermStore()
     g1 = intern_graph(ts, "node b1 = B\nnode b2 = B\nnode a = A(b1,b2)\nroot t = a")
     g2 = intern_graph(ts, "node b = B\nnode a = A(b,b)\nroot t = a")
-    assert g1["t"] == g2["t"]
+    assert g1 == g2
 
 
 def test_intern_graph_cycles_minimized():
@@ -82,15 +82,14 @@ def test_intern_graph_cycles_minimized():
     # a 3-cycle of A's is the same term as the 1-cycle
     g1 = intern_graph(ts, "node a = A(b)\nnode b = A(c)\nnode c = A(a)\nroot t = a")
     g2 = intern_graph(ts, "node a = A(a)\nroot t = a")
-    assert g1["t"] == g2["t"]
-    assert pressize(ts, [g1["t"]]) == 1
+    assert g1 == g2
+    assert pressize(ts, [g1]) == 1
 
 
 def test_intern_graph_cycle_unfolding_prefix():
     # A(mu) where mu = A(mu) equals mu itself
     ts = TermStore()
-    g = intern_graph(ts, "node a = A(a)\nroot t = a")
-    mu = g["t"]
+    mu = intern_graph(ts, "node a = A(a)\nroot t = a")
     assert ts.app("A", (mu,)) == mu
 
 
@@ -100,6 +99,10 @@ def test_intern_graph_errors():
         intern_graph(ts, "node a = A(zzz)\nroot t = a")
     with pytest.raises(TermError):
         intern_graph(ts, "root t = a")
+    with pytest.raises(TermError, match="exactly one root, got 0"):
+        intern_graph(ts, "node a = B")
+    with pytest.raises(TermError, match="exactly one root, got 2"):
+        intern_graph(ts, "node a = B\nroot t = a\nroot u = a")
 
 
 def test_apply_subst_fig1():
@@ -150,8 +153,7 @@ def test_omega_iterate_self_loop():
     t = parse_term(ts, "A(x1)", {"A": 1})
     mu = omega_iterate(ts, t, 1)
     assert pressize(ts, [mu]) == 1
-    g = intern_graph(ts, "node a = A(a)\nroot t = a")
-    assert mu == g["t"]
+    assert mu == intern_graph(ts, "node a = A(a)\nroot t = a")
 
 
 def test_omega_iterate_var_cases():
@@ -238,7 +240,7 @@ def images(draw):
 
 def mk_image(ts, img):
     if img[0] == "graph":
-        return intern_graph(ts, img[1])["t"]
+        return intern_graph(ts, img[1])
     t = build(ts, img[1])
     return t if img[0] == "tree" else omega_iterate(ts, t, img[2])
 
@@ -272,8 +274,8 @@ def subst_by_raw_graph(ts, t, binding):
 def test_apply_subst_finds_stored_cycle():
     # b = A(b, x1) with x1 := w for w = A(w, w) unfolds to w itself
     ts = TermStore()
-    w = intern_graph(ts, "node a = A(a,a)\nroot t = a")["t"]
-    h = intern_graph(ts, "node b = A(b,x)\nnode x = x1\nroot t = b")["t"]
+    w = intern_graph(ts, "node a = A(a,a)\nroot t = a")
+    h = intern_graph(ts, "node b = A(b,x)\nnode x = x1\nroot t = b")
     got = apply_subst(ts, h, Substitution(ts, {1: w}))
     assert (got, pressize(ts, [got])) == (w, 1)
 
