@@ -228,15 +228,17 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
     child is a node already referenced or exactly the next unreferenced
     index; it then goes through one `intern_raw` call. The budget bounds
     the brute-force space of options**k graphs, an upper bound on the
-    graphs generated."""
+    graphs generated; it is checked for every k before any graph is
+    built."""
     ts = g.ts
-    out = set()
     for k in range(1, max_size + 1):
         total = (max_vars + sum(k ** m for m in g.arities.values())) ** k
         if total > budget:
             raise BasesError(
                 "enumeration budget exceeded (%d graphs of %d nodes)"
                 % (total, k))
+    out = set()
+    for k in range(1, max_size + 1):
         # partial graphs: (filled nodes, number of nodes referenced so far)
         stack = [((), 1)]
         while stack:
@@ -259,22 +261,32 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
 
 def enumerate_pairs(o: EqOracle, max_vars: int, max_size: int):
     """Ordered-canonical pairs (E,F), E <= F, E != F, whose variables
-    form a prefix set; yields (pair, level, pressize, eq-level)."""
+    form a prefix set; yields (pair, level, pressize, eq-level).
+
+    A pair fits the size bound when one term is a subterm of the other
+    (its joint graph is the outer term's; every subterm of an enumerated
+    term is enumerated too), or when neither is: then each term adds a
+    node the other lacks, so both are below max_size and only those
+    terms are compared pairwise. Pairs come out sorted by ids, the order
+    of an all-pairs loop over the sorted terms."""
     ts = o.g.ts
     terms = enumerate_terms(o.g, max_vars, max_size)
     # subterms and variables of each term, so that a pair's are unions
-    reach = [frozenset(ts.reachable([t])) for t in terms]
-    vs = [frozenset(ts.var_index(u) for u in r if ts.is_var(u)) for r in reach]
-    for a in range(len(terms)):
-        for b in range(a + 1, len(terms)):
-            # the size bound rejects most pairs, so it is tested first
-            sz = len(reach[a] | reach[b])
-            if sz > max_size:
-                continue
-            lv = _prefix_level(vs[a] | vs[b])
-            if lv is None or lv > max_vars:
-                continue
-            yield ((terms[a], terms[b]), lv, sz, o.level(terms[a], terms[b]))
+    reach = {t: frozenset(ts.reachable([t])) for t in terms}
+    vs = {t: frozenset(ts.var_index(u) for u in reach[t] if ts.is_var(u))
+          for t in terms}
+    fits = {(u, t) if u < t else (t, u)
+            for t in terms for u in reach[t] if u != t}
+    small = [t for t in terms if len(reach[t]) < max_size]
+    for i, a in enumerate(small):
+        for b in small[i + 1:]:
+            if len(reach[a]) + len(reach[b]) <= max_size \
+                    or len(reach[a] | reach[b]) <= max_size:
+                fits.add((a, b))
+    for a, b in sorted(fits):
+        lv = _prefix_level(vs[a] | vs[b])
+        if lv is not None and lv <= max_vars:
+            yield ((a, b), lv, len(reach[a] | reach[b]), o.level(a, b))
 
 
 def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):

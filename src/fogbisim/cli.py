@@ -60,6 +60,12 @@ def _parse_term_arg(g, text):
         raise CliError("term error in %r: %s" % (text, ex))
 
 
+def _one_line(text):
+    """A rendered term as one text row: graph lines joined by '; ', a
+    form `_parse_term_arg` reads back."""
+    return text.replace("\n", "; ")
+
+
 def _load_pair(args):
     """The grammar, its oracle, the --left and --right terms and their
     eq-level."""
@@ -133,7 +139,8 @@ def cmd_step(args):
     _emit(args, {"command": "step",
                  "results": [{"rule": rid, "term": render_term(g.ts, r)}
                              for rid, r in results]},
-          ["%s\t%s" % (rid, render_term(g.ts, r)) for rid, r in results])
+          ["%s\t%s" % (rid, _one_line(render_term(g.ts, r)))
+           for rid, r in results])
     return EXIT_OK
 
 
@@ -148,9 +155,10 @@ def cmd_run(args):
     terms = p.terms()
     lines = []
     if args.trace:
-        lines += ["%d\t%s\t%s" % (i, rid, render_term(g.ts, terms[i + 1]))
+        lines += ["%d\t%s\t%s"
+                  % (i, rid, _one_line(render_term(g.ts, terms[i + 1])))
                   for i, rid in enumerate(word)]
-    lines.append(render_term(g.ts, p.end))
+    lines.append(_one_line(render_term(g.ts, p.end)))
     _emit(args, {"command": "run",
                  "trace": [render_term(g.ts, x) for x in terms],
                  "end": render_term(g.ts, p.end)}, lines)
@@ -198,7 +206,8 @@ def cmd_play(args):
     for row in rows:
         move = " ".join(row.get("rules", []))
         lines.append("%d\t%s\t%s\t%s"
-                     % (row["index"], row["left"], row["right"], move))
+                     % (row["index"], _one_line(row["left"]),
+                        _one_line(row["right"]), move))
     _emit(args, {"command": "play", "eqlevel": lv.value, "steps": rows}, lines)
     return EXIT_OK
 

@@ -312,13 +312,15 @@ def intern_graph(ts: TermStore, text: str,
     """Parse the term-graph text format and intern its one root.
 
     Lines: `node <ident> = <Nonterminal>(<arg>,...)`, `node <ident> = x<k>`,
-    and one `root <name> = <ident>`; `#` comments; cycles allowed. With
-    arities, every node is checked against them as in `parse_term`.
+    and one `root <name> = <ident>`, separated by newlines or `;`; a `#`
+    comment runs to the newline; cycles allowed. With arities, every node
+    is checked against them as in `parse_term`.
     """
     raw: dict = {}
     roots: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    for lineno, line in enumerate(text.replace(";", "\n").splitlines(), 1):
+        line = line.strip()
         if not line:
             continue
         try:

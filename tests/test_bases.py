@@ -332,12 +332,61 @@ def test_enumerate_terms_matches_reference_on_random_grammars():
                 assert_same_enumeration(g, max_vars, size, budget=4000)
 
 
-def test_enumerate_terms_budget():
+def test_enumerate_terms_budget(monkeypatch):
     g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
+    interned = []
+    real = g.ts.intern_raw
+    monkeypatch.setattr(g.ts, "intern_raw",
+                        lambda raw, roots: interned.append(roots)
+                        or real(raw, roots))
     with pytest.raises(BasesError) as ex:
         enumerate_terms(g, 1, 5)
     assert str(ex.value) == \
         "enumeration budget exceeded (33554432 graphs of 5 nodes)"
+    assert interned == []  # the budget is checked before any graph is built
+
+
+def reference_enumerate_pairs(o, max_vars, max_size):
+    """All-pairs reference for enumerate_pairs: every pair of enumerated
+    terms in index order, kept when its joint graph has at most max_size
+    nodes and its variables form a prefix set within x1..max_vars."""
+    ts = o.g.ts
+    terms = enumerate_terms(o.g, max_vars, max_size)
+    reach = [frozenset(ts.reachable([t])) for t in terms]
+    for a in range(len(terms)):
+        for b in range(a + 1, len(terms)):
+            sz = len(reach[a] | reach[b])
+            if sz > max_size:
+                continue
+            lv = pair_level(ts, terms[a], terms[b])
+            if lv is None or lv > max_vars:
+                continue
+            yield ((terms[a], terms[b]), lv, sz, o.level(terms[a], terms[b]))
+
+
+def assert_same_pairs(g, max_vars, max_size):
+    """Reference and enumerate_pairs over one oracle: the same tuples in
+    the same order, each pair (E, F) with E < F."""
+    o = EqOracle(g, 6)
+    want = list(reference_enumerate_pairs(o, max_vars, max_size))
+    got = list(enumerate_pairs(o, max_vars, max_size))
+    assert got == want, (max_vars, max_size)
+    assert all(e < f for (e, f), lv, sz, eq in got)
+
+
+@pytest.mark.parametrize("name", ["g1.fog", "gchain.fog", "gnull.fog"])
+def test_enumerate_pairs_matches_reference(name):
+    g = parse_grammar(open(GRAMMARS / name).read())
+    for max_vars in range(2):
+        for size in range(1, 4):
+            assert_same_pairs(g, max_vars, size)
+
+
+def test_enumerate_pairs_matches_reference_on_random_grammars():
+    for seed in range(20):
+        g = random_grammar(seed)
+        for size in range(1, 3):
+            assert_same_pairs(g, 1, size)
 
 
 def test_enumerate_pairs_properties():

@@ -100,6 +100,41 @@ def test_cyclic_term_in_graph_format(capsys):
     assert code == 1 and out.strip() == "finite 1"
 
 
+A_OMEGA = "node n = A(n)\nroot t = n"
+
+
+def test_cyclic_term_rows_are_one_line(capsys):
+    """Text rows print a cyclic term on one line, and that line reads
+    back as the same term."""
+    code, want, _ = run(capsys, "eqlevel", "--grammar", G1,
+                        "--left", A_OMEGA, "--right", "A(Z)")
+    assert code == 1 and want.strip() == "finite 1"
+    code, out, _ = run(capsys, "play", "--grammar", G1,
+                       "--left", A_OMEGA, "--right", "A(Z)")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2  # pairs 0..1 of a length-1 play
+    assert all(row.count("\t") == 3 for row in rows)
+    left = rows[0].split("\t")[1]
+    assert "; root t = " in left
+    code, out, _ = run(capsys, "eqlevel", "--grammar", G1,
+                       "--left", left, "--right", "A(Z)")
+    assert (code, out) == (1, want)
+    code, out, _ = run(capsys, "step", "--grammar", G1,
+                       "--term", left, "--rule", "r1")
+    assert code == 0
+    assert out.splitlines() == ["r1\t" + left]
+    code, out, _ = run(capsys, "run", "--grammar", G1, "--term", left,
+                       "--word", "r1 r2", "--trace")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 3
+    assert rows[0] == "0\tr1\t" + left
+    code, out, _ = run(capsys, "eqlevel", "--grammar", G1,
+                       "--left", rows[2], "--right", left)
+    assert (code, out) == (0, "at-least 12\n")
+
+
 @pytest.mark.parametrize("graph, why", [
     ("node n = A(n,n)\nroot t = n",
      "line 1: arity mismatch for 'A': expected 1, got 2"),
@@ -176,6 +211,15 @@ def test_base_complete_and_sound(capsys):
                        "--n", "0", "--s", "2", "--g", "0", "--max-size", "2",
                        "--sound-c", "1")
     assert code == 0 and "status=sound" in out
+
+
+def test_base_gchain_size_4(capsys):
+    code, out, _ = run(capsys, "base", "--grammar", GCHAIN, "--n", "1",
+                       "--s", "2", "--g", "0", "--max-size", "4", "--json")
+    doc = json.loads(out)
+    assert code == 3
+    assert [layer["pairs"] for layer in doc["layers"]] == [13, 17914]
+    assert (doc["E_B"], doc["status"]) == (8, "capped")
 
 
 @pytest.mark.parametrize("flag", ["--n", "--s", "--g", "--max-size",

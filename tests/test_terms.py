@@ -84,6 +84,9 @@ def test_intern_graph_cycles_minimized():
     g2 = intern_graph(ts, "node a = A(a)\nroot t = a")
     assert g1 == g2
     assert pressize(ts, [g1]) == 1
+    # `;` separates lines too: the one-line form of the text rows
+    assert intern_graph(ts, "node a = A(b); node b = A(a); root t = a") == g1
+    assert intern_graph(ts, "node a = A(a) # a; b\nroot t = a") == g1
 
 
 def test_intern_graph_cycle_unfolding_prefix():
