@@ -18,7 +18,8 @@ from .grammar import Grammar, step_increment
 from .lts import run_word
 from .equiv import EqOracle, find_sink_witness
 from .plays import (
-    BalancedPlay, PivotPath, Segmentation, p_top_form, present_over_top,
+    BalancedPlay, PivotPath, Segmentation, by_side, p_top_form,
+    present_over_top,
 )
 
 
@@ -399,7 +400,7 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
             raise BasesError("stair presentation misses the pivot "
                              "(internal bug)")
         e_top, f_top = present_over_top(g, info, g_i)
-        pair = ((e_top, f_top) if info.side == "L" else (f_top, e_top))
+        pair = by_side(info.side, e_top, f_top)
         got = (apply_subst(ts, pair[0], sigma), apply_subst(ts, pair[1], sigma))
         if got != info.bal_pair:
             raise BasesError("presented tops do not instantiate to the "

@@ -221,7 +221,7 @@ def _balance_rows(g, bp):
     rows = [{"kind": "mu", "j": 0, "unc": 0, "dsink": bp.mu0.length()}]
     for j in range(1, bp.ell + 1):
         info = bp.balances[j - 1]
-        rows.append({"kind": "rho", "j": j, "side": info.side,
+        rows.append({"kind": "rho", "j": j, "side": "LR"[info.side],
                      "len": info.rho.length(),
                      "balpair_size": pressize(
                          g.ts, list(info.bal_pair))})

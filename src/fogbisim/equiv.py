@@ -152,9 +152,7 @@ class EqOracle:
     def check_k_bisim(self, t: int, u: int, k: int) -> bool:
         if k > self.cutoff:
             raise EquivError("k=%d exceeds cutoff %d" % (k, self.cutoff))
-        if k == self.cutoff:
-            return self.level(t, u, k) >= k
-        return self.level(t, u) >= k
+        return self.level(t, u, k) >= k
 
     def eq_level_subst(self, s1: Substitution, s2: Substitution) -> Level:
         e = self.cutoff
@@ -166,31 +164,31 @@ class EqOracle:
 
 
 def attacker_optimal(o: EqOracle, t: int, u: int):
-    """A move one side can take so that every response drops the
-    eq-level; returns (side, rule id, successor)."""
+    """A move one side (0 left, 1 right) can take so that every
+    response drops the eq-level; returns (side, rule id, successor)."""
     e = o.level(t, u)
     if e == 0 or e >= o.cutoff:
         raise EquivError("attacker_optimal needs 0 < eqlevel < cutoff")
     g = o.g
+    pair = (t, u)
     for a in enabled_actions(g, t):
-        for side, here, there in (("L", t, u), ("R", u, t)):
-            for rid, t2 in step_action(g, here, a):
+        for side in (0, 1):
+            for rid, t2 in step_action(g, pair[side], a):
                 worst = max((o.level(t2, u2, e) for _, u2 in
-                             step_action(g, there, a)), default=0)
+                             step_action(g, pair[1 - side], a)), default=0)
                 if worst <= e - 1:
                     return (side, rid, t2)
     raise EquivError("no attacker-optimal move found (internal inconsistency)")
 
 
-def defender_optimal(o: EqOracle, t: int, u: int, side: str, rid: str, succ: int):
+def defender_optimal(o: EqOracle, t: int, u: int, side: int, rid: str, succ: int):
     """The response maximizing the successor pair's eq-level; a tie
     goes to the first reply of `step_action`, in declaration order."""
     g = o.g
     if o.level(t, u) < 1:
         raise EquivError("defender_optimal needs eqlevel >= 1")
     action = g.rule_by_id[rid].action
-    there = u if side == "L" else t
-    replies = step_action(g, there, action)
+    replies = step_action(g, (t, u)[1 - side], action)
     if not replies:
         raise EquivError("no response exists (internal inconsistency)")
     best = None
@@ -237,33 +235,24 @@ def find_sink_witness(o: EqOracle, e_term: int, f_term: int,
             out.append((b_t, a_t, wb))
         return out
 
-    def search(optimal_only):
-        seen = set()
-        frontier = [(e_term, f_term, (), ())]
-        while frontier:
-            nxt = []
-            for a_t, b_t, wa, wb in frontier:
-                for cand in candidates(a_t, b_t, wa, wb):
-                    if validate(cand):
-                        return (ts.var_index(cand[0]), cand[1], cand[2])
-                if len(wa) >= k or ts.is_var(a_t) or ts.is_var(b_t):
-                    continue
-                cur = o.level(a_t, b_t) if optimal_only else 0
-                for act in enabled_actions(g, a_t):
-                    for r1, a2 in step_action(g, a_t, act):
-                        for r2, b2 in step_action(g, b_t, act):
-                            if optimal_only and o.level(a2, b2) != cur - 1:
-                                continue
-                            key = (a2, b2, len(wa) + 1)
-                            if key not in seen:
-                                seen.add(key)
-                                nxt.append((a2, b2, wa + (r1,), wb + (r2,)))
-            frontier = nxt
-        return None
-
-    # phase 1 follows optimal plays (mirrors the inductive proof);
-    # phase 2 is the exhaustive label-matched fallback
-    got = search(True) or search(False)
-    if got is None:
-        raise EquivError("no witness found (solver bug: a witness must exist here)")
-    return got
+    # breadth-first over label-matched word pairs: the shallowest
+    # witness, in declaration order of the rules
+    seen = set()
+    frontier = [(e_term, f_term, (), ())]
+    while frontier:
+        nxt = []
+        for a_t, b_t, wa, wb in frontier:
+            for cand in candidates(a_t, b_t, wa, wb):
+                if validate(cand):
+                    return (ts.var_index(cand[0]), cand[1], cand[2])
+            if len(wa) >= k or ts.is_var(a_t) or ts.is_var(b_t):
+                continue
+            for act in enabled_actions(g, a_t):
+                for r1, a2 in step_action(g, a_t, act):
+                    for r2, b2 in step_action(g, b_t, act):
+                        key = (a2, b2, len(wa) + 1)
+                        if key not in seen:
+                            seen.add(key)
+                            nxt.append((a2, b2, wa + (r1,), wb + (r2,)))
+        frontier = nxt
+    raise EquivError("no witness found (solver bug: a witness must exist here)")

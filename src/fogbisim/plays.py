@@ -26,8 +26,15 @@ class PlaysIndeterminate(PlaysError):
     """An answer would require eq-levels beyond the oracle cutoff."""
 
 
+def by_side(side, mine, theirs):
+    """The pair with `mine` at index `side` (0 left, 1 right) and
+    `theirs` at the other index."""
+    return (mine, theirs) if side == 0 else (theirs, mine)
+
+
 class Play:
-    """Pairs (T_i, U_i), i in [0,k], and rule pairs (r_i, r'_i)."""
+    """Pairs (T_i, U_i), i in [0,k], and rule pairs (r_i, r'_i); a side
+    is the index 0 (T, r) or 1 (U, r') into each."""
 
     def __init__(self, pairs, moves):
         assert len(pairs) == len(moves) + 1
@@ -48,17 +55,11 @@ class Play:
     def subplay(self, i, j) -> "Play":
         return Play(self.pairs[i:j + 1], self.moves[i:j])
 
-    def left_word(self):
-        return tuple(m[0] for m in self.moves)
+    def word(self, side):
+        return tuple(m[side] for m in self.moves)
 
-    def right_word(self):
-        return tuple(m[1] for m in self.moves)
-
-    def left_terms(self):
-        return [p[0] for p in self.pairs]
-
-    def right_terms(self):
-        return [p[1] for p in self.pairs]
+    def terms(self, side):
+        return [p[side] for p in self.pairs]
 
     def __repr__(self):
         return "Play(len=%d)" % self.length()
@@ -122,12 +123,8 @@ def build_optimal_play(o: EqOracle, t: int, u: int) -> Play:
     while e > 0:
         side, rid, succ = attacker_optimal(o, *pairs[-1])
         rid2, u2 = defender_optimal(o, *pairs[-1], side, rid, succ)
-        if side == "L":
-            moves.append((rid, rid2))
-            pairs.append((succ, u2))
-        else:
-            moves.append((rid2, rid))
-            pairs.append((u2, succ))
+        moves.append(by_side(side, rid, rid2))
+        pairs.append(by_side(side, succ, u2))
         e -= 1
     return Play(pairs, moves)
 
@@ -137,30 +134,25 @@ def build_optimal_play(o: EqOracle, t: int, u: int) -> Play:
 class BalanceInfo:
     """Everything produced by one balancing step."""
 
-    def __init__(self, side, rho, pivot, nonterminal, kids, e_prime,
-                 sigma_pp, vbar, bal_pair):
-        self.side = side            # "L" or "R"
+    def __init__(self, side, rho, pivot, e_prime, sigma_pp, vbar, bal_pair):
+        self.side = side            # the balanced side, 0 or 1
         self.rho = rho              # the length-d0 play that was balanced
-        self.pivot = pivot          # U (for L) or T (for R)
-        self.nonterminal = nonterminal
-        self.kids = kids            # T = A(kids), i.e. x_i sigma' = kids[i-1]
+        self.pivot = pivot          # rho's start term on side 1 - side
         self.e_prime = e_prime      # abstract E' with A(x..) -u-> E'
         self.sigma_pp = sigma_pp    # sigma'' with x_i sigma'' = V_i
         self.vbar = vbar            # i -> rule word from pivot to V_i
         self.bal_pair = bal_pair
 
 
-def enables_balancing(g: Grammar, rho: Play, side: str, d0: int):
+def enables_balancing(g: Grammar, rho: Play, side: int, d0: int):
     """Root-performability of the side's word; None or (A, kids, E')
     where the side's start term is A(kids)."""
     if rho.length() != d0:
         return None
-    t = rho.start[0] if side == "L" else rho.start[1]
-    node = g.ts.node(t)
+    node = g.ts.node(rho.start[side])
     if node[0] == "var":
         return None
-    word = rho.left_word() if side == "L" else rho.right_word()
-    p = run_word(g, g.lhs_term(node[1]), word)
+    p = run_word(g, g.lhs_term(node[1]), rho.word(side))
     if p is None:
         return None
     return (node[1], node[2], p.end)
@@ -175,16 +167,15 @@ def label_matched_reachable(g: Grammar, t: int, labels):
     return out
 
 
-def balance_step(o: EqOracle, rho: Play, side: str) -> BalanceInfo:
-    """One L- or R-balancing step on a play of length d0."""
+def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
+    """One balancing step of the given side on a play of length d0."""
     g = o.g
     ts = g.ts
     dec = enables_balancing(g, rho, side, g.constants.d0)
     if dec is None:
-        raise PlaysError("play does not enable %s-balancing" % side)
+        raise PlaysError("play does not enable balancing on side %d" % side)
     a_name, kids, e_prime = dec
-    pivot = rho.start[1] if side == "L" else rho.start[0]
-    other_finish = rho.finish[1] if side == "L" else rho.finish[0]
+    pivot = rho.start[1 - side]
     e_pair = o.level(*rho.finish)
     if e_pair >= o.cutoff:
         raise PlaysError("eq-level at cutoff; cannot balance")
@@ -212,12 +203,10 @@ def balance_step(o: EqOracle, rho: Play, side: str) -> BalanceInfo:
         binding[i] = best[2]
     sigma_pp = Substitution(ts, binding)
     new_side_term = apply_subst(ts, e_prime, sigma_pp)
-    bal_pair = ((new_side_term, other_finish) if side == "L"
-                else (other_finish, new_side_term))
+    bal_pair = by_side(side, new_side_term, rho.finish[1 - side])
     if o.level(*bal_pair) != e_pair:
         raise PlaysError("balancing changed the eq-level (internal bug)")
-    return BalanceInfo(side, rho, pivot, a_name, kids, e_prime,
-                       sigma_pp, vbar, bal_pair)
+    return BalanceInfo(side, rho, pivot, e_prime, sigma_pp, vbar, bal_pair)
 
 
 class BalancedPlay:
@@ -316,16 +305,14 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
         for q in range(0, play.length() - d0 + 1):
             window = play.subplay(q, q + d0)
             if prev_side is None:
-                for s in ("L", "R"):
-                    if enables_balancing(g, window, s, d0):
-                        return (q, s)
+                sides = (0, 1)
+            elif death is not None and death[0] <= q:
+                sides = (prev_side, 1 - prev_side)
             else:
-                if enables_balancing(g, window, prev_side, d0):
-                    return (q, prev_side)
-                opp = "R" if prev_side == "L" else "L"
-                if death is not None and death[0] <= q and \
-                        enables_balancing(g, window, opp, d0):
-                    return (q, opp)
+                sides = (prev_side,)
+            for s in sides:
+                if enables_balancing(g, window, s, d0):
+                    return (q, s)
         return None
 
     got = scan(pi, None, None)
@@ -344,9 +331,7 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
     while True:
         cont = build_optimal_play(o, *balances[-1].bal_pair)
         prev = balances[-1]
-        bal_word = (cont.left_word() if prev.side == "L"
-                    else cont.right_word())
-        death = _abstract_death(g, prev.e_prime, bal_word)
+        death = _abstract_death(g, prev.e_prime, cont.word(prev.side))
         got = scan(cont, prev.side, death)
         if got is None:
             mus.append(cont)
@@ -363,51 +348,33 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
         balances.append(balance_step(o, rho2, side2))
 
     bp = BalancedPlay((t, u), mu0, balances, mus, splits)
-    return bp, _build_pivot_path(g, bp)
+    return bp, _build_pivot_path(bp)
 
 
-def _build_pivot_path(g: Grammar, bp: BalancedPlay) -> PivotPath:
+def _build_pivot_path(bp: BalancedPlay) -> PivotPath:
     """Assemble the pivot path from a balanced play."""
     if bp.ell == 0:
         return PivotPath([], [])
-    terms = []
-    segments = []
-    first = bp.balances[0]
-    w0_side = 1 if first.side == "L" else 0
-    terms.append(bp.start_pair[w0_side])
-    segments.append((bp.mu0.right_word() if first.side == "L"
-                     else bp.mu0.left_word(), 0))
-    for j in range(1, bp.ell + 1):
-        info = bp.balances[j - 1]
+    s = 1 - bp.balances[0].side
+    terms = [bp.start_pair[s]]
+    segments = [(bp.mu0.word(s), 0)]
+    for j, (info, mu, split) in enumerate(
+            zip(bp.balances, bp.mus, bp.splits), 1):
         terms.append(info.pivot)
-        mu = bp.mus[j - 1]
-        split = bp.splits[j - 1]
-        if j < bp.ell:
-            nxt = bp.balances[j]
-            switched = nxt.side != info.side
-        else:
-            nxt = None
-            switched = False  # halt: pivot path stays on the pivot side
-        if not switched:
-            # u'_j v'_j along the pivot's own side
-            u_word = (info.rho.right_word() if info.side == "L"
-                      else info.rho.left_word())
-            v_word = (mu.right_word() if info.side == "L"
-                      else mu.left_word())
-            word = u_word + v_word
-            unc = len(u_word) + (split[0] if split is not None else len(v_word))
-            end = (mu.finish[1] if info.side == "L" else mu.finish[0])
-        else:
+        # case b): the next step balances the other side, so the path
+        # takes a v-bar word from the pivot and the balanced side's tail;
+        # otherwise (and at the halt) it stays on the pivot's side
+        switched = j < bp.ell and bp.balances[j].side != info.side
+        s = info.side if switched else 1 - info.side
+        if switched:
             p, i = split  # case b) guarantees the split exists
-            vbar = info.vbar[i]
-            tail = (mu.left_word() if info.side == "L"
-                    else mu.right_word())[p:]
-            word = tuple(vbar) + tuple(tail)
-            unc = len(vbar)
-            end = (mu.finish[0] if info.side == "L" else mu.finish[1])
-        segments.append((word, unc))
-        if j == bp.ell:
-            terms.append(end)
+            head, tail = info.vbar[i], mu.word(s)[p:]
+            unc = len(head)
+        else:
+            head, tail = info.rho.word(s), mu.word(s)
+            unc = len(head) + (split[0] if split is not None else len(tail))
+        segments.append((head + tail, unc))
+    terms.append(mu.finish[s])
     return PivotPath(terms, segments)
 
 
@@ -451,9 +418,7 @@ def present_over_top(g: Grammar, info: BalanceInfo, top: int):
     """(E, F) with the bal-result = (E sigma, F sigma) on the balanced
     side whenever top sigma is the pivot: F replays the pivot's rho
     word from top, and E is E' over the v-bar words replayed from top."""
-    u_word = (info.rho.right_word() if info.side == "L"
-              else info.rho.left_word())
-    pf = run_word(g, top, u_word)
+    pf = run_word(g, top, info.rho.word(1 - info.side))
     if pf is None:
         raise PlaysError("pivot top is not d0-safe (internal bug)")
     binding = {}
@@ -500,7 +465,7 @@ def refine_segments(g: Grammar, bp: BalancedPlay,
             usink[j] = 0
             csink[j] = 0
             continue
-        lt, rt = dsink.left_terms(), dsink.right_terms()
+        lt, rt = dsink.terms(0), dsink.terms(1)
         cut = None
         seen_l = seen_r = False
         for r in range(0, dsink.length() + 1):
@@ -571,11 +536,11 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
             "pairs=%d distinct=%d" % (len(pairs), len(set(pairs))))
 
     # every sinking part is d0-sinking on both sides
-    words = [bp.mu0.left_word(), bp.mu0.right_word()]
+    words = [bp.mu0.word(0), bp.mu0.word(1)]
     for j in range(1, bp.ell + 1):
         ds = bp.mu_dsink(j)
         if ds is not None:
-            words += [ds.left_word(), ds.right_word()]
+            words += [ds.word(0), ds.word(1)]
     rep.add("sink-parts-d0-sinking",
             all(d0_sinking_split(g, w, d0) is not None for w in words))
 
@@ -583,7 +548,7 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     unc_ok = True
     detail = []
     for j in range(1, bp.ell + 1):
-        w_unc = pp.segments[j][1] if j < len(pp.segments) else 0
+        w_unc = pp.segments[j][1]
         ln = d0 + bp.mu_unc(j).length()
         if not (w_unc <= ln <= consts.d2):
             unc_ok = False
@@ -626,11 +591,8 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
         if o.level(*info.bal_pair) != o.level(*info.rho.finish):
             sound_ok = False
         g_top, sigma, e_top, f_top = pivot_top_presentation(g, info)
-        left = apply_subst(ts, e_top, sigma)
-        right = apply_subst(ts, f_top, sigma)
-        want = (info.bal_pair if info.side == "L"
-                else (info.bal_pair[1], info.bal_pair[0]))
-        if (left, right) != want:
+        if by_side(info.side, apply_subst(ts, e_top, sigma),
+                   apply_subst(ts, f_top, sigma)) != info.bal_pair:
             shape_ok = False
             detail.append("j=%d presentation mismatch" % idx)
         bound = pressize(ts, [g_top]) + (consts.m + 2) * d0 * consts.stepinc

@@ -190,7 +190,7 @@ def test_attacker_defender_contracts():
     t, u = tower(g, 2), tower(g, 4)
     side, rid, succ = attacker_optimal(o, t, u)
     # every response to the optimal attack is at level <= e-1
-    there = u if side == "L" else t
+    there = (t, u)[1 - side]
     act = g.rule_by_id[rid].action
     e = o.level(t, u)
     for _, u2 in step_action(g, there, act):
@@ -213,8 +213,8 @@ def test_defender_tie_goes_to_the_first_declared_rule():
     o = EqOracle(g, 12)
     t, u, c, d, e = (parse_term(g.ts, n, g.arities) for n in "ABCDE")
     assert o.level(c, d) == o.level(c, e) == 1 and o.level(t, u) == 2
-    assert defender_optimal(o, t, u, "L", "a1", c) == ("r2", d)
-    assert defender_optimal(o, u, t, "R", "a1", c) == ("r2", d)
+    assert defender_optimal(o, t, u, 0, "a1", c) == ("r2", d)
+    assert defender_optimal(o, u, t, 1, "a1", c) == ("r2", d)
 
 
 def test_attacker_optimal_errors():

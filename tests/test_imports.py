@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module,
+and every parameter of its functions is read."""
 
 import ast
 import pathlib
@@ -37,3 +38,43 @@ def test_scanner_flags_an_unused_name():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_params(source):
+    """(line, function, parameter) for each parameter its function's body
+    never reads; `self` and `cls` are exempt."""
+    tree = ast.parse(source)
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        out += [(fn.lineno, name, p.arg) for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(out)
+
+
+def test_scanner_flags_an_unread_parameter():
+    source = ("class C:\n"
+              "    def m(self, a, *rest, b=1, **kw):\n"
+              "        b = a\n"
+              "        return kw\n"
+              "def f(g, x=lambda y: 0):\n"
+              "    def inner(z):\n"
+              "        return g + z\n"
+              "    return inner\n")
+    assert unread_params(source) == [
+        (2, "m", "b"), (2, "m", "rest"), (5, "<lambda>", "y"), (5, "f", "x")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_params(path.read_text()) == []

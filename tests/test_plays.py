@@ -7,13 +7,15 @@ from fogbisim.grammar import parse_grammar
 from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle
 from fogbisim.plays import (
-    BalancedPlay, ModifiedPlay, Play, PlaysError, balance_step,
-    build_optimal_play, crucial_segment_length, econc, enables_balancing,
-    label_matched_reachable, p_top_form, pivot_top_presentation, refine_segments,
-    transform_to_balanced, verify_balanced, _abstract_death,
+    BalanceInfo, BalancedPlay, ModifiedPlay, PivotPath, Play, PlaysError,
+    balance_step, build_optimal_play, crucial_segment_length, econc,
+    enables_balancing, label_matched_reachable, p_top_form,
+    pivot_top_presentation, refine_segments, transform_to_balanced,
+    verify_balanced, _abstract_death, _build_pivot_path,
 )
 
 from gen import random_grammar, random_ground_term
+from test_acceptance import bundled_pairs
 
 G1 = (
     "nonterminals: A/1, Z/0\n"
@@ -99,7 +101,7 @@ def test_play_words_and_subplay():
     g = g1()
     o = EqOracle(g, 12)
     p = build_optimal_play(o, tower(g, 2), tower(g, 4))
-    assert p.left_word() == ("r1", "r1")
+    assert p.word(0) == ("r1", "r1")
     sub = p.subplay(1, 2)
     assert sub.start == p.pairs[1] and sub.finish == p.pairs[2]
     assert sub.length() == 1
@@ -144,13 +146,13 @@ def test_enables_balancing_worked_example():
     t1 = step_rule(g, t, "r1")
     t2 = step_rule(g, t1, "r3")
     rho = Play([(t, t), (t1, t1), (t2, t2)], [("r1", "r1"), ("r3", "r3")])
-    got = enables_balancing(g, rho, "L", 2)
+    got = enables_balancing(g, rho, 0, 2)
     assert got is not None
     a_name, kids, e_prime = got
     assert a_name == "A" and kids == ts.children(t)
     assert e_prime == parse_term(ts, "B2(C(x2,x1))", g.arities)
-    assert enables_balancing(g, rho, "R", 2) is not None
-    assert enables_balancing(g, rho, "L", 3) is None  # wrong length
+    assert enables_balancing(g, rho, 1, 2) is not None
+    assert enables_balancing(g, rho, 0, 3) is None  # wrong length
 
 
 def test_enables_balancing_sinking_prefix():
@@ -162,7 +164,7 @@ def test_enables_balancing_sinking_prefix():
          (p.end, p.end)],
         [("r1", "r1"), ("r1", "r1")])
     # A(x1) -r1-> x1 dies before step 2: not root-performable
-    assert enables_balancing(g, rho, "L", 2) is None
+    assert enables_balancing(g, rho, 0, 2) is None
 
 
 def test_enables_balancing_variable_landing():
@@ -171,7 +173,7 @@ def test_enables_balancing_variable_landing():
     t1 = step_rule(g, t, "a1")
     rho = Play([(t, t), (t1, t1)], [("a1", "a1")])
     # E' = x1 exactly at step d0 = 1 is allowed
-    got = enables_balancing(g, rho, "L", 1)
+    got = enables_balancing(g, rho, 0, 1)
     assert got is not None and g.ts.is_var(got[2])
 
 
@@ -254,7 +256,7 @@ def test_balance_step_chain_grammar():
     assert g.constants.d0 == 2
     play = build_optimal_play(o, t, u)
     rho = play.subplay(0, 2)
-    info = balance_step(o, rho, "L")
+    info = balance_step(o, rho, 0)
     z = parse_term(ts, "Z", g.arities)
     assert info.pivot == u
     assert info.vbar == {1: ("b1",)}
@@ -277,7 +279,7 @@ def test_balance_step_tie_goes_to_the_first_declared_word():
     w = parse_term(ts, "W", g.arities)
     assert [r for r, _ in label_matched_reachable(g, u, ["a"])] == [("b9",), ("b1",)]
     assert o.level(t, u) == 2 and g.constants.d0 == 2
-    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), "L")
+    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), 0)
     assert info.vbar == {1: ("b9",)}
     assert info.sigma_pp.lookup(1) == w
 
@@ -288,7 +290,7 @@ def test_balance_step_not_enabled():
     assert g.constants.d0 == 2
     play = build_optimal_play(o, tower(g, 2), tower(g, 4))
     with pytest.raises(PlaysError):
-        balance_step(o, play.subplay(0, 2), "L")
+        balance_step(o, play.subplay(0, 2), 0)
 
 
 def test_balance_step_balresult_size():
@@ -297,7 +299,7 @@ def test_balance_step_balresult_size():
     c = g.constants
     t = parse_term(g.ts, "A(Z)", g.arities)
     u = parse_term(g.ts, "B(Z)", g.arities)
-    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), "L")
+    info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), 0)
     g_top, sigma, e_top, f_top = pivot_top_presentation(g, info)
     assert apply_subst(g.ts, e_top, sigma) == info.bal_pair[0]
     assert apply_subst(g.ts, f_top, sigma) == info.bal_pair[1]
@@ -338,7 +340,7 @@ def test_transform_nullary_chains():
     assert c.d0 == 1
     assert o.level(t, u) == 2
     assert bp.ell == 2
-    assert all(info.side == "L" for info in bp.balances)
+    assert all(info.side == 0 for info in bp.balances)
     q1 = parse_term(g.ts, "Q1", g.arities)
     dead = parse_term(g.ts, "DEAD", g.arities)
     assert pp.terms == [u, u, q1, dead]
@@ -354,7 +356,7 @@ def test_transform_chain_grammar():
     o, c, bp, pp, seg, rep = pipeline(g, t, u)
     assert bp.ell == 1
     info = bp.balances[0]
-    assert info.side == "L"
+    assert info.side == 0
     assert info.vbar == {1: ("b1",)}
     assert bp.length() == 2 == o.level(t, u)
     # pivot path: whole right-hand path from the pivot B(Z)
@@ -370,6 +372,102 @@ def test_transform_rejects_cutoff():
     z = parse_term(g.ts, "Z", g.arities)
     with pytest.raises(PlaysError):
         transform_to_balanced(o, z, z)
+
+
+# -- pivot paths -------------------------------------------------------------
+
+def reference_build_pivot_path(g, bp):
+    """The two-case pivot-path assembly kept as a reference, with sides
+    spelled as 0 (left) and 1 (right)."""
+    if bp.ell == 0:
+        return PivotPath([], [])
+    terms = []
+    segments = []
+    first = bp.balances[0]
+    w0_side = 1 if first.side == 0 else 0
+    terms.append(bp.start_pair[w0_side])
+    segments.append((bp.mu0.word(1) if first.side == 0
+                     else bp.mu0.word(0), 0))
+    for j in range(1, bp.ell + 1):
+        info = bp.balances[j - 1]
+        terms.append(info.pivot)
+        mu = bp.mus[j - 1]
+        split = bp.splits[j - 1]
+        if j < bp.ell:
+            nxt = bp.balances[j]
+            switched = nxt.side != info.side
+        else:
+            nxt = None
+            switched = False  # halt: pivot path stays on the pivot side
+        if not switched:
+            # u'_j v'_j along the pivot's own side
+            u_word = (info.rho.word(1) if info.side == 0
+                      else info.rho.word(0))
+            v_word = (mu.word(1) if info.side == 0
+                      else mu.word(0))
+            word = u_word + v_word
+            unc = len(u_word) + (split[0] if split is not None else len(v_word))
+            end = (mu.finish[1] if info.side == 0 else mu.finish[0])
+        else:
+            p, i = split  # case b) guarantees the split exists
+            vbar = info.vbar[i]
+            tail = (mu.word(0) if info.side == 0
+                    else mu.word(1))[p:]
+            word = tuple(vbar) + tuple(tail)
+            unc = len(vbar)
+            end = (mu.finish[0] if info.side == 0 else mu.finish[1])
+        segments.append((word, unc))
+        if j == bp.ell:
+            terms.append(end)
+    return PivotPath(terms, segments)
+
+
+def hand_built_balanced_play(sides, splits):
+    """A BalancedPlay over made-up distinct term ids and rule names with
+    the given balancing sides and splits; only the fields the pivot path
+    reads are filled in."""
+    ids = iter(range(100, 10 ** 6))
+
+    def play(n, tag):
+        return Play([(next(ids), next(ids)) for _ in range(n + 1)],
+                    [(tag + "l%d" % i, tag + "r%d" % i) for i in range(n)])
+
+    mu0 = play(2, "m0")
+    balances, mus = [], []
+    for j, side in enumerate(sides, 1):
+        rho = play(2, "rho%d" % j)
+        vbar = {1: ("v%d" % j,), 2: ("v%d" % j, "w%d" % j)}
+        balances.append(BalanceInfo(side, rho, rho.start[1 - side], None,
+                                    None, vbar, None))
+        mus.append(play(3, "mu%d" % j))
+    return BalancedPlay(mu0.start, mu0, balances, mus, splits)
+
+
+@pytest.mark.parametrize("sides,splits", [
+    ((0, 1, 0), [(1, 2), (0, 1), None]),
+    ((0, 1, 0), [(3, 1), (2, 2), (1, 1)]),
+    ((1, 1), [None, (2, 2)]),
+    ((1, 1), [(1, 1), None]),
+])
+def test_pivot_path_matches_reference_hand_built(sides, splits):
+    bp = hand_built_balanced_play(sides, splits)
+    pp = _build_pivot_path(bp)
+    ref = reference_build_pivot_path(None, bp)
+    assert pp.terms == ref.terms and pp.segments == ref.segments
+    assert len(pp.segments) == bp.ell + 1 and len(pp.terms) == bp.ell + 2
+    if sides[0] != sides[1]:
+        # switched: the v-bar word, then the balanced side's tail from p
+        p, i = splits[0]
+        vbar = bp.balances[0].vbar[i]
+        assert pp.segments[1] == (
+            vbar + bp.mus[0].word(sides[0])[p:], len(vbar))
+
+
+def test_pivot_path_matches_reference_bundled():
+    for g, o, t, u in bundled_pairs():
+        bp, pp = transform_to_balanced(o, t, u)
+        ref = reference_build_pivot_path(g, bp)
+        assert pp.terms == ref.terms and pp.segments == ref.segments
 
 
 # -- randomized battery ------------------------------------------------------
