@@ -12,6 +12,8 @@ crucial segments whose bal-result chains are eq-level decreasing.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .terms import Substitution, apply_subst, pressize
 from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
@@ -112,21 +114,26 @@ def econc(a: ModifiedPlay, b: ModifiedPlay) -> ModifiedPlay:
     return ModifiedPlay(pa + pb)
 
 
-def build_optimal_play(o: EqOracle, t: int, u: int) -> Play:
-    """Completed play of length eqlevel(T, U), attacker- and
-    defender-optimal at every step."""
+def optimal_steps(o: EqOracle, t: int, u: int):
+    """The attacker- and defender-optimal play from (T, U), one step at a
+    time: yields (move, pair) until the eq-level reaches 0."""
     e = o.level(t, u)
     if e >= o.cutoff:
         raise PlaysError("eq-level at/above cutoff; cannot build a play")
-    pairs = [(t, u)]
-    moves = []
-    while e > 0:
-        side, rid, succ = attacker_optimal(o, *pairs[-1])
-        rid2, u2 = defender_optimal(o, *pairs[-1], side, rid, succ)
-        moves.append(by_side(side, rid, rid2))
-        pairs.append(by_side(side, succ, u2))
-        e -= 1
-    return Play(pairs, moves)
+    pair = (t, u)
+    for _ in range(e):
+        side, rid, succ = attacker_optimal(o, *pair)
+        rid2, u2 = defender_optimal(o, *pair, side, rid, succ)
+        pair = by_side(side, succ, u2)
+        yield by_side(side, rid, rid2), pair
+
+
+def build_optimal_play(o: EqOracle, t: int, u: int) -> Play:
+    """Completed play of length eqlevel(T, U), attacker- and
+    defender-optimal at every step."""
+    steps = list(optimal_steps(o, t, u))
+    return Play([(t, u)] + [pair for _, pair in steps],
+                [move for move, _ in steps])
 
 
 # -- balancing ---------------------------------------------------------------
@@ -275,77 +282,69 @@ class PivotPath:
         return p.terms()
 
 
-def _abstract_death(g: Grammar, e_prime: int, word):
-    """First p with the abstract replay of word from e_prime reaching a
-    variable; returns (p, var index) or None. p = 0 when e_prime is a
-    variable already."""
-    cur = e_prime
-    for p in range(0, len(word) + 1):
-        node = g.ts.node(cur)
-        if node[0] == "var":
-            return (p, node[1])
-        if p == len(word):
-            return None
-        cur = step_rule(g, cur, word[p])
-        if cur is None:
-            return None
-
-
 def transform_to_balanced(o: EqOracle, t: int, u: int):
     """The full phase procedure; returns (BalancedPlay, PivotPath)."""
     g = o.g
+    ts = g.ts
     d0 = g.constants.d0
     if o.level(t, u) >= o.cutoff:
         raise PlaysError("eq-level at/above cutoff")
-    pi = build_optimal_play(o, t, u)
 
-    def scan(play, prev_side, death):
-        """Earliest window enabling a legal balancing; (q, side) or None.
-        prev_side None means the unconstrained first phase."""
-        for q in range(0, play.length() - d0 + 1):
-            window = play.subplay(q, q + d0)
-            if prev_side is None:
-                sides = (0, 1)
-            elif death is not None and death[0] <= q:
-                sides = (prev_side, 1 - prev_side)
-            else:
-                sides = (prev_side,)
-            for s in sides:
-                if enables_balancing(g, window, s, d0):
-                    return (q, s)
-        return None
+    def grow(pair, prev):
+        """The optimal play from pair, grown only up to its earliest
+        window enabling a legal balancing: (play, (q, side) or None,
+        death). prev is the last BalanceInfo, None in the unconstrained
+        first phase. death is the first (p, i) at which the abstract
+        replay of the play's prev.side word from prev.e_prime reaches
+        x_i, replayed in step with the windows, and to the word's end
+        when the play has no window."""
+        play = Play([pair], [])
+        steps = optimal_steps(o, *pair)
+        cur = None if prev is None else prev.e_prime  # None: dead or stuck
+        death = None
+        q = 0
+        while True:
+            if cur is not None and ts.is_var(cur):
+                death, cur = (q, ts.var_index(cur)), None
+            for move, nxt in islice(steps, q + d0 - play.length()):
+                play.moves.append(move)
+                play.pairs.append(nxt)
+            if play.length() == q + d0:
+                window = play.subplay(q, q + d0)
+                if prev is None:
+                    sides = (0, 1)
+                elif death is not None:
+                    sides = (prev.side, 1 - prev.side)
+                else:
+                    sides = (prev.side,)
+                for s in sides:
+                    if enables_balancing(g, window, s, d0):
+                        return play, (q, s), death
+            elif cur is None or q == play.length():
+                return play, None, death
+            if cur is not None:
+                cur = step_rule(g, cur, play.moves[q][prev.side])
+            q += 1
 
-    got = scan(pi, None, None)
+    pi, got, _ = grow((t, u), None)
     if got is None:
         bp = BalancedPlay((t, u), pi, [], [], [])
         return bp, PivotPath([], [])
 
     q, side = got
     mu0 = pi.subplay(0, q)
-    rho = pi.subplay(q, q + d0)
-    info = balance_step(o, rho, side)
-    balances = [info]
+    balances = [balance_step(o, pi.subplay(q, q + d0), side)]
     mus = []
     splits = []
-
     while True:
-        cont = build_optimal_play(o, *balances[-1].bal_pair)
-        prev = balances[-1]
-        death = _abstract_death(g, prev.e_prime, cont.word(prev.side))
-        got = scan(cont, prev.side, death)
+        cont, got, death = grow(balances[-1].bal_pair, balances[-1])
+        splits.append(death)
         if got is None:
             mus.append(cont)
-            splits.append(death)
             break
-        q2, side2 = got
-        mu = cont.subplay(0, q2)
-        mus.append(mu)
-        if death is not None and death[0] <= q2:
-            splits.append(death)
-        else:
-            splits.append(None)
-        rho2 = cont.subplay(q2, q2 + d0)
-        balances.append(balance_step(o, rho2, side2))
+        q, side = got
+        mus.append(cont.subplay(0, q))
+        balances.append(balance_step(o, cont.subplay(q, q + d0), side))
 
     bp = BalancedPlay((t, u), mu0, balances, mus, splits)
     return bp, _build_pivot_path(bp)

@@ -1,4 +1,5 @@
-"""Random grammar/term generation shared by the test batteries."""
+"""Random grammar/term generation and the chain-n grammar family shared
+by the test batteries."""
 
 import random
 
@@ -88,3 +89,22 @@ def random_ground_term(rng, g, depth):
             return ts.app(name2, kids) if g.arities[name2] else nullary_backup
         return go2(depth)
     return go(depth)
+
+
+def chain_grammar(n):
+    """Grammar text of chain-n: A and B push a P or R counter chain of
+    length n on b, and only the last R also has a c move, so
+    eqlevel(A(A(Z)), B(B(Z))) = n."""
+    ps = ["P%d" % i for i in range(1, n + 1)]
+    rs = ["R%d" % i for i in range(1, n + 1)]
+    decl = ["A/1", "B/1"] + [x + "/1" for x in ps + rs] + ["Z/0"]
+    lines = ["nonterminals: " + ", ".join(decl), "actions: a, b, c",
+             "rule a1: A(x1) -a-> x1", "rule a2: A(x1) -b-> P1(x1)",
+             "rule b1: B(x1) -a-> x1", "rule b2: B(x1) -b-> R1(x1)"]
+    for tag, chain in (("p", ps), ("r", rs)):
+        for i, x in enumerate(chain):
+            lines.append("rule %s%d: %s(x1) -b-> %s(x1)"
+                         % (tag, i + 1, x, chain[min(i + 1, n - 1)]))
+    lines.append("rule c1: %s(x1) -c-> %s(x1)" % (rs[-1], rs[-1]))
+    lines.append("rule z1: Z -a-> Z")
+    return "\n".join(lines) + "\n"

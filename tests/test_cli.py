@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fogbisim.cli import main
+from fogbisim.grammar import parse_grammar
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GRAMMARS = ROOT / "grammars"
@@ -314,3 +319,93 @@ def test_eqlevel_deeply_nested_term(capsys):
     code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", left,
                          "--right", "Z", "--cutoff", "12")
     assert (code, out, err) == (1, "finite 0\n", "")
+
+
+# -- fuzzing the command line -----------------------------------------------
+
+NAMES = ["A", "B", "P", "R", "S", "Z", "P0", "Q1", "DEAD", "x1", "x2", "Y"]
+RULE_IDS = ["r1", "r2", "r3", "a1", "b2", "s2", "z1", "p0", "dd", "q9"]
+
+
+def applications(names, kids):
+    """`name(k1,...)` texts over the given names and kid texts; an arity
+    of None takes one to three kids, whatever the name's arity."""
+    return st.sampled_from(sorted(names)).flatmap(
+        lambda name: st.lists(
+            kids, min_size=names[name] or 1, max_size=names[name] or 3).map(
+            lambda args: "%s(%s)" % (name, ",".join(args))))
+
+
+def term_texts(arities):
+    """Inline and graph-form term texts: well-formed over the grammar's
+    arities, over any names at any arity, or plain character noise."""
+    leaves = [n for n, m in arities.items() if m == 0] + ["x1", "x2"]
+    apps = {n: m for n, m in arities.items() if m > 0}
+    well_formed = st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: applications(apps, kids) if apps else kids,
+        max_leaves=6)
+    any_arity = st.recursive(
+        st.sampled_from(NAMES),
+        lambda kids: applications(dict.fromkeys(NAMES), kids),
+        max_leaves=6)
+    refs = st.sampled_from(["n0", "n1", "n2"] + leaves)
+    node = st.one_of(st.sampled_from(leaves), applications(apps, refs)
+                     if apps else refs, applications(dict.fromkeys(NAMES), refs))
+    graph = st.builds(
+        lambda nodes, root, sep: sep.join(
+            ["node n%d = %s" % (i, rhs) for i, rhs in enumerate(nodes)]
+            + ["root t = %s" % root]),
+        st.lists(node, min_size=1, max_size=3),
+        st.sampled_from(["n0", "n0", "n1", "n2"]),
+        st.sampled_from(["; ", "\n"]))
+    noise = st.text(alphabet="ABPZx12n()=,; #\nroteda", max_size=24)
+    return st.one_of(well_formed, well_formed, well_formed, any_arity, graph,
+                     noise)
+
+
+words = st.builds(
+    lambda ids, sep: sep.join(ids),
+    st.lists(st.one_of(st.sampled_from(RULE_IDS), st.text("r1,", max_size=3)),
+             max_size=5),
+    st.sampled_from([" ", ",", ", "]))
+
+# the catch-all handler's line: "error: <ExceptionType>: <message>"
+CATCH_ALL = re.compile(r"^error: [A-Z]\w*: ", re.M)
+
+
+@st.composite
+def command_lines(draw):
+    grammar = draw(st.sampled_from([G1, GCHAIN, GNULL]))
+    terms = term_texts(parse_grammar(pathlib.Path(grammar).read_text()).arities)
+    command = draw(st.sampled_from(
+        ["eqlevel", "decide", "play", "balance", "verify", "pipeline",
+         "step", "run"]))
+    argv = [command, "--grammar", grammar,
+            "--cutoff", str(draw(st.integers(1, 8)))]
+    if command == "step":
+        argv.append("--term=" + draw(terms))
+        argv.append(draw(st.sampled_from(["--rule=", "--action="]))
+                    + draw(st.sampled_from(RULE_IDS + ["a", "b", "c", ""])))
+    elif command == "run":
+        argv += ["--term=" + draw(terms), "--word=" + draw(words)]
+    else:
+        argv += ["--left=" + draw(terms), "--right=" + draw(terms)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    """Random terms, words and small cutoffs through `main`: a
+    documented exit code, no traceback and no catch-all error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    for text in (out.getvalue(), err.getvalue()):
+        assert "Traceback" not in text, argv
+        assert not CATCH_ALL.search(text), (argv, text)

@@ -2,19 +2,22 @@ import random
 
 import pytest
 
-from fogbisim.terms import apply_subst, parse_term, pressize, varin, omega_iterate
+from fogbisim.terms import (
+    apply_subst, intern_graph, omega_iterate, parse_term, pressize, varin,
+)
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle
+from fogbisim import plays
 from fogbisim.plays import (
     BalanceInfo, BalancedPlay, ModifiedPlay, PivotPath, Play, PlaysError,
     balance_step, build_optimal_play, crucial_segment_length, econc,
     enables_balancing, label_matched_reachable, p_top_form,
     pivot_top_presentation, refine_segments, transform_to_balanced,
-    verify_balanced, _abstract_death, _build_pivot_path,
+    verify_balanced, _build_pivot_path,
 )
 
-from gen import random_grammar, random_ground_term
+from gen import chain_grammar, random_grammar, random_ground_term
 from test_acceptance import bundled_pairs
 
 G1 = (
@@ -185,14 +188,31 @@ def test_label_matched_reachable():
     assert label_matched_reachable(g, t, ["c"]) == []
 
 
+def reference_abstract_death(g, e_prime, word):
+    """First p with the abstract replay of word from e_prime reaching a
+    variable; returns (p, var index) or None. p = 0 when e_prime is a
+    variable already. The whole-word replay the reference
+    transformation runs."""
+    cur = e_prime
+    for p in range(0, len(word) + 1):
+        node = g.ts.node(cur)
+        if node[0] == "var":
+            return (p, node[1])
+        if p == len(word):
+            return None
+        cur = step_rule(g, cur, word[p])
+        if cur is None:
+            return None
+
+
 def test_abstract_death():
     g = g1()
     e = g.lhs_term("A")
-    assert _abstract_death(g, e, ("r1",)) == (1, 1)
-    assert _abstract_death(g, e, ("r2",)) is None
-    assert _abstract_death(g, g.ts.var(2), ()) == (0, 2)
+    assert reference_abstract_death(g, e, ("r1",)) == (1, 1)
+    assert reference_abstract_death(g, e, ("r2",)) is None
+    assert reference_abstract_death(g, g.ts.var(2), ()) == (0, 2)
     # the word stops applying after the sink: still reports the death
-    assert _abstract_death(g, e, ("r1", "r1")) == (1, 1)
+    assert reference_abstract_death(g, e, ("r1", "r1")) == (1, 1)
 
 
 # -- p-top forms -------------------------------------------------------------
@@ -372,6 +392,170 @@ def test_transform_rejects_cutoff():
     z = parse_term(g.ts, "Z", g.arities)
     with pytest.raises(PlaysError):
         transform_to_balanced(o, z, z)
+
+
+# -- the transformation against the eager reference -------------------------
+
+def reference_transform_to_balanced(o, t, u):
+    """The eager procedure kept as a reference: every continuation is
+    built to its full length, the abstract replay runs over its whole
+    balanced-side word, and the windows are scanned afterwards."""
+    g = o.g
+    d0 = g.constants.d0
+    if o.level(t, u) >= o.cutoff:
+        raise PlaysError("eq-level at/above cutoff")
+    pi = build_optimal_play(o, t, u)
+
+    def scan(play, prev_side, death):
+        for q in range(0, play.length() - d0 + 1):
+            window = play.subplay(q, q + d0)
+            if prev_side is None:
+                sides = (0, 1)
+            elif death is not None and death[0] <= q:
+                sides = (prev_side, 1 - prev_side)
+            else:
+                sides = (prev_side,)
+            for s in sides:
+                if enables_balancing(g, window, s, d0):
+                    return (q, s)
+        return None
+
+    got = scan(pi, None, None)
+    if got is None:
+        return BalancedPlay((t, u), pi, [], [], []), PivotPath([], [])
+    q, side = got
+    mu0 = pi.subplay(0, q)
+    balances = [balance_step(o, pi.subplay(q, q + d0), side)]
+    mus, splits = [], []
+    while True:
+        prev = balances[-1]
+        cont = build_optimal_play(o, *prev.bal_pair)
+        death = reference_abstract_death(g, prev.e_prime,
+                                         cont.word(prev.side))
+        got = scan(cont, prev.side, death)
+        if got is None:
+            mus.append(cont)
+            splits.append(death)
+            break
+        q2, side2 = got
+        mus.append(cont.subplay(0, q2))
+        splits.append(death if death is not None and death[0] <= q2
+                      else None)
+        balances.append(balance_step(o, cont.subplay(q2, q2 + d0), side2))
+    bp = BalancedPlay((t, u), mu0, balances, mus, splits)
+    return bp, reference_build_pivot_path(g, bp)
+
+
+def transformation_summary(bp, pp):
+    """Everything the transformation decides, as comparable values."""
+    return ((bp.mu0.pairs, bp.mu0.moves),
+            [(mu.pairs, mu.moves) for mu in bp.mus], bp.splits,
+            [(i.side, i.rho.pairs, i.rho.moves, i.pivot, i.e_prime,
+              i.vbar, i.bal_pair) for i in bp.balances],
+            pp.terms, pp.segments)
+
+
+def assert_matches_reference(o, t, u):
+    got = transformation_summary(*transform_to_balanced(o, t, u))
+    ref = transformation_summary(*reference_transform_to_balanced(o, t, u))
+    assert got == ref, (t, u)
+    return got
+
+
+def chain_case(n):
+    """chain-n with its pair A(A(Z)), B(B(Z)) at cutoff n + 1."""
+    g = parse_grammar(chain_grammar(n))
+    t = parse_term(g.ts, "A(A(Z))", g.arities)
+    u = parse_term(g.ts, "B(B(Z))", g.arities)
+    return g, EqOracle(g, n + 1), t, u
+
+
+# pairs whose transformation turns on the abstract replay of E', with
+# their splits: (grammar, left, right, splits). No bundled, chain or
+# battery pair reaches a split. The first three split their last
+# continuation, the fourth splits a continuation that is balanced
+# again, in the fifth the pivot side's word would die where the
+# balanced side's word does not, and the sixth balances the other side
+# after a split, so its pivot path takes the switched branch.
+SPLIT_GRAMMAR = (
+    "nonterminals: A/0, B/0, C/1\n"
+    "actions: a, b, c\n"
+    "rule r1: B -b-> B\n"
+    "rule r2: A -a-> B\n"
+    "rule r3: B -a-> C(B)\n"
+    "rule r4: C(x1) -a-> C(x1)\n"
+    "rule r5: A -b-> A\n"
+    "rule r6: B -c-> A\n"
+    "rule r7: C(x1) -b-> C(C(x1))\n"
+    "rule r8: C(x1) -c-> x1\n")
+A_LOOP = "node n = A(n); "
+REPLAY_CASES = [
+    (lambda: parse_grammar(SPLIT_GRAMMAR), "C(A)", "B", [(0, 1)]),
+    (lambda: random_grammar(211, max_arity=1, max_rules=12),
+     "C(C(C(A)))", "C(B)", [(1, 1)]),
+    (lambda: random_grammar(351, max_arity=2, max_rules=12,
+                            deterministic=True),
+     A_LOOP + "root t = n",
+     A_LOOP + "node b = B(n, n); node a = A(b); node c = C(a); root t = c",
+     [(0, 1)]),
+    (lambda: random_grammar(1189, max_arity=1, max_rules=12),
+     A_LOOP + "node b = B(n); node a = A(b); node aa = A(a); root t = aa",
+     A_LOOP + "root t = n", [(1, 1), None]),
+    (lambda: random_grammar(686, max_arity=1, max_rules=12),
+     "C(A(A(B)))", "C(C(B))", [None]),
+    (lambda: random_grammar(16583, max_arity=1, max_rules=12),
+     A_LOOP + "node c = C(n); node a = A(c); node aa = A(a); root t = aa",
+     A_LOOP + "node b = B(n); node a = A(b); node aa = A(a); root t = aa",
+     [(0, 1), (0, 1)]),
+]
+
+
+def test_transform_matches_reference_bundled():
+    for g, o, t, u in bundled_pairs():
+        assert_matches_reference(o, t, u)
+
+
+def test_transform_matches_reference_chains():
+    for n in range(8, 41):
+        g, o, t, u = chain_case(n)
+        assert_matches_reference(o, t, u)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transform_matches_reference_battery(seed):
+    for g, o, t, u in battery_instances(seed, 15):
+        assert_matches_reference(o, t, u)
+
+
+@pytest.mark.parametrize("case", range(len(REPLAY_CASES)))
+def test_transform_matches_reference_replay(case):
+    make, left, right, splits = REPLAY_CASES[case]
+    g = make()
+    o = EqOracle(g, 16)
+    t, u = (intern_graph(g.ts, x, g.arities) if "=" in x
+            else parse_term(g.ts, x, g.arities) for x in (left, right))
+    assert assert_matches_reference(o, t, u)[2] == splits
+    bp, pp = transform_to_balanced(o, t, u)
+    rep = verify_balanced(o, bp, pp, refine_segments(g, bp, pp))
+    assert rep.ok(), rep.failures()
+
+
+def test_transform_builds_only_the_steps_it_keeps(monkeypatch):
+    # each continuation grows only to its next balancing window: one
+    # attacker move per step of the balanced play, none thrown away
+    calls = []
+    real = plays.attacker_optimal
+
+    def counting(o, t, u):
+        calls.append((t, u))
+        return real(o, t, u)
+
+    monkeypatch.setattr(plays, "attacker_optimal", counting)
+    cases = [chain_case(n) for n in range(8, 41)] + bundled_pairs()
+    for g, o, t, u in cases:
+        calls.clear()
+        bp, _ = transform_to_balanced(o, t, u)
+        assert len(calls) == bp.length(), (t, u)
 
 
 # -- pivot paths -------------------------------------------------------------
