@@ -141,14 +141,25 @@ def next_size(g: Grammar, s: int, growth: int, e: int) -> int:
     return 2 * s + growth * (1 + e) + e * step_increment(g)
 
 
+# a threshold of more digits than this could not be printed: Python's
+# int-to-decimal conversion refuses it by default
+MAX_THRESHOLD_DIGITS = 4300
+_TOO_LARGE = 10 ** MAX_THRESHOLD_DIGITS
+
+
 def layer_thresholds(g: Grammar, params: NsgParams, entries):
     """Thresholds s_j (s_n = s) and maxima e_j for j = n..0, as dicts.
 
     entries is a collection of (layer, pressize, eq-level) triples; e_j
-    is the largest eq-level of an entry of layer <= j within s_j, or 0."""
+    is the largest eq-level of an entry of layer <= j within s_j, or 0.
+    Raises BasesError as soon as some s_j has more than
+    MAX_THRESHOLD_DIGITS digits."""
     s_vals, e_vals = {}, {}
     s = params.s
     for j in range(params.n, -1, -1):
+        if s >= _TOO_LARGE:
+            raise BasesError("layer-%d size threshold exceeds %d digits"
+                             % (j, MAX_THRESHOLD_DIGITS))
         s_vals[j] = s
         e_vals[j] = max((eq for lv, sz, eq in entries if lv <= j and sz <= s),
                         default=0)
@@ -169,37 +180,36 @@ def _prefix_level(vs):
 class Candidate:
     """Layered set of non-equivalent pairs with the s' recursion.
 
+    entries are (pair, layer, pressize, eq-level) tuples, as
+    `enumerate_pairs` yields them; they are checked, not recomputed.
     layers[j] holds the pairs whose variables are exactly {x1..xj};
     s_vals and e_vals are the `layer_thresholds` of the member pairs,
     and every pair lies within its own layer's threshold.
     """
 
-    def __init__(self, o: EqOracle, params: NsgParams, pairs):
+    def __init__(self, o: EqOracle, params: NsgParams, entries):
         self.o = o
         self.params = params
-        ts = o.g.ts
-        self.layers: dict[int, set] = {j: set() for j in range(params.n + 1)}
-        entries = {}  # pair -> (layer, pressize, eq-level)
-        for e, f in pairs:
-            lv = pair_level(ts, e, f)
+        members = {}  # pair -> (layer, pressize, eq-level)
+        for (e, f), lv, sz, eq in entries:
             if lv is None or lv > params.n:
                 raise BasesError(
                     "pair variables must be a prefix set within x1..x%d"
                     % params.n)
-            eq = o.level(e, f)
             if eq >= o.cutoff:
                 raise BasesError(
                     "candidate pair not verified non-equivalent below the "
                     "cutoff")
-            key = (e, f) if e <= f else (f, e)
-            self.layers[lv].add(key)
-            entries[key] = (lv, pressize(ts, [e, f]), eq)
+            members[(e, f) if e <= f else (f, e)] = (lv, sz, eq)
         self.s_vals, self.e_vals = layer_thresholds(
-            o.g, params, entries.values())
-        over = [lv for lv, sz, _ in entries.values() if sz > self.s_vals[lv]]
+            o.g, params, members.values())
+        over = [lv for lv, sz, _ in members.values() if sz > self.s_vals[lv]]
         if over:
             raise BasesError("layer-%d pair exceeds its size threshold %d"
                              % (max(over), self.s_vals[max(over)]))
+        self.layers: dict[int, set] = {j: set() for j in range(params.n + 1)}
+        for key, (lv, _, _) in members.items():
+            self.layers[lv].add(key)
 
     def all_pairs(self):
         return {pr for lay in self.layers.values() for pr in lay}
@@ -227,10 +237,14 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
     Each graph of k nodes, all reachable from root node 0, is built once,
     in breadth-first numbering: nodes are filled in index order and each
     child is a node already referenced or exactly the next unreferenced
-    index; it then goes through one `intern_raw` call. The budget bounds
-    the brute-force space of options**k graphs, an upper bound on the
-    graphs generated; it is checked for every k before any graph is
-    built."""
+    index. Only minimal graphs, with no two bisimilar nodes, are kept,
+    and each goes straight to `TermStore.intern_minimal`. A graph with
+    two bisimilar nodes can be skipped: its quotient by bisimulation is
+    the same term on fewer nodes, all still reachable from the root, and
+    that quotient in breadth-first numbering was generated, and kept, at
+    its own smaller size. The budget bounds the brute-force space of
+    options**k graphs, an upper bound on the graphs generated; it is
+    checked for every k before any graph is built."""
     ts = g.ts
     for k in range(1, max_size + 1):
         total = (max_vars + sum(k ** m for m in g.arities.values())) ** k
@@ -245,8 +259,8 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
         while stack:
             nodes, n_ref = stack.pop()
             if len(nodes) == n_ref:  # closed: every referenced node filled
-                if n_ref == k:
-                    out.add(ts.intern_raw(dict(enumerate(nodes)), [0])[0])
+                if n_ref == k and _is_minimal(nodes):
+                    out.add(ts.intern_minimal(dict(enumerate(nodes)))[0])
                 continue
             stack += [(nodes + (("var", i),), n_ref)
                       for i in range(1, max_vars + 1)]
@@ -258,6 +272,24 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
                             for c in range(min(d + 1, k))]
                 stack += [(nodes + (("app", nt, kids),), d) for kids, d in opts]
     return sorted(out)
+
+
+def _is_minimal(nodes) -> bool:
+    """True iff no two nodes of the closed graph `nodes` (node i at
+    index i, children by index) are bisimilar: partition refinement from
+    the node labels ends with one block per node."""
+    blocks = {}
+    block = [blocks.setdefault(node[:2], len(blocks)) for node in nodes]
+    while len(blocks) < len(nodes):
+        n_blocks = len(blocks)
+        blocks = {}
+        block = [blocks.setdefault(
+            (block[i], tuple(block[c] for c in node[2]))
+            if node[0] == "app" else block[i], len(blocks))
+            for i, node in enumerate(nodes)]
+        if len(blocks) == n_blocks:
+            return False
+    return True
 
 
 def enumerate_pairs(o: EqOracle, max_vars: int, max_size: int):
@@ -305,22 +337,27 @@ def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):
     s_vals, _ = layer_thresholds(
         o.g, params, [(lv, sz, eq) for _, lv, sz, eq in universe
                       if eq < o.cutoff])
-    within = [(pr, eq) for pr, lv, sz, eq in universe if sz <= s_vals[lv]]
-    cand = Candidate(o, params, [pr for pr, eq in within if eq < o.cutoff])
+    within = [(pr, lv, sz, eq) for pr, lv, sz, eq in universe
+              if sz <= s_vals[lv]]
+    cand = Candidate(o, params, [(pr, lv, sz, eq) for pr, lv, sz, eq in within
+                                 if eq < o.cutoff])
     complete = max(s_vals.values()) <= cap \
-        and all(eq < o.cutoff for _, eq in within)
+        and all(eq < o.cutoff for _, _, _, eq in within)
     return cand, bound_of_candidate(cand), complete
 
 
 # -- the soundness machinery -------------------------------------------------
 
-def speceq_check(o: EqOracle, t: int, u: int, k: int, c: int) -> bool:
-    """eqlevel(T,U) > c * (k*pressize(T,U) + pressize(T,U)^2)?"""
+def speceq_check(o: EqOracle, entry, k: int, c: int) -> bool:
+    """eqlevel(T,U) > c * (k*pressize(T,U) + pressize(T,U)^2)?
+
+    entry is a ((T,U), layer, pressize, eq-level) tuple, as
+    `enumerate_pairs` yields it; the pressize and eq-level are read
+    from it."""
+    (t, u), _, psz, lv = entry
     if t == u:
         return True
-    psz = pressize(o.g.ts, [t, u])
     threshold = c * (k * psz + psz * psz)
-    lv = o.level(t, u)
     if lv < o.cutoff:
         return lv > threshold
     if o.cutoff > threshold:
@@ -335,24 +372,25 @@ def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
     the scale-E_B equivalence test; returns (Candidate, E_B, status)
     with status in {"sound", "indeterminate", "capped"}."""
     universe = list(enumerate_pairs(o, params.n, cap))
-    pairs: set = set()
+    picked: set = set()
     while True:
-        cand = Candidate(o, params, pairs)
+        cand = Candidate(o, params, picked)
         bound = bound_of_candidate(cand)
         capped = any(cand.s_vals[j] > cap for j in cand.s_vals)
         violators = []
-        for pr, lv, sz, eq in universe:
-            if sz > min(cand.s_vals[lv], cap) or pr in pairs:
+        for entry in universe:
+            _, lv, sz, _ = entry
+            if sz > min(cand.s_vals[lv], cap) or entry in picked:
                 continue
             try:
-                ok = speceq_check(o, pr[0], pr[1], bound, c)
+                ok = speceq_check(o, entry, bound, c)
             except BasesIndeterminate:
                 return cand, bound, "indeterminate"
             if not ok:
-                violators.append(pr)
+                violators.append(entry)
         if not violators:
             return cand, bound, ("capped" if capped else "sound")
-        pairs.update(violators)
+        picked.update(violators)
 
 
 # -- stair presentation of crucial-segment bal-results -----------------------

@@ -38,6 +38,13 @@ class TermStore:
     Finite terms can therefore be built and walked in ascending id order
     by plain hash-consing (`app`, `instantiate`); `intern_raw` is needed
     only for input that creates a cycle.
+
+    `intern_minimal` is the step that matches a graph against the store
+    (SCC condensation, hash-consing, cyclic serialization). It requires
+    a closed graph in which no two nodes are bisimilar: `intern_raw`
+    calls it on the quotient it has just refined, and
+    `bases.enumerate_terms` on each generated graph it has found to be
+    minimal already.
     """
 
     def __init__(self):
@@ -124,7 +131,7 @@ class TermStore:
             qnodes[b] = ((VAR, node[1]) if node[0] == VAR
                          else (APP, node[1], [rep[ref] for ref in node[2]]))
 
-        assign = self._assign_ids(qnodes)
+        assign = self.intern_minimal(qnodes)
         return [assign[rep[r]] for r in roots]
 
     def _refine(self, raw: dict) -> list[list]:
@@ -168,8 +175,13 @@ class TermStore:
             blocks.setdefault(block_of[name], []).append(name)
         return [blocks[b] for b in sorted(blocks)]
 
-    def _assign_ids(self, qnodes: dict) -> dict:
-        """Map quotient-graph nodes to canonical store ids, bottom-up."""
+    def intern_minimal(self, qnodes: dict) -> dict:
+        """Map the nodes of a closed graph with no two bisimilar nodes
+        to canonical store ids, bottom-up.
+
+        qnodes maps node names to (VAR, index) or (APP, nonterminal,
+        children); every child is a name in qnodes. Nothing is refined:
+        two bisimilar nodes would be stored twice."""
         # Tarjan condensation, processed in reverse topological order.
         order = self._sccs(qnodes)
         assign: dict = {}

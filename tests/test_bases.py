@@ -166,6 +166,13 @@ def test_reduce_nsg_step_errors():
 
 # -- candidates and bounds ---------------------------------------------------
 
+def entry(o, t, u):
+    """The (pair, layer, pressize, eq-level) tuple of (T, U), the shape
+    enumerate_pairs yields and Candidate and speceq_check take."""
+    ts = o.g.ts
+    return ((t, u), pair_level(ts, t, u), pressize(ts, [t, u]), o.level(t, u))
+
+
 def test_pair_level():
     g = g1()
     ts = g.ts
@@ -184,7 +191,8 @@ def test_candidate_bound_hand_built():
     layer1 = (a3, a4)                    # eq-level 3, vars {x1}, size 5
     layer0 = (tower(g, 1), tower(g, 2))  # eq-level 1, ground, size 3
     assert o.level(*layer1) == 3 and o.level(*layer0) == 1
-    cand = Candidate(o, NsgParams(1, 6, 0), [layer0, layer1])
+    cand = Candidate(o, NsgParams(1, 6, 0),
+                     [entry(o, *layer0), entry(o, *layer1)])
     assert cand.e_vals == {1: 3, 0: 1}
     assert cand.s_vals[1] == 6
     # s0 = 2*6 + 0*(1+3) + 3*stepinc with stepinc = 2
@@ -200,21 +208,22 @@ def test_candidate_rejects_bad_pairs():
     o = EqOracle(g, 12)
     z = parse_term(ts, "Z", g.arities)
     with pytest.raises(BasesError):
-        Candidate(o, NsgParams(0, 5, 0), [(z, z)])  # equivalent pair
+        Candidate(o, NsgParams(0, 5, 0), [entry(o, z, z)])  # equivalent pair
     with pytest.raises(BasesError):
-        Candidate(o, NsgParams(1, 5, 0), [(ts.var(2), z)])  # non-prefix vars
+        Candidate(o, NsgParams(1, 5, 0),
+                  [entry(o, ts.var(2), z)])  # non-prefix vars
     with pytest.raises(BasesError):
         # layer-0 pair larger than its threshold
-        Candidate(o, NsgParams(0, 2, 0), [(tower(g, 2), tower(g, 3))])
+        Candidate(o, NsgParams(0, 2, 0), [entry(o, tower(g, 2), tower(g, 3))])
 
 
 def test_bound_monotone_under_growth():
     g = g1()
     o = EqOracle(g, 12)
     p = NsgParams(0, 6, 0)
-    small = Candidate(o, p, [(tower(g, 0), tower(g, 1))])
-    big = Candidate(o, p, [(tower(g, 0), tower(g, 1)),
-                           (tower(g, 2), tower(g, 3))])
+    small = Candidate(o, p, [entry(o, tower(g, 0), tower(g, 1))])
+    big = Candidate(o, p, [entry(o, tower(g, 0), tower(g, 1)),
+                           entry(o, tower(g, 2), tower(g, 3))])
     assert bound_of_candidate(big) >= bound_of_candidate(small)
 
 
@@ -335,15 +344,72 @@ def test_enumerate_terms_matches_reference_on_random_grammars():
 def test_enumerate_terms_budget(monkeypatch):
     g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
     interned = []
-    real = g.ts.intern_raw
-    monkeypatch.setattr(g.ts, "intern_raw",
-                        lambda raw, roots: interned.append(roots)
-                        or real(raw, roots))
+    real = g.ts.intern_minimal
+    monkeypatch.setattr(g.ts, "intern_minimal",
+                        lambda graph: interned.append(graph) or real(graph))
     with pytest.raises(BasesError) as ex:
         enumerate_terms(g, 1, 5)
     assert str(ex.value) == \
         "enumeration budget exceeded (33554432 graphs of 5 nodes)"
     assert interned == []  # the budget is checked before any graph is built
+    enumerate_terms(g, 1, 2)
+    assert interned  # and enumeration does intern through intern_minimal
+
+
+def bfs_render(ts, t):
+    """t in the graph format with its nodes named in breadth-first order
+    from the root: the same text for the same term in any store."""
+    order = [t]
+    name = {t: 0}
+    for u in order:
+        for c in ts.children(u):
+            if c not in name:
+                name[c] = len(order)
+                order.append(c)
+    lines = []
+    for u in order:
+        node = ts.nodes[u]
+        rhs = ("x%d" % node[1] if node[0] == "var" else "%s(%s)" % (
+            node[1], ",".join("n%d" % name[c] for c in node[2])))
+        lines.append("node n%d = %s" % (name[u], rhs))
+    return "; ".join(lines + ["root t = n0"])
+
+
+def enumeration_cases():
+    """(fresh-grammar factory, budget) for the bundled grammars and random
+    grammars 0-19, each to be run with max_vars 0-2 and sizes 1-3."""
+    for name in ("g1.fog", "gchain.fog", "gnull.fog"):
+        text = open(GRAMMARS / name).read()
+        yield (lambda text=text: parse_grammar(text)), 2_000_000
+    for seed in range(20):
+        yield (lambda seed=seed: random_grammar(seed)), 4000
+
+
+def test_enumerate_terms_keeps_the_store_minimal():
+    """Enumeration in a fresh store adds no two bisimilar nodes (refining
+    the whole store leaves singleton blocks), and yields the terms the
+    brute-force reference yields in a store of its own."""
+    checked = 0
+    for fresh, budget in enumeration_cases():
+        for max_vars in range(3):
+            for size in range(1, 4):
+                g = fresh()
+                try:
+                    got = enumerate_terms(g, max_vars, size, budget)
+                except BasesError:
+                    with pytest.raises(BasesError):
+                        reference_enumerate_terms(fresh(), max_vars, size,
+                                                  budget)
+                    continue
+                ts = g.ts
+                blocks = ts._refine(dict(enumerate(ts.nodes)))
+                assert all(len(b) == 1 for b in blocks), (max_vars, size)
+                ref = fresh()
+                want = reference_enumerate_terms(ref, max_vars, size, budget)
+                assert sorted(bfs_render(ts, t) for t in got) == \
+                    sorted(bfs_render(ref.ts, t) for t in want)
+                checked += 1
+    assert checked == 169  # the other 38 cases exceed the budget
 
 
 def reference_enumerate_pairs(o, max_vars, max_size):
@@ -498,17 +564,17 @@ def test_speceq_check():
     g = g1()
     o = EqOracle(g, 10)
     z = parse_term(g.ts, "Z", g.arities)
-    assert speceq_check(o, z, z, 5, 3)  # identical terms
+    assert speceq_check(o, entry(o, z, z), 5, 3)  # identical terms
     # eq-level 0 against any positive threshold
-    assert not speceq_check(o, z, tower(g, 1), 1, 1)
+    assert not speceq_check(o, entry(o, z, tower(g, 1)), 1, 1)
     # threshold at/above the cutoff with an undistinguished pair
     g2 = parse_grammar(
         "nonterminals: P/0, Q/0\nactions: a\n"
         "rule p1: P -a-> P\nrule q1: Q -a-> Q\n")
     o2 = EqOracle(g2, 4)
     with pytest.raises(BasesIndeterminate):
-        speceq_check(o2, parse_term(g2.ts, "P", g2.arities),
-                     parse_term(g2.ts, "Q", g2.arities), 10, 10)
+        speceq_check(o2, entry(o2, parse_term(g2.ts, "P", g2.arities),
+                               parse_term(g2.ts, "Q", g2.arities)), 10, 10)
 
 
 def test_speceq_threshold_arithmetic():
@@ -519,7 +585,7 @@ def test_speceq_threshold_arithmetic():
     for k in range(0, 4):
         for c in range(0, 3):
             want = o.level(t, u) > c * (k * psz + psz * psz)
-            assert speceq_check(o, t, u, k, c) == want
+            assert speceq_check(o, entry(o, t, u), k, c) == want
 
 
 # -- the soundness loop ------------------------------------------------------
@@ -560,6 +626,27 @@ def test_sound_search_indeterminate():
     o = EqOracle(g, 4)  # P ~ Q but only AtLeast(4) is provable
     cand, bound, status = sound_candidate_search(o, NsgParams(0, 2, 0), 1, 2)
     assert status == "indeterminate"
+
+
+@pytest.mark.parametrize("name, cap", [("gchain.fog", 3), ("g1.fog", 6)])
+@pytest.mark.parametrize("s", [2, 3])
+def test_base_builders_ask_each_pair_once(monkeypatch, name, cap, s):
+    """Both base builders compute each universe pair's eq-level once, in
+    enumerate_pairs: Candidate and speceq_check read it from the pair's
+    entry instead of asking the oracle again."""
+    text = open(GRAMMARS / name).read()
+    params = NsgParams(1, s, 0)
+    pairs = len(list(enumerate_pairs(EqOracle(parse_grammar(text), 12),
+                                     params.n, cap)))
+    calls = []
+    real = EqOracle.level
+    monkeypatch.setattr(EqOracle, "level",
+                        lambda o, *args: calls.append(args) or real(o, *args))
+    build_full_base_capped(EqOracle(parse_grammar(text), 12), params, cap)
+    assert len(calls) == pairs
+    calls.clear()
+    sound_candidate_search(EqOracle(parse_grammar(text), 12), params, 1, cap)
+    assert len(calls) == pairs
 
 
 # -- stair presentation ------------------------------------------------------

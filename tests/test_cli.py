@@ -238,6 +238,20 @@ def test_base_rejects_negative_parameters(capsys, flag):
     assert err == "error: %s must be nonnegative, got -1\n" % flag
 
 
+@pytest.mark.parametrize("n, layer", [("15000", 715), ("1000000", 985715)])
+@pytest.mark.parametrize("sound", [[], ["--sound-c", "1"]])
+def test_base_rejects_thresholds_too_large_to_print(capsys, n, layer, sound):
+    """s_j doubles at every layer down from s_n = 1, so some threshold
+    passes 4,300 digits; the run stops there with a named error instead
+    of failing to print it (n = 15000) or doubling a million times."""
+    code, out, err = run(capsys, "base", "--grammar", G1, "--n", n, "--s", "1",
+                         "--g", "0", "--max-size", "0", *sound)
+    assert (code, out) == (2, "")
+    assert not CATCH_ALL.search(err)
+    assert err == "error: %slayer-%d size threshold exceeds 4300 digits\n" \
+        % ("base search failed: " if sound else "", layer)
+
+
 def test_pipeline_and_determinism(capsys):
     code, out1, _ = run(capsys, "pipeline", "--grammar", GNULL, "--json",
                         "--left", "P0", "--right", "Q0")
