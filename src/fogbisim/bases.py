@@ -14,7 +14,7 @@ loop grows a candidate until every enumerated pair outside it is
 from __future__ import annotations
 
 from .terms import Substitution, apply_subst, omega_iterate, pressize, varin
-from .grammar import Grammar, step_increment
+from .grammar import Grammar
 from .lts import run_word
 from .equiv import EqOracle, find_sink_witness
 from .plays import (
@@ -138,7 +138,7 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
 def next_size(g: Grammar, s: int, growth: int, e: int) -> int:
     """s' = 2s + growth*(1+e) + e*stepinc: the size bound one reduction
     step past eq-level e, and so the threshold of the next layer down."""
-    return 2 * s + growth * (1 + e) + e * step_increment(g)
+    return 2 * s + growth * (1 + e) + e * g.constants.stepinc
 
 
 # a threshold of more digits than this could not be printed: Python's
@@ -167,11 +167,6 @@ def layer_thresholds(g: Grammar, params: NsgParams, entries):
     return s_vals, e_vals
 
 
-def pair_level(ts, e: int, f: int):
-    """The j with varin(E,F) = {x1..xj}, or None for non-prefix sets."""
-    return _prefix_level(varin(ts, [e, f]))
-
-
 def _prefix_level(vs):
     """j if the indices vs are exactly 1..j (max equals count), else None."""
     return len(vs) if max(vs, default=0) == len(vs) else None
@@ -188,7 +183,6 @@ class Candidate:
     """
 
     def __init__(self, o: EqOracle, params: NsgParams, entries):
-        self.o = o
         self.params = params
         members = {}  # pair -> (layer, pressize, eq-level)
         for (e, f), lv, sz, eq in entries:
@@ -210,16 +204,6 @@ class Candidate:
         self.layers: dict[int, set] = {j: set() for j in range(params.n + 1)}
         for key, (lv, _, _) in members.items():
             self.layers[lv].add(key)
-
-    def all_pairs(self):
-        return {pr for lay in self.layers.values() for pr in lay}
-
-    def __contains__(self, pair):
-        e, f = pair
-        key = (e, f) if e <= f else (f, e)
-        lv = pair_level(self.o.g.ts, e, f)
-        return lv is not None and lv <= self.params.n \
-            and key in self.layers[lv]
 
 
 def bound_of_candidate(c: Candidate) -> int:
@@ -408,8 +392,7 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     subs = set(ts.reachable(list(bp.start_pair)))
 
     word = pp.segments[kj - 1][0]
-    path = run_word(g, pp.terms[kj - 1], word)
-    terms = path.terms()
+    terms = run_word(g, pp.terms[kj - 1], word)
     last = max(q for q, t in enumerate(terms) if t in subs)
     v = terms[last]
     w2 = word[last:]
@@ -424,10 +407,10 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     cur = g.lhs_term(a_name)
     g_primes = []
     for w in words:
-        pr = run_word(g, cur, w)
-        if pr is None or ts.is_var(pr.end):
+        path = run_word(g, cur, w)
+        if path is None or ts.is_var(path[-1]):
             raise BasesError("crucial segment is not a stair (classifier bug)")
-        cur = pr.end
+        cur = path[-1]
         g_primes.append(cur)
 
     tops = []

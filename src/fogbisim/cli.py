@@ -148,20 +148,19 @@ def cmd_run(args):
     g = _load_grammar(args)
     t = _parse_term_arg(g, args.term)
     word = _word_arg(g, args.word)
-    p = run_word(g, t, word)
-    if p is None:
+    terms = run_word(g, t, word)
+    if terms is None:
         print("word does not apply", file=sys.stderr)
         return EXIT_DISTINGUISHED
-    terms = p.terms()
     lines = []
     if args.trace:
         lines += ["%d\t%s\t%s"
                   % (i, rid, _one_line(render_term(g.ts, terms[i + 1])))
                   for i, rid in enumerate(word)]
-    lines.append(_one_line(render_term(g.ts, p.end)))
+    lines.append(_one_line(render_term(g.ts, terms[-1])))
     _emit(args, {"command": "run",
                  "trace": [render_term(g.ts, x) for x in terms],
-                 "end": render_term(g.ts, p.end)}, lines)
+                 "end": render_term(g.ts, terms[-1])}, lines)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Bounded bisimulation game: ~_k tests, eq-levels, optimal moves.
+"""Bounded bisimulation game: eq-levels, optimal moves, sink witnesses.
 
 The eq-level of (T, U) is the largest k with T ~_k U, an element of
 N u {omega}. The oracle computes it exactly below a mandatory cutoff K
@@ -147,19 +147,6 @@ class EqOracle:
 
     def eq_level(self, t: int, u: int) -> Level:
         e = self.level(t, u)
-        return Level.finite(e) if e < self.cutoff else Level.at_least(self.cutoff)
-
-    def check_k_bisim(self, t: int, u: int, k: int) -> bool:
-        if k > self.cutoff:
-            raise EquivError("k=%d exceeds cutoff %d" % (k, self.cutoff))
-        return self.level(t, u, k) >= k
-
-    def eq_level_subst(self, s1: Substitution, s2: Substitution) -> Level:
-        e = self.cutoff
-        for i in sorted(s1.support() | s2.support()):
-            e = min(e, self.level(s1.lookup(i), s2.lookup(i)))
-            if e == 0:
-                break
         return Level.finite(e) if e < self.cutoff else Level.at_least(self.cutoff)
 
 

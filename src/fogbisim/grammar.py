@@ -258,11 +258,6 @@ def nonvar_subterms_of_rhs(g: Grammar) -> set[int]:
     return out
 
 
-def step_increment(g: Grammar) -> int:
-    """Largest nonterminal-node count of a rule right-hand side."""
-    return max((propsize(g.ts, [r.rhs]) for r in g.rules), default=0)
-
-
 def compute_constants(g: Grammar) -> GrammarConstants:
     ts = g.ts
     sink = g.sink
@@ -270,7 +265,8 @@ def compute_constants(g: Grammar) -> GrammarConstants:
     # height(E)-1 over all rhs, clamped at 0
     hinc = max((height(ts, r.rhs) - 1 for r in g.rules), default=0)
     hinc = max(hinc, 0)
-    stepinc = step_increment(g)
+    # largest nonterminal-node count of a rule right-hand side
+    stepinc = max((propsize(ts, [r.rhs]) for r in g.rules), default=0)
     d0 = 1 + sink.max_len()
     nN = len(g.arities)
     nR = len(g.rules)

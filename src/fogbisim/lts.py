@@ -2,35 +2,15 @@
 
 The rule LTS is deterministic: a rule A(x1..xm) -a-> E rewrites any
 A-rooted term A(x1..xm)sigma to Esigma, and does not apply elsewhere.
-Variables are dead in both semantics. Also provides the path-shape
-predicates used by the segmentation machinery: sink-segments,
-d0-sinking factorization, and the unique simple-stair decomposition.
+Variables are dead in both semantics. Also provides the sink-word
+test and the greedy d0-sinking factorization that the balanced-play
+checks use.
 """
 
 from __future__ import annotations
 
 from .terms import instantiate
 from .grammar import Grammar, GrammarError
-
-
-class PathRecord:
-    """An executed path start -word-> end with all intermediate terms."""
-
-    def __init__(self, start: int, word: tuple[str, ...],
-                 intermediates: list[int], end: int):
-        self.start = start
-        self.word = tuple(word)
-        self.intermediates = list(intermediates)
-        self.end = end
-
-    def terms(self) -> list[int]:
-        return [self.start] + self.intermediates + ([self.end] if self.word else [])
-
-    def __len__(self):
-        return len(self.word)
-
-    def __repr__(self):
-        return "PathRecord(%d -%s-> %d)" % (self.start, ".".join(self.word), self.end)
 
 
 def step_rule(g: Grammar, t: int, rid: str):
@@ -70,19 +50,16 @@ def enabled_actions(g: Grammar, t: int) -> list[str]:
     return [] if node[0] == "var" else g.actions_by_lhs[node[1]]
 
 
-def run_word(g: Grammar, t: int, word) -> PathRecord | None:
-    """Execute a rule word; None as soon as a step fails."""
-    word = tuple(word)
-    cur = t
-    inter = []
-    for k, rid in enumerate(word):
-        nxt = step_rule(g, cur, rid)
+def run_word(g: Grammar, t: int, word) -> list[int] | None:
+    """Execute a rule word: the terms it visits, t first ([t] for the
+    empty word); None as soon as a step fails."""
+    path = [t]
+    for rid in word:
+        nxt = step_rule(g, path[-1], rid)
         if nxt is None:
             return None
-        if k < len(word) - 1:
-            inter.append(nxt)
-        cur = nxt
-    return PathRecord(t, word, inter, cur)
+        path.append(nxt)
+    return path
 
 
 # -- word-shape predicates ---------------------------------------------------
@@ -94,21 +71,10 @@ def is_sink_word(g: Grammar, word) -> int | None:
     if not word:
         return None
     a = g.rule_by_id[word[0]].lhs
-    p = run_word(g, g.lhs_term(a), word)
-    if p is None or not g.ts.is_var(p.end):
+    path = run_word(g, g.lhs_term(a), word)
+    if path is None or not g.ts.is_var(path[-1]):
         return None
-    return g.ts.var_index(p.end)
-
-
-def is_sink_segment(g: Grammar, p: PathRecord) -> bool:
-    """True iff p is presentable as A(x1..xm)sigma -v-> x_i sigma."""
-    if not p.word:
-        return False
-    if g.ts.is_var(p.start):
-        return False
-    if g.rule_by_id[p.word[0]].lhs != g.ts.root(p.start):
-        return False
-    return is_sink_word(g, p.word) is not None
+    return g.ts.var_index(path[-1])
 
 
 def d0_sinking_split(g: Grammar, word, d0: int):
@@ -137,74 +103,3 @@ def d0_sinking_split(g: Grammar, word, d0: int):
     if len(rest) < d0:
         return pieces, rest
     return None
-
-
-def is_d0_sinking(g: Grammar, p: PathRecord, d0: int) -> bool:
-    return d0_sinking_split(g, p.word, d0) is not None
-
-
-def is_stair_word(g: Grammar, word) -> bool:
-    """Stair: empty, or r v' with r: A(..) -> E and E -v'-> F, F not a var."""
-    word = tuple(word)
-    if not word:
-        return True
-    e = g.rule_by_id[word[0]].rhs
-    p = run_word(g, e, word[1:])
-    return p is not None and not g.ts.is_var(p.end)
-
-
-def is_simple_stair_word(g: Grammar, word) -> bool:
-    """r v' landing at a nonterminal-rooted subterm of rhs(r), with v'
-    a concatenation of sink-segments."""
-    word = tuple(word)
-    if not word:
-        return False
-    r = g.rule_by_id[word[0]]
-    e = r.rhs
-    # peel sink-segments off v', tracking the abstract position inside E
-    pos = e
-    rest = word[1:]
-    while rest:
-        hit = None
-        for ln in range(1, len(rest) + 1):
-            i = is_sink_word(g, rest[:ln])
-            if i is not None and g.ts.root(pos) == g.rule_by_id[rest[0]].lhs:
-                hit = (ln, i)
-                break
-        if hit is None:
-            return False
-        ln, i = hit
-        kids = g.ts.children(pos)
-        if i > len(kids):
-            return False
-        pos = kids[i - 1]
-        rest = rest[ln:]
-    return not g.ts.is_var(pos)
-
-
-def simple_stair_decompose(g: Grammar, p: PathRecord) -> list[tuple[str, ...]]:
-    """The unique simple-stair decomposition of a stair path.
-
-    Each piece is the shortest nonempty prefix whose residue is again a
-    stair; the piece itself is then a simple stair.
-    """
-    word = tuple(p.word)
-    if not is_stair_word(g, word):
-        raise GrammarError("path is not a stair")
-    if not g.ts.is_var(p.start):
-        if word and g.rule_by_id[word[0]].lhs != g.ts.root(p.start):
-            raise GrammarError("word does not start at the path's root")
-    out = []
-    while word:
-        cut = None
-        for ln in range(1, len(word) + 1):
-            if is_stair_word(g, word[ln:]):
-                cut = ln
-                break
-        piece = word[:cut]
-        if not is_simple_stair_word(g, piece):
-            raise GrammarError("decomposition piece is not a simple stair: %r"
-                               % (piece,))
-        out.append(piece)
-        word = word[cut:]
-    return out

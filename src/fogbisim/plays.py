@@ -67,53 +67,6 @@ class Play:
         return "Play(len=%d)" % self.length()
 
 
-class ModifiedPlay:
-    """Nonempty sequence of plays with matching eq-levels at junctions.
-
-    Kept normalized: zero-length bridging plays are merged away on
-    construction via econc.
-    """
-
-    def __init__(self, plays, oracle: EqOracle | None = None):
-        if not plays:
-            raise PlaysError("a modified play needs at least one play")
-        self.plays = list(plays)
-        if oracle is not None:
-            for a, b in zip(self.plays, self.plays[1:]):
-                if a.finish == b.start:
-                    raise PlaysError("unnormalized modified play")
-                if oracle.level(*a.finish) != oracle.level(*b.start):
-                    raise PlaysError("junction eq-levels differ")
-
-    def length(self) -> int:
-        return sum(p.length() for p in self.plays)
-
-    def pair_sequence(self):
-        seq = list(self.plays[0].pairs)
-        for p in self.plays[1:]:
-            if p.start == seq[-1]:
-                seq.extend(p.pairs[1:])
-            else:
-                seq.extend(p.pairs)
-        return seq
-
-    def start(self):
-        return self.plays[0].start
-
-    def finish(self):
-        return self.plays[-1].finish
-
-
-def econc(a: ModifiedPlay, b: ModifiedPlay) -> ModifiedPlay:
-    """Eqlevel-concatenation: merge when finish(a) = start(b)."""
-    pa, pb = a.plays, b.plays
-    if pa[-1].finish == pb[0].start:
-        merged = Play(pa[-1].pairs + pb[0].pairs[1:],
-                      pa[-1].moves + pb[0].moves)
-        return ModifiedPlay(pa[:-1] + [merged] + pb[1:])
-    return ModifiedPlay(pa + pb)
-
-
 def optimal_steps(o: EqOracle, t: int, u: int):
     """The attacker- and defender-optimal play from (T, U), one step at a
     time: yields (move, pair) until the eq-level reaches 0."""
@@ -159,10 +112,10 @@ def enables_balancing(g: Grammar, rho: Play, side: int, d0: int):
     node = g.ts.node(rho.start[side])
     if node[0] == "var":
         return None
-    p = run_word(g, g.lhs_term(node[1]), rho.word(side))
-    if p is None:
+    path = run_word(g, g.lhs_term(node[1]), rho.word(side))
+    if path is None:
         return None
-    return (node[1], node[2], p.end)
+    return (node[1], node[2], path[-1])
 
 
 def label_matched_reachable(g: Grammar, t: int, labels):
@@ -274,12 +227,12 @@ class PivotPath:
 
     def visit_terms(self, g: Grammar, j):
         """All terms on the path W_j -w_j-> W_{j+1}."""
-        p = run_word(g, self.terms[j], self.segments[j][0])
-        if p is None:
+        path = run_word(g, self.terms[j], self.segments[j][0])
+        if path is None:
             raise PlaysError("pivot path does not replay (internal bug)")
-        if p.end != self.terms[j + 1]:
+        if path[-1] != self.terms[j + 1]:
             raise PlaysError("pivot path mismatch (internal bug)")
-        return p.terms()
+        return path
 
 
 def transform_to_balanced(o: EqOracle, t: int, u: int):
@@ -426,8 +379,9 @@ def present_over_top(g: Grammar, info: BalanceInfo, top: int):
         if pv is None:
             raise PlaysError("pivot top cannot replay a v-bar word "
                              "(internal bug)")
-        binding[i] = pv.end
-    return apply_subst(g.ts, info.e_prime, Substitution(g.ts, binding)), pf.end
+        binding[i] = pv[-1]
+    return (apply_subst(g.ts, info.e_prime, Substitution(g.ts, binding)),
+            pf[-1])
 
 
 def pivot_top_presentation(g: Grammar, info: BalanceInfo):
@@ -511,9 +465,6 @@ class VerifyReport:
 
     def ok(self) -> bool:
         return all(c[1] for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c[1]]
 
 
 def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,

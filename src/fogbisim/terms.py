@@ -329,7 +329,7 @@ def intern_graph(ts: TermStore, text: str,
     is checked against them as in `parse_term`.
     """
     raw: dict = {}
-    roots: dict[str, str] = {}
+    roots: list[tuple[str, str]] = []
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     for lineno, line in enumerate(text.replace(";", "\n").splitlines(), 1):
         line = line.strip()
@@ -351,12 +351,12 @@ def intern_graph(ts: TermStore, text: str,
             raw[name] = node
             raw.update(extra)
         elif kw == "root":
-            roots[name] = rhs
+            roots.append((name, rhs))
         else:
             raise TermError("line %d: expected node/root, got %r" % (lineno, kw))
     if len(roots) != 1:
         raise TermError("expected exactly one root, got %d" % len(roots))
-    ((name, target),) = roots.items()
+    ((name, target),) = roots
     if target not in raw:
         raise TermError("root %r refers to undefined node %r" % (name, target))
     return ts.intern_raw(raw, [target])[0]
@@ -542,11 +542,6 @@ class Substitution:
     def lookup(self, i: int) -> TermId:
         return self.map.get(i, self.ts.var(i))
 
-    def without(self, i: int) -> "Substitution":
-        m = dict(self.map)
-        m.pop(i, None)
-        return Substitution(self.ts, m)
-
     def __eq__(self, other):
         return isinstance(other, Substitution) and self.map == other.map
 
@@ -603,14 +598,6 @@ def _redirect(ts: TermStore, t: TermId, target: dict, below=()) -> TermId:
             raw[("t", u)] = node
     [out] = ts.intern_raw(raw, [name(t)])
     return out
-
-
-def compose(ts: TermStore, s1: Substitution, s2: Substitution) -> Substitution:
-    """σ1σ2 with x(σ1σ2) = (xσ1)σ2."""
-    m = {}
-    for i in s1.support() | s2.support():
-        m[i] = apply_subst(ts, s1.lookup(i), s2)
-    return Substitution(ts, m)
 
 
 def omega_iterate(ts: TermStore, h: TermId, i: int) -> TermId:

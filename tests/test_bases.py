@@ -8,13 +8,13 @@ from fogbisim.terms import (
     Substitution, apply_subst, is_finite, omega_iterate, parse_term, pressize,
     varin,
 )
-from fogbisim.grammar import parse_grammar, step_increment
+from fogbisim.grammar import parse_grammar
 from fogbisim.equiv import EqOracle
 from fogbisim.plays import refine_segments, transform_to_balanced
 from fogbisim.bases import (
     BasesError, BasesIndeterminate, Candidate, NsgParams, NsgSequence,
     bound_of_candidate, build_full_base_capped, check_nsg_sequence,
-    enumerate_pairs, enumerate_terms, pair_level, present_stair_as_nsg,
+    enumerate_pairs, enumerate_terms, present_stair_as_nsg,
     reduce_nsg_step, sound_candidate_search, speceq_check,
 )
 
@@ -166,6 +166,12 @@ def test_reduce_nsg_step_errors():
 
 # -- candidates and bounds ---------------------------------------------------
 
+def pair_level(ts, e, f):
+    """The j with varin(E,F) = {x1..xj}, or None for non-prefix sets."""
+    vs = varin(ts, [e, f])
+    return len(vs) if vs == set(range(1, len(vs) + 1)) else None
+
+
 def entry(o, t, u):
     """The (pair, layer, pressize, eq-level) tuple of (T, U), the shape
     enumerate_pairs yields and Candidate and speceq_check take."""
@@ -198,8 +204,7 @@ def test_candidate_bound_hand_built():
     # s0 = 2*6 + 0*(1+3) + 3*stepinc with stepinc = 2
     assert cand.s_vals[0] == 18
     assert bound_of_candidate(cand) == 6  # (1+3) + (1+1)
-    assert layer0 in cand and layer1 in cand
-    assert (tower(g, 2), tower(g, 4)) not in cand
+    assert cand.layers == {0: {layer0}, 1: {layer1}}
 
 
 def test_candidate_rejects_bad_pairs():
@@ -484,14 +489,14 @@ def test_build_full_base_ground():
     assert complete
     assert bound == 1  # all small ground pairs have eq-level 0
     z = parse_term(g.ts, "Z", g.arities)
-    assert (z, tower(g, 1)) in cand
+    assert (z, tower(g, 1)) in cand.layers[0]
 
 
 def test_build_full_base_empty():
     g = parse_grammar("nonterminals: Z/0\nactions: a\nrule z1: Z -a-> Z\n")
     o = EqOracle(g, 8)
     cand, bound, complete = build_full_base_capped(o, NsgParams(0, 0, 0), 1)
-    assert complete and bound == 1 and cand.all_pairs() == set()
+    assert complete and bound == 1 and not any(cand.layers.values())
 
 
 def test_build_full_base_capped_flag():
@@ -507,7 +512,7 @@ def reference_build_full_base_capped(o, params, cap):
     layer j from n down to 0, the pairs of layer <= j within min(s, cap)
     give e_j and s grows by the s' recursion; the layer-j pairs below the
     cutoff are picked. Returns (picked pairs, E_B, complete)."""
-    stepinc = step_increment(o.g)
+    stepinc = o.g.constants.stepinc
     universe = list(enumerate_pairs(o, params.n, cap))
     capped = False
     ambiguous = False
@@ -544,7 +549,7 @@ def assert_same_base(g, caps):
         for cap in caps:
             params = NsgParams(n, s, gg)
             cand, bound, complete = build_full_base_capped(o, params, cap)
-            assert (cand.all_pairs(), bound, complete) == \
+            assert (set().union(*cand.layers.values()), bound, complete) == \
                 reference_build_full_base_capped(o, params, cap), (params, cap)
 
 
@@ -595,7 +600,7 @@ def test_sound_search_single_term_grammar():
     o = EqOracle(g, 8)
     cand, bound, status = sound_candidate_search(o, NsgParams(0, 2, 0), 1, 2)
     assert status == "sound"
-    assert cand.all_pairs() == set() and bound == 1
+    assert not any(cand.layers.values()) and bound == 1
 
 
 def test_sound_search_matches_full_base():
@@ -615,7 +620,7 @@ def test_sound_search_matches_full_base():
         assert status == "sound", text
         full, fbound, complete = build_full_base_capped(o, p, 2)
         assert complete
-        assert cand.all_pairs() == full.all_pairs()
+        assert cand.layers == full.layers
         assert bound == fbound
 
 

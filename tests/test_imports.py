@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every parameter of its functions is read."""
+every parameter of its functions is read, and every function, class and
+method it defines is read somewhere in the package (or by perfbench)."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fogbisim"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -78,3 +80,83 @@ def test_scanner_flags_an_unread_parameter():
                          ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_params(path.read_text()) == []
+
+
+def mentioned_names(source):
+    """Every identifier a module reads, imports or spells out as a
+    (dotted) string constant, such as perfbench's tracer TARGETS."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and all(p.isidentifier() for p in n.value.split(".")):
+            out.update(n.value.split("."))
+    return out
+
+
+def unreferenced_definitions(sources, exempt=frozenset()):
+    """(module, line, name) for each top-level function or class and each
+    method in `sources` (module name -> source) whose name no ast.Name or
+    ast.Attribute load in `sources` outside its own body reads; `cmd_*`
+    entry points, dunders and the names in `exempt` are skipped."""
+    reads = {}  # name -> [(module, line)]
+    defs = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.id, []).append((module, n.lineno))
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.attr, []).append((module, n.lineno))
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for d in tree.body:
+            if isinstance(d, kinds):
+                defs.append((module, d))
+            if isinstance(d, ast.ClassDef):
+                defs += [(module, m) for m in d.body if isinstance(m, kinds)]
+    return sorted(
+        (module, d.lineno, d.name) for module, d in defs
+        if not (d.name.startswith("cmd_") or d.name in exempt
+                or (d.name.startswith("__") and d.name.endswith("__")))
+        and all(m == module and d.lineno <= line <= d.end_lineno
+                for m, line in reads.get(d.name, ())))
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    sources = {
+        "a.py": ("def used():\n"
+                 "    return 1\n"
+                 "def unused():\n"
+                 "    return used()\n"
+                 "def recursive(n):\n"
+                 "    return recursive(n - 1)\n"
+                 "def cmd_run(args):\n"
+                 "    return 0\n"
+                 "def traced():\n"
+                 "    pass\n"),
+        "b.py": ("from .a import used\n"
+                 "class Solo:\n"
+                 "    def __init__(self):\n"
+                 "        self.read = self.method()\n"
+                 "    def method(self):\n"
+                 "        return Solo, used\n"
+                 "    def never(self, other):\n"
+                 "        other.never = 1\n"
+                 "        return other.read\n"),
+    }
+    assert unreferenced_definitions(sources, {"traced"}) == [
+        ("a.py", 3, "unused"), ("a.py", 5, "recursive"),
+        ("b.py", 2, "Solo"), ("b.py", 7, "never")]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    exempt = set()
+    for p in PERFBENCH.glob("*.py"):
+        exempt |= mentioned_names(p.read_text())
+    assert unreferenced_definitions(sources, exempt) == []

@@ -5,11 +5,11 @@ import pytest
 from fogbisim.terms import (
     height, instantiate, is_finite, parse_term, pressize, varin,
 )
-from fogbisim.grammar import parse_grammar, compute_constants, compute_sink_table
+from fogbisim.grammar import (
+    GrammarError, parse_grammar, compute_constants, compute_sink_table,
+)
 from fogbisim.lts import (
-    PathRecord, d0_sinking_split, enabled_actions, is_d0_sinking,
-    is_sink_segment, is_sink_word, is_stair_word, run_word,
-    simple_stair_decompose, step_action, step_rule,
+    d0_sinking_split, is_sink_word, run_word, step_action, step_rule,
 )
 
 from gen import random_grammar, random_ground_term
@@ -127,71 +127,141 @@ def test_rule_steps_are_answered_from_the_table(seed, monkeypatch):
 def test_run_word():
     g = g1()
     t = parse_term(g.ts, "A(A(Z))", g.arities)
-    p = run_word(g, t, ["r1", "r1"])
-    assert p.end == parse_term(g.ts, "Z", g.arities)
-    assert len(p.intermediates) == 1
-    empty = run_word(g, t, [])
-    assert empty.end == t and empty.word == ()
-    assert run_word(g, t, ["r3"]) is None
+    path = run_word(g, t, ["r1", "r1"])
+    assert path == [t, parse_term(g.ts, "A(Z)", g.arities),
+                    parse_term(g.ts, "Z", g.arities)]
+    assert run_word(g, t, []) == [t]
+    assert run_word(g, t, ["r3"]) is None  # Z's rule does not fire at A
+    assert run_word(g, t, ["r1", "r1", "r1"]) is None  # nor A's at Z
+    with pytest.raises(GrammarError):
+        run_word(g, t, ["r9"])
+    # the path is the chain of step_rule results, ending where it ends
+    word = ["r2", "r1", "r1", "r1"]
+    chain = [t]
+    for rid in word:
+        chain.append(step_rule(g, chain[-1], rid))
+    assert run_word(g, t, word) == chain
+    assert chain[-1] == parse_term(g.ts, "Z", g.arities)
 
 
 def test_sink_word_replay():
     g = g1()
     table = compute_sink_table(g)
     w = table.get("A", 1)
-    p = run_word(g, g.lhs_term("A"), w)
-    assert g.ts.is_var(p.end) and g.ts.var_index(p.end) == 1
+    path = run_word(g, g.lhs_term("A"), w)
+    assert g.ts.is_var(path[-1]) and g.ts.var_index(path[-1]) == 1
 
 
 def test_is_sink_segment():
     g = g1()
-    z = parse_term(g.ts, "Z", g.arities)
-    az = parse_term(g.ts, "A(Z)", g.arities)
-    p = run_word(g, az, ["r1"])
-    assert is_sink_segment(g, p)
-    assert not is_sink_segment(g, run_word(g, az, []))
+    # A(Z) -r1-> Z is A(x1)sigma -r1-> x1 sigma
+    assert is_sink_word(g, ["r1"]) == 1
+    assert is_sink_word(g, []) is None  # sink words are nonempty
     # r3 from Z loops, never sinks
-    assert not is_sink_segment(g, run_word(g, z, ["r3"]))
+    assert is_sink_word(g, ["r3"]) is None
 
 
 def test_is_d0_sinking():
     g = g1()
-    az = parse_term(g.ts, "A(Z)", g.arities)
-    aaz = parse_term(g.ts, "A(A(Z))", g.arities)
-    assert is_d0_sinking(g, run_word(g, az, []), 2)
-    assert is_d0_sinking(g, run_word(g, aaz, ["r1", "r1"]), 2)
+    assert d0_sinking_split(g, [], 2) == ([], ())
+    assert d0_sinking_split(g, ["r1", "r1"], 2) == ([("r1",), ("r1",)], ())
     # r2 grows, is not a sink segment, and the residue is too long
-    assert not is_d0_sinking(g, run_word(g, az, ["r2", "r1", "r1"]), 2)
+    assert d0_sinking_split(g, ["r2", "r1", "r1"], 2) is None
+
+
+# -- the simple-stair decomposition, a reference of the paper's proofs -------
+
+def is_stair_word(g, word) -> bool:
+    """Stair: empty, or r v' with r: A(..) -> E and E -v'-> F, F not a var."""
+    word = tuple(word)
+    if not word:
+        return True
+    path = run_word(g, g.rule_by_id[word[0]].rhs, word[1:])
+    return path is not None and not g.ts.is_var(path[-1])
+
+
+def is_simple_stair_word(g, word) -> bool:
+    """r v' landing at a nonterminal-rooted subterm of rhs(r), with v'
+    a concatenation of sink-segments."""
+    word = tuple(word)
+    if not word:
+        return False
+    # peel sink-segments off v', tracking the abstract position inside E
+    pos = g.rule_by_id[word[0]].rhs
+    rest = word[1:]
+    while rest:
+        hit = None
+        for ln in range(1, len(rest) + 1):
+            i = is_sink_word(g, rest[:ln])
+            if i is not None and g.ts.root(pos) == g.rule_by_id[rest[0]].lhs:
+                hit = (ln, i)
+                break
+        if hit is None:
+            return False
+        ln, i = hit
+        kids = g.ts.children(pos)
+        if i > len(kids):
+            return False
+        pos = kids[i - 1]
+        rest = rest[ln:]
+    return not g.ts.is_var(pos)
+
+
+def simple_stair_decompose(g, start, word) -> list[tuple[str, ...]]:
+    """The unique simple-stair decomposition of the stair path
+    start -word->.
+
+    Each piece is the shortest nonempty prefix whose residue is again a
+    stair; the piece itself is then a simple stair.
+    """
+    word = tuple(word)
+    if not is_stair_word(g, word):
+        raise GrammarError("path is not a stair")
+    if not g.ts.is_var(start):
+        if word and g.rule_by_id[word[0]].lhs != g.ts.root(start):
+            raise GrammarError("word does not start at the path's root")
+    out = []
+    while word:
+        cut = None
+        for ln in range(1, len(word) + 1):
+            if is_stair_word(g, word[ln:]):
+                cut = ln
+                break
+        piece = word[:cut]
+        if not is_simple_stair_word(g, piece):
+            raise GrammarError("decomposition piece is not a simple stair: %r"
+                               % (piece,))
+        out.append(piece)
+        word = word[cut:]
+    return out
 
 
 def test_simple_stair_g1():
     g = g1()
     az = parse_term(g.ts, "A(Z)", g.arities)
-    p = run_word(g, az, ["r2", "r1"])
-    assert is_stair_word(g, p.word)
-    assert simple_stair_decompose(g, p) == [("r2", "r1")]
+    assert is_stair_word(g, ["r2", "r1"])
+    assert simple_stair_decompose(g, az, ["r2", "r1"]) == [("r2", "r1")]
 
 
 def test_simple_stair_empty_and_single():
     g = g1()
     az = parse_term(g.ts, "A(Z)", g.arities)
-    assert simple_stair_decompose(g, run_word(g, az, [])) == []
-    p = run_word(g, az, ["r2"])
-    assert simple_stair_decompose(g, p) == [("r2",)]
+    assert simple_stair_decompose(g, az, []) == []
+    assert simple_stair_decompose(g, az, ["r2"]) == [("r2",)]
 
 
 def test_stair_rejects_sink_prefix():
     g = g1()
     az = parse_term(g.ts, "A(Z)", g.arities)
-    p = run_word(g, az, ["r1", "r3"])
-    assert not is_stair_word(g, p.word)
+    assert not is_stair_word(g, ["r1", "r3"])
     with pytest.raises(Exception):
-        simple_stair_decompose(g, p)
+        simple_stair_decompose(g, az, ["r1", "r3"])
 
 
 # -- randomized properties ---------------------------------------------------
 
 def random_walk(rng, g, t, steps):
+    """(word, path) of a random rule walk of at most `steps` steps."""
     word = []
     cur = t
     for _ in range(steps):
@@ -204,7 +274,7 @@ def random_walk(rng, g, t, steps):
         r = rng.choice(rules)
         word.append(r.rid)
         cur = step_rule(g, cur, r.rid)
-    return run_word(g, t, word)
+    return tuple(word), run_word(g, t, word)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -213,11 +283,12 @@ def test_replay_growth_bounds(seed):
     g = random_grammar(seed)
     c = compute_constants(g)
     t = random_ground_term(rng, g, rng.randint(0, 3))
-    p = random_walk(rng, g, t, rng.randint(0, 6))
-    assert pressize(g.ts, [p.end]) <= pressize(g.ts, [t]) + len(p.word) * c.stepinc
-    if is_finite(g.ts, t) and is_finite(g.ts, p.end):
-        assert height(g.ts, p.end) <= height(g.ts, t) + len(p.word) * c.hinc
-    assert varin(g.ts, [p.end]) <= varin(g.ts, [t])
+    word, path = random_walk(rng, g, t, rng.randint(0, 6))
+    end = path[-1]
+    assert pressize(g.ts, [end]) <= pressize(g.ts, [t]) + len(word) * c.stepinc
+    if is_finite(g.ts, t) and is_finite(g.ts, end):
+        assert height(g.ts, end) <= height(g.ts, t) + len(word) * c.hinc
+    assert varin(g.ts, [end]) <= varin(g.ts, [t])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -228,7 +299,7 @@ def test_multipath_growth_bound(seed):
     t = random_ground_term(rng, g, 2)
     d = 4
     paths = [random_walk(rng, g, t, rng.randint(0, d)) for _ in range(3)]
-    ends = {p.end for p in paths}
+    ends = {path[-1] for _, path in paths}
     assert pressize(g.ts, ends | {t}) <= pressize(g.ts, [t]) + len(paths) * d * c.stepinc
 
 
@@ -250,9 +321,9 @@ def test_d0_sinking_greedy_matches_exhaustive(seed):
     g = random_grammar(seed)
     c = compute_constants(g)
     t = random_ground_term(rng, g, 2)
-    p = random_walk(rng, g, t, rng.randint(0, 6))
-    got = is_d0_sinking(g, p, c.d0)
-    assert got == exhaustive_d0_sinking(g, p.word, c.d0)
+    word, _ = random_walk(rng, g, t, rng.randint(0, 6))
+    got = d0_sinking_split(g, word, c.d0) is not None
+    assert got == exhaustive_d0_sinking(g, word, c.d0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -261,16 +332,17 @@ def test_simple_stair_decomposition_properties(seed):
     g = random_grammar(seed)
     c = compute_constants(g)
     t = random_ground_term(rng, g, 2)
-    p = random_walk(rng, g, t, rng.randint(0, 6))
-    if not is_stair_word(g, p.word):
+    word, path = random_walk(rng, g, t, rng.randint(0, 6))
+    if not is_stair_word(g, word):
         return
-    pieces = simple_stair_decompose(g, p)
+    pieces = simple_stair_decompose(g, t, word)
     joined = tuple(x for piece in pieces for x in piece)
-    assert joined == p.word
+    assert joined == word
     q = len(pieces)
-    assert pressize(g.ts, [p.end]) <= pressize(g.ts, [p.start]) + q * c.stepinc
-    if is_finite(g.ts, p.start) and is_finite(g.ts, p.end):
-        assert height(g.ts, p.end) <= height(g.ts, p.start) + q * c.hinc
+    end = path[-1]
+    assert pressize(g.ts, [end]) <= pressize(g.ts, [t]) + q * c.stepinc
+    if is_finite(g.ts, t) and is_finite(g.ts, end):
+        assert height(g.ts, end) <= height(g.ts, t) + q * c.hinc
 
 
 def test_determinism_run_vs_step():
@@ -278,7 +350,7 @@ def test_determinism_run_vs_step():
     t = parse_term(g.ts, "A(A(Z))", g.arities)
     for r in g.rules:
         one = step_rule(g, t, r.rid)
-        p = run_word(g, t, [r.rid])
-        assert (one is None) == (p is None)
-        if p is not None:
-            assert p.end == one
+        path = run_word(g, t, [r.rid])
+        assert (one is None) == (path is None)
+        if path is not None:
+            assert path == [t, one]
