@@ -138,7 +138,7 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
 def next_size(g: Grammar, s: int, growth: int, e: int) -> int:
     """s' = 2s + growth*(1+e) + e*stepinc: the size bound one reduction
     step past eq-level e, and so the threshold of the next layer down."""
-    return 2 * s + growth * (1 + e) + e * g.constants.stepinc
+    return 2 * s + growth * (1 + e) + e * g.stepinc
 
 
 # a threshold of more digits than this could not be printed: Python's

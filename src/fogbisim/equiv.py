@@ -4,12 +4,14 @@ The eq-level of (T, U) is the largest k with T ~_k U, an element of
 N u {omega}. The oracle computes it exactly below a mandatory cutoff K
 and otherwise answers AtLeast(K); it never claims omega. Variables get
 the stipulated treatment eqlevel(x_i, H) = 0 for H != x_i and
-eqlevel(x_i, x_i) = omega, applied in the base case.
+eqlevel(x_i, x_i) = omega, applied in the base case. The game search
+closes a cycle of pairs in one visit, however high the cutoff, instead
+of unrolling it down to the budget.
 """
 
 from __future__ import annotations
 
-from .terms import Substitution, apply_subst
+from .terms import VAR, Substitution, apply_subst
 from .grammar import Grammar
 from .lts import enabled_actions, step_action
 
@@ -19,7 +21,8 @@ class EquivError(Exception):
 
 
 class Level:
-    """Finite(k) or AtLeast(K); ordering treats AtLeast(K) as >= K."""
+    """Finite(k) or AtLeast(K): a value and whether it is exact. Levels
+    are equal when value and exactness agree; they define no ordering."""
 
     def __init__(self, value: int, exact: bool):
         self.value = value
@@ -63,6 +66,28 @@ class EqOracle:
     is the attacker's best so far: a reply at or above best - 1 cannot
     lower best (alpha-beta pruning). Successors come from the table
     that `step_action` keeps on the grammar.
+
+    The eq-level is the greatest solution of the game equations, and
+    `level` closes cycles on that basis instead of unrolling them. A
+    sub-query whose pair is open on the stack is answered cap at once:
+    the pair is assumed to hold up to cap. A result that rests on an
+    assumption of a frame still open is tentative; it answers later
+    sub-queries of the same `level` call, and enters the memo when that
+    frame closes at or above every value it was assumed at. A frame
+    that closes below one drops the tentative results computed since it
+    opened and replays its game, and the rest of the call assumes
+    nothing, so a failed assumption costs one plain replay. A cycle thus
+    costs one visit, however high the cutoff.
+
+    Every value stored is exact. An assumption is at least the capped
+    level it stands for, and the game only rises with its answers, so no
+    value computed is below the true capped level. Once every assumption
+    a value rests on is confirmed, the values assigned, joined with the
+    true levels, form a post-fixed point of the level equations; by
+    Knaster-Tarski they are at most the greatest fixed point, the true
+    levels. (Liu and Smolka, ICALP 1998, solve greatest fixed points
+    locally in this way; a confirmed cycle is a self-bisimulation up to
+    the budget in the sense of Christensen, Huttel and Stirling, 1995.)
     """
 
     def __init__(self, g: Grammar, cutoff: int):
@@ -73,19 +98,24 @@ class EqOracle:
         self.exact: dict[tuple[int, int], int] = {}
         self.lower: dict[tuple[int, int], int] = {}
 
-    def _key(self, t: int, u: int) -> tuple[int, int]:
-        return (t, u) if t <= u else (u, t)
-
     def _known(self, t: int, u: int, budget: int) -> int | None:
-        """The level of (t, u) capped at budget, if the memo settles it."""
+        """The level of (t, u) capped at budget, if the memo or the root
+        symbols settle it: a variable against another term is at 0 (the
+        stipulation), and so are two terms whose enabled actions differ."""
         if t == u:
             return budget
-        key = self._key(t, u)
+        key = (t, u) if t <= u else (u, t)
         e = self.exact.get(key)
         if e is not None:
             return min(e, budget)
         if self.lower.get(key, -1) >= budget:
             return budget
+        g = self.g
+        nt, nu = g.ts.nodes[t], g.ts.nodes[u]
+        if (nt[0] == VAR or nu[0] == VAR
+                or g.actions_by_lhs[nt[1]] != g.actions_by_lhs[nu[1]]):
+            self.exact[key] = 0
+            return 0
         return None
 
     def level(self, t: int, u: int, budget: int | None = None) -> int:
@@ -97,31 +127,96 @@ class EqOracle:
         e = self._known(t, u, budget)
         if e is not None:
             return e
-        stack = [(self._key(t, u), budget, self._game(t, u, budget))]
-        while stack:
-            key, b, game = stack[-1]
+        exact, lower = self.exact, self.lower
+        key = (t, u) if t <= u else (u, t)
+        # a frame: [key, budget, game, low, assumed, mark]; low is the
+        # lowest stack index whose assumption the result rests on (its
+        # own index if none below), assumed the highest value the pair
+        # was assumed at (-1: never), mark the length of `pending` when
+        # the frame opened
+        stack = [[key, budget, self._game(t, u, budget), 0, -1, 0]]
+        open_at = {key: 0}  # pair -> index of its frame
+        # results that rest on a frame still open, in the order they were
+        # computed, and by pair: entries [key, e, budget, low]
+        pending = []
+        tentative = {}
+        optimistic = True
+        while True:
+            top = stack[-1]
             try:
-                t2, u2, cap = game.send(e)
+                t2, u2, cap = top[2].send(e)
             except StopIteration as done:
-                stack.pop()
                 e = done.value
+                i = len(stack) - 1
+                key, b, _, low, assumed, mark = top
+                if e < assumed:
+                    # the pair was assumed too high: drop what rests on
+                    # that, replay its game, and assume nothing more
+                    del pending[mark:]
+                    tentative = {ent[0]: ent for ent in pending}
+                    optimistic = False
+                    top[2:5] = [self._game(key[0], key[1], b), i, -1]
+                    e = None
+                    continue
+                stack.pop()
+                if optimistic:
+                    del open_at[key]
+                if low < i:
+                    # rests on an open ancestor, as does all that
+                    # rested on this frame
+                    for ent in pending[mark:]:
+                        if ent[3] >= i:
+                            ent[3] = low
+                    ent = [key, e, b, low]
+                    pending.append(ent)
+                    tentative[key] = ent
+                    if low < stack[-1][3]:
+                        stack[-1][3] = low
+                    continue
+                if len(pending) > mark:
+                    # every assumption since this frame opened holds, so
+                    # what rested on them is exact; an older, lower bound
+                    # of a pair may commit after a higher one
+                    for key2, e2, b2, _ in pending[mark:]:
+                        tentative.pop(key2, None)
+                        if e2 < b2:
+                            exact[key2] = e2
+                        elif lower.get(key2, -1) < b2:
+                            lower[key2] = b2
+                    del pending[mark:]
                 if e < b:
-                    self.exact[key] = e
+                    exact[key] = e
                 else:
-                    self.lower[key] = b  # _known saw a smaller bound or none
+                    lower[key] = b  # _known saw a smaller bound or none
+                if not stack:
+                    return e
                 continue
-            stack.append((self._key(t2, u2), cap, self._game(t2, u2, cap)))
+            key = (t2, u2) if t2 <= u2 else (u2, t2)
+            if tentative:
+                ent = tentative.get(key)
+                if ent is not None and (ent[1] < ent[2] or ent[2] >= cap):
+                    e = min(ent[1], cap)
+                    if ent[3] < top[3]:
+                        top[3] = ent[3]
+                    continue
+            i = len(stack)
+            if optimistic:
+                j = open_at.get(key)
+                if j is not None:
+                    # a cycle: assume the pair holds up to cap
+                    if cap > stack[j][4]:
+                        stack[j][4] = cap
+                    if j < top[3]:
+                        top[3] = j
+                    e = cap
+                    continue
+                open_at[key] = i
+            stack.append([key, cap, self._game(t2, u2, cap), i, -1, len(pending)])
             e = None
-        return e
 
     def _game(self, t: int, u: int, budget: int):
         """One game node: returns the level of (t, u) capped at budget."""
-        ts = self.g.ts
-        if ts.is_var(t) or ts.is_var(u):
-            return 0  # t != u here; the variable stipulation
-        actions = enabled_actions(self.g, t)
-        if actions != enabled_actions(self.g, u):
-            return 0
+        actions = enabled_actions(self.g, t)  # _known saw they match u's
         best = budget  # min over attacker moves of (1 + max over responses)
         for a in actions:
             left = step_action(self.g, t, a)

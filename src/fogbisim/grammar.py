@@ -57,6 +57,7 @@ class Grammar:
         # attribute read on the grammar
         self._sink: SinkTable | None = None
         self._constants: GrammarConstants | None = None
+        self._stepinc: int | None = None
 
     def _validate(self):
         for kind, names in (("nonterminal name", self.arities),
@@ -81,6 +82,15 @@ class Grammar:
         if self._sink is None:
             self._sink = compute_sink_table(self)
         return self._sink
+
+    @property
+    def stepinc(self) -> int:
+        """The largest nonterminal-node count of a rule right-hand side,
+        computed on first use apart from the other constants: the size
+        bounds of bases read only this one."""
+        if self._stepinc is None:
+            self._stepinc = max(propsize(self.ts, [r.rhs]) for r in self.rules)
+        return self._stepinc
 
     @property
     def constants(self) -> GrammarConstants:
@@ -265,8 +275,7 @@ def compute_constants(g: Grammar) -> GrammarConstants:
     # height(E)-1 over all rhs, clamped at 0
     hinc = max((height(ts, r.rhs) - 1 for r in g.rules), default=0)
     hinc = max(hinc, 0)
-    # largest nonterminal-node count of a rule right-hand side
-    stepinc = max((propsize(ts, [r.rhs]) for r in g.rules), default=0)
+    stepinc = g.stepinc
     d0 = 1 + sink.max_len()
     nN = len(g.arities)
     nR = len(g.rules)

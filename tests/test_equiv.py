@@ -1,17 +1,23 @@
+import pathlib
 import random
 from collections import deque
 
 import pytest
 
-from fogbisim.terms import Substitution, apply_subst, parse_term
+from fogbisim.terms import (
+    Substitution, apply_subst, intern_graph, is_finite, parse_term,
+)
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import enabled_actions, run_word, step_action
 from fogbisim.equiv import (
     EqOracle, EquivError, Level, attacker_optimal, defender_optimal,
     find_sink_witness,
 )
+from fogbisim.bases import enumerate_terms
 
 from gen import random_grammar, random_ground_term, random_finite_term
+
+GRAMMAR_DIR = pathlib.Path(__file__).resolve().parent.parent / "grammars"
 
 G1 = (
     "nonterminals: A/1, Z/0\n"
@@ -53,6 +59,54 @@ def naive_level(g, t, u, budget):
                             for _, u2 in replies)
                 best = min(best, 1 + worst)
     return best
+
+
+def reference_level(o, t, u, budget=None):
+    """EqOracle.level without cycle closing: a pair met again while it
+    is open is searched again one budget lower, down to the budget. A
+    reference for the loop; it shares `_known` and `_game` with it."""
+    if budget is None:
+        budget = o.cutoff
+    e = o._known(t, u, budget)
+    if e is not None:
+        return e
+
+    def key(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    stack = [(key(t, u), budget, o._game(t, u, budget))]
+    while stack:
+        k, b, game = stack[-1]
+        try:
+            t2, u2, cap = game.send(e)
+        except StopIteration as done:
+            stack.pop()
+            e = done.value
+            if e < b:
+                o.exact[k] = e
+            else:
+                o.lower[k] = b
+            continue
+        stack.append((key(t2, u2), cap, o._game(t2, u2, cap)))
+        e = None
+    return e
+
+
+def cyclic_terms(g):
+    """The cyclic terms of at most two nodes over x1, in id order."""
+    return sorted(t for t in enumerate_terms(g, 1, 2) if not is_finite(g.ts, t))
+
+
+def audit_memo(o):
+    """Every exact entry equals the reference level, and every lower
+    bound is at most it, computed on one fresh oracle. A level e is
+    exact when the reference caps it below e + 1; a bound b holds when
+    the reference reaches it at budget b."""
+    ref = EqOracle(o.g, o.cutoff)
+    for (t, u), e in o.exact.items():
+        assert reference_level(ref, t, u, e + 1) == e, (t, u, e)
+    for (t, u), b in o.lower.items():
+        assert reference_level(ref, t, u, b) == b, (t, u, b)
 
 
 def test_reflexive_at_least():
@@ -124,6 +178,13 @@ def test_memoized_matches_naive(seed):
         t = random_ground_term(rng, g, rng.randint(0, 2))
         u = random_ground_term(rng, g, rng.randint(0, 2))
         assert o.level(t, u, 5) == naive_level(g, t, u, 5)
+    # cyclic terms close cycles in the game; at budget 4, since the
+    # naive solver's time grows exponentially with the budget
+    cyclic = cyclic_terms(g)
+    for _ in range(4 if cyclic else 0):
+        t = rng.choice(cyclic)
+        u = rng.choice(cyclic + [random_ground_term(rng, g, 1)])
+        assert o.level(t, u, 4) == naive_level(g, t, u, 4), (t, u)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -136,7 +197,11 @@ def test_shared_memo_mixed_budgets(seed):
     pairs = [(random_ground_term(rng, g, rng.randint(0, 3)),
               random_ground_term(rng, g, rng.randint(0, 3)))
              for _ in range(10)]
-    want = {(t, u): EqOracle(g, cutoff).level(t, u) for t, u in pairs}
+    cyclic = cyclic_terms(g)
+    pairs += [(rng.choice(cyclic), rng.choice(cyclic + [t for t, _ in pairs]))
+              for _ in range(3 if cyclic else 0)]
+    want = {(t, u): reference_level(EqOracle(g, cutoff), t, u)
+            for t, u in pairs}
     queries = [(t, u, b) for t, u in pairs for b in range(cutoff + 1)]
     rng.shuffle(queries)
     # a seeded order, then rising budgets (stable sort): each query at b
@@ -145,6 +210,92 @@ def test_shared_memo_mixed_budgets(seed):
         shared = EqOracle(g, cutoff)
         for t, u, b in order:
             assert shared.level(t, u, b) == min(want[(t, u)], b), (t, u, b)
+        audit_memo(shared)
+
+
+def battery_pair(gseed, k):
+    """Pair k of grammar gseed in the eq-level battery (random grammars,
+    20 pairs of ground terms of depth 0-3, cutoff 8)."""
+    rng = random.Random(gseed)
+    g = random_grammar(gseed)
+    pairs = [(random_ground_term(rng, g, rng.randint(0, 3)),
+              random_ground_term(rng, g, rng.randint(0, 3)))
+             for _ in range(20)]
+    return g, pairs[k]
+
+
+def log_games(monkeypatch):
+    """Patch EqOracle._game to log ("open" | "close", pair, budget)."""
+    log = []
+    game = EqOracle._game
+
+    def logged(self, t, u, budget):
+        k = (min(t, u), max(t, u), budget)
+        log.append(("open",) + k)
+        e = yield from game(self, t, u, budget)
+        log.append(("close",) + k)
+        return e
+
+    monkeypatch.setattr(EqOracle, "_game", logged)
+    return log
+
+
+def replays(log):
+    """The games replayed after a failed assumption: a game opened for
+    the pair and budget whose game just closed. Only the replay does
+    that; any other game that closes answers its own query later."""
+    return sum(a[0] == "close" and b[0] == "open" and a[1:] == b[1:]
+               for a, b in zip(log, log[1:]))
+
+
+@pytest.mark.parametrize("gseed, k, want_replays", [
+    (3, 8, 2),      # A(B(mu, mu)) vs mu, mu = A(mu)
+    (3, 15, None), (11, 4, None), (12, 10, None)])
+def test_failed_assumption_replays_the_frame(monkeypatch, gseed, k,
+                                             want_replays):
+    g, (t, u) = battery_pair(gseed, k)
+    log = log_games(monkeypatch)
+    e = EqOracle(g, 8).level(t, u)
+    n = replays(log)
+    monkeypatch.undo()
+    assert e == reference_level(EqOracle(g, 8), t, u)
+    assert n >= 1 and (want_replays is None or n == want_replays), n
+
+
+@pytest.mark.parametrize("gseed, cutoff, budget, left, right", [
+    (147, 6, 6, "node b = B(b,a,a); node a = A(a,b,b); root t = a",
+     "node b = B(a,a,a); node a = A(b,b,b); root t = a"),
+    (575, 10, 9, "node c = C; node b = B(b,c,c); root t = b", "B(C,C,C)"),
+])
+def test_tentative_results_wait_for_the_frame_they_rest_on(
+        gseed, cutoff, budget, left, right):
+    # a pair that closes resting on a frame below its parent passes that
+    # frame on to the parent; otherwise the parent enters the memo before
+    # the assumption is checked, and the check fails here
+    g = random_grammar(gseed)
+    t, u = (intern_graph(g.ts, x, g.arities) if "node" in x
+            else parse_term(g.ts, x, g.arities) for x in (left, right))
+    o = EqOracle(g, cutoff)
+    assert o.level(t, u, budget) == reference_level(
+        EqOracle(g, cutoff), t, u, budget)
+    audit_memo(o)
+
+
+def test_closed_cycles_bound_the_games(monkeypatch):
+    log = log_games(monkeypatch)
+    g = g1()
+    # at the unrolling loop's count; cycle closing without the tentative
+    # table would take 8,192 games here
+    assert EqOracle(g, 31).level(tower(g, 13), tower(g, 14)) == 13
+    assert sum(ev[0] == "open" for ev in log) <= 92
+    del log[:]
+    with open(GRAMMAR_DIR / "gchain.fog") as f:
+        g = parse_grammar(f.read())
+    t = parse_term(g.ts, "Q(Z)", g.arities)
+    u = parse_term(g.ts, "Q(Q(Z))", g.arities)
+    # Q loops on b: one visit closes the cycle at any cutoff
+    assert EqOracle(g, 10 ** 8).level(t, u) == 10 ** 8
+    assert sum(ev[0] == "open" for ev in log) <= 10
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -93,6 +93,25 @@ def test_sink_and_constants_are_cached_on_the_grammar(monkeypatch):
     assert g.constants.as_dict() == compute_constants(g).as_dict()
 
 
+def test_stepinc_is_computed_apart_from_the_constants(monkeypatch):
+    # bases read only stepinc, so it must not pay for the sink table and
+    # the big constants
+    import fogbisim.grammar as grammar
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return compute_sink_table(g)
+
+    monkeypatch.setattr(grammar, "compute_sink_table", counted)
+    with open(os.path.join(GRAMMAR_DIR, "gchain.fog")) as f:
+        g = parse_grammar(f.read())
+    assert g.stepinc == 1 and g.stepinc is g.stepinc
+    assert calls == [] and g._constants is None
+    assert g.constants.stepinc == g.stepinc == 1
+    assert g1().stepinc == 2
+
+
 def test_g1_sink_table():
     g = g1()
     t = compute_sink_table(g)
