@@ -13,7 +13,7 @@ loop grows a candidate until every enumerated pair outside it is
 
 from __future__ import annotations
 
-from .terms import Substitution, apply_subst, omega_iterate, pressize, varin
+from .terms import apply_subst, omega_iterate, pressize, refine, varin
 from .grammar import Grammar
 from .lts import run_word
 from .equiv import EqOracle, find_sink_witness
@@ -44,7 +44,7 @@ class NsgParams:
 class NsgSequence:
     """Tops (E_j, F_j) for j in [1,z] plus the shared tail sigma."""
 
-    def __init__(self, tops, sigma: Substitution):
+    def __init__(self, tops, sigma: dict[int, int]):
         self.tops = list(tops)
         self.sigma = sigma
 
@@ -102,25 +102,18 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
             "reduce; the sequence length is bounded by 1 + %d directly" % k)
     i, h, _w = find_sink_witness(o, e1, f1, seq.sigma, k, ell)
     h_prime = omega_iterate(ts, h, i)
-    kill_i = Substitution(ts, {i: h_prime})
     retained = seq.tops[k + 1:]
     new_tops = []
     for e, f in retained:
-        e2 = apply_subst(ts, e, kill_i)
-        f2 = apply_subst(ts, f, kill_i)
+        e2 = apply_subst(ts, e, {i: h_prime})
+        f2 = apply_subst(ts, f, {i: h_prime})
         if i != p.n:
-            ren = Substitution(ts, {p.n: ts.var(i)})
-            e2 = apply_subst(ts, e2, ren)
-            f2 = apply_subst(ts, f2, ren)
+            e2 = apply_subst(ts, e2, {p.n: ts.var(i)})
+            f2 = apply_subst(ts, f2, {p.n: ts.var(i)})
         new_tops.append((e2, f2))
-    binding = {}
-    for v in sorted(seq.sigma.support()):
-        if v == i or v == p.n:
-            continue
-        binding[v] = seq.sigma.lookup(v)
+    new_sigma = {v: u for v, u in seq.sigma.items() if v != i and v != p.n}
     if i != p.n:
-        binding[i] = seq.sigma.lookup(p.n)
-    new_sigma = Substitution(ts, binding)
+        new_sigma[i] = seq.sigma.get(p.n, ts.var(p.n))
     new_p = NsgParams(p.n - 1, next_size(g, p.s, p.g, k), p.g)
     new_seq = NsgSequence(new_tops, new_sigma)
     for jj, (e, f) in enumerate(retained):
@@ -243,8 +236,8 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
         while stack:
             nodes, n_ref = stack.pop()
             if len(nodes) == n_ref:  # closed: every referenced node filled
-                if n_ref == k and _is_minimal(nodes):
-                    out.add(ts.intern_minimal(dict(enumerate(nodes)))[0])
+                if n_ref == k and refine(nodes)[1] == k:
+                    out.add(ts.intern_minimal(nodes)[0])
                 continue
             stack += [(nodes + (("var", i),), n_ref)
                       for i in range(1, max_vars + 1)]
@@ -256,24 +249,6 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
                             for c in range(min(d + 1, k))]
                 stack += [(nodes + (("app", nt, kids),), d) for kids, d in opts]
     return sorted(out)
-
-
-def _is_minimal(nodes) -> bool:
-    """True iff no two nodes of the closed graph `nodes` (node i at
-    index i, children by index) are bisimilar: partition refinement from
-    the node labels ends with one block per node."""
-    blocks = {}
-    block = [blocks.setdefault(node[:2], len(blocks)) for node in nodes]
-    while len(blocks) < len(nodes):
-        n_blocks = len(blocks)
-        blocks = {}
-        block = [blocks.setdefault(
-            (block[i], tuple(block[c] for c in node[2]))
-            if node[0] == "app" else block[i], len(blocks))
-            for i, node in enumerate(nodes)]
-        if len(blocks) == n_blocks:
-            return False
-    return True
 
 
 def enumerate_pairs(o: EqOracle, max_vars: int, max_size: int):
@@ -400,8 +375,7 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
         raise BasesError("stair base is a dead variable (classifier bug)")
     a_name = ts.root(v)
     top_v, sigma = p_top_form(ts, v, g.constants.d0)
-    sbb = Substitution(ts, {h: ch for h, ch
-                            in enumerate(ts.children(top_v), 1)})
+    sbb = dict(enumerate(ts.children(top_v), 1))
 
     words = [w2] + [pp.segments[q][0] for q in range(kj, kj1 - 1)]
     cur = g.lhs_term(a_name)

@@ -11,7 +11,7 @@ of unrolling it down to the budget.
 
 from __future__ import annotations
 
-from .terms import VAR, Substitution, apply_subst
+from .terms import VAR, apply_subst
 from .grammar import Grammar
 from .lts import enabled_actions, step_action
 
@@ -79,6 +79,18 @@ class EqOracle:
     nothing, so a failed assumption costs one plain replay. A cycle thus
     costs one visit, however high the cutoff.
 
+    A result rests on frames by their opening numbers, which one call
+    never reuses; a frame starts with its own number as its `low`, and
+    a frame that closes tentatively passes its low on to its parent. A
+    tentative result may keep a low that names a frame closed since; as
+    in Tarjan's lowlink argument, such a stale low is harmless. The open
+    frames opened before the closed one are its ancestors, and the
+    deepest of them, the top whenever one of them reads the result,
+    already holds a low no higher than the closed frame's, passed on as
+    frames closed. Every frame opened later has a higher number, so the
+    stale low keeps it tentative down to that ancestor, as the true low
+    would.
+
     Every value stored is exact. An assumption is at least the capped
     level it stands for, and the game only rises with its answers, so no
     value computed is below the true capped level. Once every assumption
@@ -129,13 +141,16 @@ class EqOracle:
             return e
         exact, lower = self.exact, self.lower
         key = (t, u) if t <= u else (u, t)
-        # a frame: [key, budget, game, low, assumed, mark]; low is the
-        # lowest stack index whose assumption the result rests on (its
-        # own index if none below), assumed the highest value the pair
-        # was assumed at (-1: never), mark the length of `pending` when
-        # the frame opened
-        stack = [[key, budget, self._game(t, u, budget), 0, -1, 0]]
-        open_at = {key: 0}  # pair -> index of its frame
+        # a frame: [key, budget, game, low, assumed, mark, num]; num is
+        # the frame's opening number, never reused in this call, low the
+        # lowest opening number whose assumption the result rests on (its
+        # own num if none), assumed the highest value the pair was
+        # assumed at (-1: never), mark the length of `pending` when the
+        # frame opened
+        top = [key, budget, self._game(t, u, budget), 0, -1, 0, 0]
+        stack = [top]
+        opened = 1
+        open_at = {key: top}  # pair -> its open frame
         # results that rest on a frame still open, in the order they were
         # computed, and by pair: entries [key, e, budget, low]
         pending = []
@@ -147,26 +162,22 @@ class EqOracle:
                 t2, u2, cap = top[2].send(e)
             except StopIteration as done:
                 e = done.value
-                i = len(stack) - 1
-                key, b, _, low, assumed, mark = top
+                key, b, _, low, assumed, mark, num = top
                 if e < assumed:
                     # the pair was assumed too high: drop what rests on
                     # that, replay its game, and assume nothing more
                     del pending[mark:]
                     tentative = {ent[0]: ent for ent in pending}
                     optimistic = False
-                    top[2:5] = [self._game(key[0], key[1], b), i, -1]
+                    top[2:5] = [self._game(key[0], key[1], b), num, -1]
                     e = None
                     continue
                 stack.pop()
                 if optimistic:
                     del open_at[key]
-                if low < i:
+                if low < num:
                     # rests on an open ancestor, as does all that
                     # rested on this frame
-                    for ent in pending[mark:]:
-                        if ent[3] >= i:
-                            ent[3] = low
                     ent = [key, e, b, low]
                     pending.append(ent)
                     tentative[key] = ent
@@ -199,19 +210,22 @@ class EqOracle:
                     if ent[3] < top[3]:
                         top[3] = ent[3]
                     continue
-            i = len(stack)
             if optimistic:
-                j = open_at.get(key)
-                if j is not None:
+                frame = open_at.get(key)
+                if frame is not None:
                     # a cycle: assume the pair holds up to cap
-                    if cap > stack[j][4]:
-                        stack[j][4] = cap
-                    if j < top[3]:
-                        top[3] = j
+                    if cap > frame[4]:
+                        frame[4] = cap
+                    if frame[6] < top[3]:
+                        top[3] = frame[6]
                     e = cap
                     continue
-                open_at[key] = i
-            stack.append([key, cap, self._game(t2, u2, cap), i, -1, len(pending)])
+            frame = [key, cap, self._game(t2, u2, cap), opened, -1,
+                     len(pending), opened]
+            opened += 1
+            if optimistic:
+                open_at[key] = frame
+            stack.append(frame)
             e = None
 
     def _game(self, t: int, u: int, budget: int):
@@ -282,11 +296,11 @@ def defender_optimal(o: EqOracle, t: int, u: int, side: int, rid: str, succ: int
 
 
 def find_sink_witness(o: EqOracle, e_term: int, f_term: int,
-                      sigma: Substitution, k: int, ell: int):
+                      sigma: dict[int, int], k: int, ell: int):
     """Witness for: substitution raised the eq-level of (E, F).
 
     Given eqlevel(E,F) = k < ell = eqlevel(E sigma, F sigma), find
-    (x_i, H, w) with x_i in support(sigma), H != x_i, |w| <= k,
+    (x_i, H, w) with x_i sigma != x_i, H != x_i, |w| <= k,
     E -w-> x_i and F -w-> H (or symmetrically), and
     x_i sigma ~_{ell-k} H sigma.
     """
@@ -300,7 +314,7 @@ def find_sink_witness(o: EqOracle, e_term: int, f_term: int,
         if not ts.is_var(x_t):
             return False
         i = ts.var_index(x_t)
-        if i not in sigma.support() or h_t == x_t:
+        if h_t == x_t or sigma.get(i, x_t) == x_t:
             return False
         lhs = apply_subst(ts, x_t, sigma)
         rhs = apply_subst(ts, h_t, sigma)

@@ -55,7 +55,7 @@ class Grammar:
         # computed on first use, so that parsing does not pay for them; set
         # here rather than cached in __dict__, which would slow every
         # attribute read on the grammar
-        self._sink: SinkTable | None = None
+        self._sink: dict[tuple[str, int], tuple[str, ...]] | None = None
         self._constants: GrammarConstants | None = None
         self._stepinc: int | None = None
 
@@ -77,8 +77,9 @@ class Grammar:
                     % (r.rid, min(bad), self.arities[r.lhs], r.lhs))
 
     @property
-    def sink(self) -> SinkTable:
-        """The shortest sink-word table, computed on first use."""
+    def sink(self) -> dict[tuple[str, int], tuple[str, ...]]:
+        """The shortest sink-word table, computed on first use:
+        sink[(A, i)] is the shortest (A,i)-sink word."""
         if self._sink is None:
             self._sink = compute_sink_table(self)
         return self._sink
@@ -162,29 +163,16 @@ def parse_grammar(text: str, ts: TermStore | None = None) -> Grammar:
     return Grammar(ts, arities, actions, rules)
 
 
-class SinkTable:
-    """Shortest (A,i)-sink words, deterministically tie-broken.
-
-    entries maps (nonterminal, position) to a tuple of rule ids w with
+def compute_sink_table(g: Grammar) -> dict[tuple[str, int], tuple[str, ...]]:
+    """Shortest (A,i)-sink words, deterministically tie-broken: maps
+    (nonterminal, position) to a tuple of rule ids w with
     A(x1..xm) -w-> x_i and no shorter such word; among shortest words
-    the lexicographically least by rule declaration order is stored.
-    """
+    the lexicographically least by rule declaration order is kept.
+    Positions no word sinks to have no entry.
 
-    def __init__(self, entries: dict[tuple[str, int], tuple[str, ...]]):
-        self.entries = dict(entries)
-
-    def get(self, nt: str, i: int):
-        return self.entries.get((nt, i))
-
-    def max_len(self) -> int:
-        return max((len(w) for w in self.entries.values()), default=0)
-
-
-def compute_sink_table(g: Grammar) -> SinkTable:
-    """Dynamic programming over (nonterminal, position) sink words.
-
-    word[A,i] relaxes via each rule A -r-> E using the best way to sink
-    the finite term E to x_i; iterate to a fixpoint.
+    Dynamic programming: word[A,i] relaxes via each rule A -r-> E
+    using the best way to sink the finite term E to x_i; iterate to a
+    fixpoint.
     """
     order = {r.rid: i for i, r in enumerate(g.rules)}
 
@@ -235,7 +223,7 @@ def compute_sink_table(g: Grammar) -> SinkTable:
                 if better(cand, best[(r.lhs, i)]):
                     best[(r.lhs, i)] = cand
                     changed = True
-    return SinkTable({k: v for k, v in best.items() if v is not None})
+    return {k: v for k, v in best.items() if v is not None}
 
 
 class GrammarConstants:
@@ -270,13 +258,12 @@ def nonvar_subterms_of_rhs(g: Grammar) -> set[int]:
 
 def compute_constants(g: Grammar) -> GrammarConstants:
     ts = g.ts
-    sink = g.sink
     m = max_arity(g)
     # height(E)-1 over all rhs, clamped at 0
     hinc = max((height(ts, r.rhs) - 1 for r in g.rules), default=0)
     hinc = max(hinc, 0)
     stepinc = g.stepinc
-    d0 = 1 + sink.max_len()
+    d0 = 1 + max(map(len, g.sink.values()), default=0)
     nN = len(g.arities)
     nR = len(g.rules)
     d1 = 2 * nN * max(d0, nR ** d0) ** (m + 2)

@@ -9,7 +9,7 @@ checks use.
 
 from __future__ import annotations
 
-from .terms import instantiate
+from .terms import apply_subst
 from .grammar import Grammar, GrammarError
 
 
@@ -38,7 +38,7 @@ def step_action(g: Grammar, t: int, action: str) -> tuple[tuple[str, int], ...]:
             raise GrammarError("unknown action %r" % action)
         g.ts.node(t)  # rejects an unknown id
         binding = dict(enumerate(g.ts.children(t), 1))
-        out = tuple((r.rid, instantiate(g.ts, r.rhs, binding))
+        out = tuple((r.rid, apply_subst(g.ts, r.rhs, binding))
                     for r in g.rules_by_lhs.get(g.ts.root(t), ())
                     if r.action == action)
         g.successors[key] = out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .terms import Substitution, apply_subst, pressize
+from .terms import apply_subst, pressize
 from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
 from .equiv import EqOracle, attacker_optimal, defender_optimal
@@ -141,12 +141,12 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
         raise PlaysError("eq-level at cutoff; cannot balance")
     m = g.arities[a_name]
     vbar = {}
-    binding = {}
+    sigma_pp = {}
     for i in range(1, m + 1):
-        w_ai = g.sink.get(a_name, i)
+        w_ai = g.sink.get((a_name, i))
         if w_ai is None:
             vbar[i] = ()
-            binding[i] = pivot
+            sigma_pp[i] = pivot
             continue
         labels = [g.rule_by_id[r].action for r in w_ai]
         best = None
@@ -160,8 +160,7 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
             raise PlaysIndeterminate(
                 "cutoff starvation: no qualifying V_%d for pivot" % i)
         vbar[i] = best[1]
-        binding[i] = best[2]
-    sigma_pp = Substitution(ts, binding)
+        sigma_pp[i] = best[2]
     new_side_term = apply_subst(ts, e_prime, sigma_pp)
     bal_pair = by_side(side, new_side_term, rho.finish[1 - side])
     if o.level(*bal_pair) != e_pair:
@@ -363,7 +362,7 @@ def p_top_form(ts, w: int, p: int):
             continue
         stack.pop()
         cut[item] = ts.app(node[1], tuple(cut[(c, depth - 1)] for c in node[2]))
-    return cut[(w, p)], Substitution(ts, binding)
+    return cut[(w, p)], binding
 
 
 def present_over_top(g: Grammar, info: BalanceInfo, top: int):
@@ -380,7 +379,7 @@ def present_over_top(g: Grammar, info: BalanceInfo, top: int):
             raise PlaysError("pivot top cannot replay a v-bar word "
                              "(internal bug)")
         binding[i] = pv[-1]
-    return (apply_subst(g.ts, info.e_prime, Substitution(g.ts, binding)),
+    return (apply_subst(g.ts, info.e_prime, binding),
             pf[-1])
 
 

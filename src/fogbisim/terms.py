@@ -5,12 +5,14 @@ subterms) is represented by an integer handle (TermId) into a TermStore.
 The store keeps exactly one node per distinct subterm, so handle
 equality is term equality and pressize is a reachable-node count.
 
+A term graph is a list of nodes whose children are list indices.
 Finite terms over canonical children are interned by plain
 hash-consing. Graphs that may contain cycles go through a
-canonicalization routine that quotients the input graph by bisimulation
-(partition refinement) and then matches the quotient against the store
-bottom-up: acyclic nodes by hash-consing, cyclic strongly connected
-components by a canonical serialization of their subgraph.
+canonicalization routine that quotients the graph by bisimulation
+(`refine`) and then matches the quotient against the store bottom-up:
+acyclic nodes by hash-consing, cyclic strongly connected components by
+a canonical serialization of their subgraph. A substitution is a plain
+dict from variable indices to ids, applied by `apply_subst`.
 """
 
 from __future__ import annotations
@@ -27,24 +29,46 @@ class TermError(Exception):
     pass
 
 
+def refine(nodes) -> tuple[list[int], int]:
+    """Bisimulation classes of a closed term graph: the block of each
+    node and the number of blocks, blocks numbered by first occurrence.
+
+    nodes is a term graph as `TermStore.intern_raw` takes it. Partition
+    refinement (Paige and Tarjan, 1987) starts from the node labels and
+    splits blocks by the blocks of the children until no block splits.
+    """
+    blocks: dict = {}
+    block = [blocks.setdefault(node[:2], len(blocks)) for node in nodes]
+    while len(blocks) < len(nodes):
+        n_blocks = len(blocks)
+        blocks = {}
+        block = [blocks.setdefault(
+            (block[i], tuple(block[c] for c in node[2]))
+            if node[0] == APP else block[i], len(blocks))
+            for i, node in enumerate(nodes)]
+        if len(blocks) == n_blocks:
+            break
+    return block, len(blocks)
+
+
 class TermStore:
     """Append-only interning table for regular terms.
 
     Nodes are tuples: (VAR, index) or (APP, nonterminal, child_ids).
-    Children of stored nodes are store ids. The store keeps one node per
-    bisimulation class, and an acyclic node is always interned after its
-    children, so every arc below a finite term leads to a smaller id,
-    while every cycle has an arc to an id no smaller than its source.
-    Finite terms can therefore be built and walked in ascending id order
-    by plain hash-consing (`app`, `instantiate`); `intern_raw` is needed
-    only for input that creates a cycle.
+    Children of stored nodes are store ids, so `nodes` is itself a term
+    graph. The store keeps one node per bisimulation class, and an
+    acyclic node is always interned after its children, so every arc
+    below a finite term leads to a smaller id, while every cycle has an
+    arc to an id no smaller than its source. Finite terms can therefore
+    be built and walked in ascending id order by plain hash-consing
+    (`app`, `apply_subst`); `intern_raw` is needed only for input that
+    creates a cycle.
 
     `intern_minimal` is the step that matches a graph against the store
     (SCC condensation, hash-consing, cyclic serialization). It requires
     a closed graph in which no two nodes are bisimilar: `intern_raw`
-    calls it on the quotient it has just refined, and
-    `bases.enumerate_terms` on each generated graph it has found to be
-    minimal already.
+    calls it on the quotient `refine` gives, and `bases.enumerate_terms`
+    on each generated graph that `refine` leaves with one block per node.
     """
 
     def __init__(self):
@@ -105,100 +129,48 @@ class TermStore:
         node = self.nodes[t]
         return () if node[0] == VAR else node[2]
 
-    # -- canonicalization of raw graphs -------------------------------------
+    # -- canonicalization of term graphs ------------------------------------
 
-    def intern_raw(self, raw: dict, roots: list) -> list[TermId]:
-        """Canonicalize a raw graph and return ids for the given roots.
+    def intern_raw(self, nodes, roots) -> list[TermId]:
+        """Canonicalize a term graph and return ids for the given roots.
 
-        raw maps node names to (VAR, index) or (APP, nonterminal,
-        [names]). The graph is closed: every name a node refers to is a
-        node of raw, so refinement sees every node a cycle could be
-        bisimilar to. Cycles among raw nodes are allowed.
+        nodes is a closed term graph: node k is (VAR, index) or (APP,
+        nonterminal, children), and every child is an index into nodes,
+        so refinement sees every node a cycle could be bisimilar to.
+        Cycles are allowed.
         """
-        for name, node in raw.items():
-            if node[0] == VAR:
-                continue
-            for ref in node[2]:
-                if ref not in raw:
-                    raise TermError("dangling reference %r in node %r" % (ref, name))
+        block, _ = refine(nodes)
+        # quotient graph: the first node of each block stands for it
+        quotient = []
+        for node, b in zip(nodes, block):
+            if b == len(quotient):
+                quotient.append(node if node[0] == VAR else
+                                (APP, node[1], [block[c] for c in node[2]]))
+        assign = self.intern_minimal(quotient)
+        return [assign[block[r]] for r in roots]
 
-        blocks = self._refine(raw)
-        # quotient graph: one node per block
-        rep = {name: b for b, members in enumerate(blocks) for name in members}
-        qnodes = {}
-        for b, members in enumerate(blocks):
-            node = raw[members[0]]
-            qnodes[b] = ((VAR, node[1]) if node[0] == VAR
-                         else (APP, node[1], [rep[ref] for ref in node[2]]))
+    def intern_minimal(self, nodes) -> list[TermId]:
+        """Map the nodes of a closed term graph with no two bisimilar
+        nodes to canonical store ids, bottom-up; returns the id of each.
 
-        assign = self.intern_minimal(qnodes)
-        return [assign[rep[r]] for r in roots]
-
-    def _refine(self, raw: dict) -> list[list]:
-        """Partition refinement over the nodes of a closed raw graph."""
-        names = sorted(raw.keys(), key=repr)
-
-        def initial(name):
-            node = raw[name]
-            if node[0] == VAR:
-                return (VAR, node[1])
-            return (APP, node[1], len(node[2]))
-
-        block_of = {}
-        keys = {}
-        for name in names:
-            keys.setdefault(initial(name), []).append(name)
-        for b, key in enumerate(sorted(keys, key=repr)):
-            for name in keys[key]:
-                block_of[name] = b
-
-        while True:
-            sig = {}
-            for name in names:
-                node = raw[name]
-                if node[0] == VAR:
-                    sig[name] = (VAR, node[1])
-                else:
-                    sig[name] = (APP, node[1],
-                                 tuple(block_of[ref] for ref in node[2]))
-            groups = {}
-            for name in names:
-                groups.setdefault((block_of[name], sig[name]), []).append(name)
-            if len(groups) == len(set(block_of.values())):
-                break
-            for b, key in enumerate(sorted(groups, key=repr)):
-                for name in groups[key]:
-                    block_of[name] = b
-
-        blocks: dict[int, list] = {}
-        for name in names:
-            blocks.setdefault(block_of[name], []).append(name)
-        return [blocks[b] for b in sorted(blocks)]
-
-    def intern_minimal(self, qnodes: dict) -> dict:
-        """Map the nodes of a closed graph with no two bisimilar nodes
-        to canonical store ids, bottom-up.
-
-        qnodes maps node names to (VAR, index) or (APP, nonterminal,
-        children); every child is a name in qnodes. Nothing is refined:
-        two bisimilar nodes would be stored twice."""
+        nodes is as for `intern_raw`. Nothing is refined: two bisimilar
+        nodes would be stored twice."""
         # Tarjan condensation, processed in reverse topological order.
-        order = self._sccs(qnodes)
-        assign: dict = {}
-        for scc in order:
+        assign: list = [None] * len(nodes)
+        for scc in self._sccs(nodes):
             b = scc[0]
-            node = qnodes[b]
+            node = nodes[b]
             if node[0] == VAR:
                 assign[b] = self.var(node[1])
             elif len(scc) == 1 and b not in node[2]:
                 kids = tuple(assign[ref] for ref in node[2])
                 assign[b] = self._intern((APP, node[1], kids))
             else:
-                self._assign_cyclic(qnodes, scc, assign)
+                self._assign_cyclic(nodes, scc, assign)
         return assign
 
-    def _sccs(self, qnodes) -> list[list]:
-        """SCCs of the quotient graph in reverse topological order."""
+    def _sccs(self, nodes) -> list[list]:
+        """SCCs of the graph in reverse topological order."""
         index = {}
         low = {}
         on_stack = set()
@@ -207,7 +179,7 @@ class TermStore:
         counter = [0]
 
         def succs(b):
-            node = qnodes[b]
+            node = nodes[b]
             return [] if node[0] == VAR else node[2]
 
         def strongconnect(b):
@@ -246,14 +218,14 @@ class TermStore:
                             break
                     out.append(sorted(scc))
 
-        for b in sorted(qnodes):
+        for b in range(len(nodes)):
             if b not in index:
                 strongconnect(b)
         return out
 
-    def _assign_cyclic(self, qnodes, scc, assign):
+    def _assign_cyclic(self, nodes, scc, assign):
         members = set(scc)
-        keys = {b: self._serialize(qnodes, b, members, assign) for b in scc}
+        keys = {b: self._serialize(nodes, b, members, assign) for b in scc}
         hits = {b: self._cyclic_index.get(keys[b]) for b in scc}
         found = [b for b in scc if hits[b] is not None]
         if found:
@@ -264,22 +236,17 @@ class TermStore:
                     raise TermError("inconsistent cyclic index")
                 assign[b] = hits[b]
             return
-        fresh = {}
         for b in scc:
-            tid = len(self.nodes)
+            assign[b] = len(self.nodes)
             self.nodes.append(None)  # patched below
-            fresh[b] = tid
         for b in scc:
-            node = qnodes[b]
-            kids = tuple(fresh[ref] if ref in members else assign[ref]
-                         for ref in node[2])
-            stored = (APP, node[1], kids)
-            self.nodes[fresh[b]] = stored
-            self._hashcons[stored] = fresh[b]
-            self._cyclic_index[keys[b]] = fresh[b]
-        assign.update(fresh)
+            node = nodes[b]
+            stored = (APP, node[1], tuple(assign[ref] for ref in node[2]))
+            self.nodes[assign[b]] = stored
+            self._hashcons[stored] = assign[b]
+            self._cyclic_index[keys[b]] = assign[b]
 
-    def _serialize(self, qnodes, b, members, assign) -> tuple:
+    def _serialize(self, nodes, b, members, assign) -> tuple:
         """Canonical DFS serialization of the SCC subgraph from b."""
         numbering = {}
         out = []
@@ -292,20 +259,20 @@ class TermStore:
                 continue
             numbering[v] = len(numbering)
             order.append(v)
-            node = qnodes[v]
+            node = nodes[v]
             kids = [ref for ref in node[2] if ref in members]
             for w in reversed(kids):
                 if w not in numbering:
                     stack.append(w)
         # second pass now that every reachable member is numbered
         for v in order:
-            node = qnodes[v]
+            node = nodes[v]
             parts = tuple(("loc", numbering[ref]) if ref in members
                           else ("ext", assign[ref]) for ref in node[2])
             out.append((node[1], parts))
         return tuple(out)
 
-    # -- raw-graph extraction (for substitution and rendering) ---------------
+    # -- walks ----------------------------------------------------------------
 
     def reachable(self, roots) -> set[TermId]:
         seen = set()
@@ -328,7 +295,7 @@ def intern_graph(ts: TermStore, text: str,
     comment runs to the newline; cycles allowed. With arities, every node
     is checked against them as in `parse_term`.
     """
-    raw: dict = {}
+    named: dict = {}
     roots: list[tuple[str, str]] = []
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     for lineno, line in enumerate(text.replace(";", "\n").splitlines(), 1):
@@ -341,15 +308,15 @@ def intern_graph(ts: TermStore, text: str,
         except ValueError:
             raise TermError("line %d: cannot parse %r" % (lineno, line))
         if kw == "node":
-            if name in raw:
+            if name in named:
                 raise TermError("line %d: duplicate node %r" % (lineno, name))
             node, extra = _parse_node(rhs, lineno)
             if node[0] == APP:
                 bad = _arity_error(arities, node[1], len(node[2]))
                 if bad:
                     raise TermError("line %d: %s" % (lineno, bad))
-            raw[name] = node
-            raw.update(extra)
+            named[name] = node
+            named.update(extra)
         elif kw == "root":
             roots.append((name, rhs))
         else:
@@ -357,9 +324,19 @@ def intern_graph(ts: TermStore, text: str,
     if len(roots) != 1:
         raise TermError("expected exactly one root, got %d" % len(roots))
     ((name, target),) = roots
-    if target not in raw:
+    if target not in named:
         raise TermError("root %r refers to undefined node %r" % (name, target))
-    return ts.intern_raw(raw, [target])[0]
+    index = {name: k for k, name in enumerate(named)}
+    nodes = []
+    for name, node in named.items():
+        if node[0] == APP:
+            for ref in node[2]:
+                if ref not in index:
+                    raise TermError("dangling reference %r in node %r"
+                                    % (ref, name))
+            node = (APP, node[1], [index[ref] for ref in node[2]])
+        nodes.append(node)
+    return ts.intern_raw(nodes, [index[target]])[0]
 
 
 def _parse_node(rhs: str, lineno: int):
@@ -521,45 +498,23 @@ def varin(ts: TermStore, roots) -> set[int]:
     return {ts.var_index(t) for t in ts.reachable(list(roots)) if ts.is_var(t)}
 
 
-class Substitution:
-    """Finite-support map from variable index to TermId.
+def apply_subst(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
+    """Eσ, where the substitution σ is a plain dict from variable
+    indices to ids; a binding x_i -> x_i is no binding.
 
-    Identity bindings are dropped on construction, so the stored key
-    set is exactly the support.
+    A finite E is built in ascending id order, so each node's children
+    are already canonical and plain hash-consing finds any existing
+    node, cyclic ones included. A cyclic E goes through `_redirect`.
     """
-
-    def __init__(self, ts: TermStore, mapping: dict[int, TermId] | None = None):
-        self.ts = ts
-        self.map: dict[int, TermId] = {}
-        for i, t in (mapping or {}).items():
-            ts._check(t)
-            if not (ts.is_var(t) and ts.var_index(t) == i):
-                self.map[i] = t
-
-    def support(self) -> set[int]:
-        return set(self.map)
-
-    def lookup(self, i: int) -> TermId:
-        return self.map.get(i, self.ts.var(i))
-
-    def __eq__(self, other):
-        return isinstance(other, Substitution) and self.map == other.map
-
-    def __repr__(self):
-        inner = ", ".join("x%d/%s" % (i, self.map[i]) for i in sorted(self.map))
-        return "[%s]" % inner
-
-
-def instantiate(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
-    """Eσ for a finite E, where binding maps variable indices to ids.
-
-    Builds every node below t in ascending id order, so each node's
-    children are already canonical and plain hash-consing finds any
-    existing node, cyclic ones included.
-    """
+    if not binding:
+        return t
+    order = sorted(ts.reachable([t]))
+    nodes = ts.nodes
+    if any(c >= u for u in order if nodes[u][0] == APP for c in nodes[u][2]):
+        return _redirect(ts, t, binding, binding.values())
     out: dict[TermId, TermId] = {}
-    for u in sorted(ts.reachable([t])):
-        node = ts.nodes[u]
+    for u in order:
+        node = nodes[u]
         if node[0] == VAR:
             out[u] = binding.get(node[1], u)
         else:
@@ -567,37 +522,32 @@ def instantiate(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
     return out[t]
 
 
-def apply_subst(ts: TermStore, t: TermId, sigma: Substitution) -> TermId:
-    """Eσ: redirect each arc leading to a supported variable."""
-    if not sigma.map:
-        return t
-    if is_finite(ts, t):
-        return instantiate(ts, t, sigma.map)
-    return _redirect(ts, t, sigma.map, sigma.map.values())
-
-
 def _redirect(ts: TermStore, t: TermId, target: dict, below=()) -> TermId:
     """Intern t with every arc into a variable x_i of `target` turned
-    toward the raw node target[i]. t's nodes are renamed apart as
-    ("t", id); the stored nodes reachable from `below` join the graph
-    under their own ids, so the graph is closed and a new cycle that
-    runs through them is matched with the stored term it equals."""
-    raw = {u: ts.nodes[u] for u in ts.reachable(below)}
+    toward the node named target[i]. t's nodes are named ("t", id); the
+    stored nodes reachable from `below` join the graph under their own
+    ids, so the graph is closed and a new cycle that runs through them
+    is matched with the stored term it equals."""
+    names = [("t", u) for u in sorted(ts.reachable([t]))
+             if not (ts.nodes[u][0] == VAR and ts.nodes[u][1] in target)]
+    names += sorted(ts.reachable(below))
+    index = {name: k for k, name in enumerate(names)}
 
-    def name(u):
+    def ref(u):
         node = ts.nodes[u]
         if node[0] == VAR and node[1] in target:
-            return target[node[1]]
-        return ("t", u)
+            return index[target[node[1]]]
+        return index[("t", u)]
 
-    for u in ts.reachable([t]):
-        node = ts.nodes[u]
-        if node[0] == APP:
-            raw[("t", u)] = (APP, node[1], [name(c) for c in node[2]])
-        elif node[1] not in target:
-            raw[("t", u)] = node
-    [out] = ts.intern_raw(raw, [name(t)])
-    return out
+    nodes = []
+    for name in names:
+        if type(name) is tuple:
+            node, kid = ts.nodes[name[1]], ref
+        else:
+            node, kid = ts.nodes[name], index.__getitem__
+        nodes.append(node if node[0] == VAR else
+                     (APP, node[1], [kid(c) for c in node[2]]))
+    return ts.intern_raw(nodes, [ref(t)])[0]
 
 
 def omega_iterate(ts: TermStore, h: TermId, i: int) -> TermId:
@@ -608,5 +558,5 @@ def omega_iterate(ts: TermStore, h: TermId, i: int) -> TermId:
         return h
     if i not in varin(ts, [h]):
         return h
-    # arcs to x_i turn into arcs back to the (raw) root
+    # arcs to x_i turn into arcs back to the root
     return _redirect(ts, h, {i: ("t", h)})

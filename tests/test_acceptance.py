@@ -8,7 +8,7 @@ import random
 from contextlib import contextmanager
 
 from fogbisim.terms import (
-    Substitution, TermStore, apply_subst, height, omega_iterate, parse_term,
+    TermStore, apply_subst, height, omega_iterate, parse_term,
     pressize, varin,
 )
 from fogbisim.grammar import (
@@ -52,7 +52,7 @@ def test_criterion_01_term_figure_regression():
         arities = {"A": 3, "B": 0, "C": 2, "D": 2}
         ts = TermStore()
         e1 = parse_term(ts, "A(D(x5,C(x2,B)),x5,B)", arities)
-        e2 = apply_subst(ts, e1, Substitution(ts, {2: e1}))
+        e2 = apply_subst(ts, e1, {2: e1})
         e3 = omega_iterate(ts, e1, 2)
         assert pressize(ts, [e1]) == 6
         assert pressize(ts, [e3]) == 5
@@ -78,9 +78,10 @@ def test_criterion_02_sink_word_oracle():
             g = random_grammar(seed, max_nonterminals=4, max_arity=3,
                                max_rules=8)
             table = compute_sink_table(g)
-            assert set(table.entries) == saturate_sinkable(g)
-            bfs = bfs_sink_words(g, table.max_len() + 1)
-            for key, w in table.entries.items():
+            assert set(table) == saturate_sinkable(g)
+            longest = max(map(len, table.values()), default=0)
+            bfs = bfs_sink_words(g, longest + 1)
+            for key, w in table.items():
                 assert bfs[key] == w
 
 
@@ -112,10 +113,8 @@ def test_criterion_03_eq_level_property_battery():
                                        rng.randint(0, 2))
                 f = random_finite_term(rng, ts, g.arities, [1, 2],
                                        rng.randint(0, 2))
-                s1 = Substitution(ts, {i: random_ground_term(rng, g, 1)
-                                       for i in (1, 2)})
-                s2 = Substitution(ts, {i: random_ground_term(rng, g, 1)
-                                       for i in (1, 2)})
+                s1 = {i: random_ground_term(rng, g, 1) for i in (1, 2)}
+                s2 = {i: random_ground_term(rng, g, 1) for i in (1, 2)}
                 assert o.level(e, f) <= o.level(
                     apply_subst(ts, e, s1), apply_subst(ts, f, s1))
                 assert eq_level_subst(o, s1, s2).value <= o.level(
@@ -144,7 +143,8 @@ def test_criterion_05_sink_witness_battery():
             for g, o, e, f, s, k, ell in witness_instances(seed, 12):
                 i, h, w = find_sink_witness(o, e, f, s, k, ell)
                 ts = g.ts
-                assert i in s.support() and h != ts.var(i) and len(w) <= k
+                assert s.get(i, ts.var(i)) != ts.var(i) != h
+                assert len(w) <= k
                 path = run_word(g, e, w)
                 if path is None or path[-1] != ts.var(i):
                     path = run_word(g, f, w)
@@ -240,8 +240,7 @@ def test_criterion_08_bound_mechanization():
         universe = list(enumerate_pairs(o, 1, 2))
         built = 0
         for _ in range(80):
-            sigma = Substitution(
-                ts, {1: random_ground_term(rng, g, rng.randint(0, 2))})
+            sigma = {1: random_ground_term(rng, g, rng.randint(0, 2))}
             scored = []
             for (e, f), lv, sz, eq in universe:
                 inst = o.level(apply_subst(ts, e, sigma),

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from fogbisim.terms import (
-    Substitution, apply_subst, is_finite, omega_iterate, parse_term, pressize,
+    apply_subst, is_finite, omega_iterate, parse_term, pressize, refine,
     varin,
 )
 from fogbisim.grammar import parse_grammar
@@ -47,7 +47,7 @@ def test_check_nsg_sequence_basic():
     g = g1()
     ts = g.ts
     o = EqOracle(g, 12)
-    sigma = Substitution(ts, {1: tower(g, 1)})
+    sigma = {1: tower(g, 1)}
     x1 = ts.var(1)
     # (x1 sigma, A(x1) sigma) = (A(Z), A(A(Z))): eq-level 1
     seq = NsgSequence([(x1, ts.app("A", (x1,)))], sigma)
@@ -62,7 +62,7 @@ def test_check_nsg_sequence_strict_decrease():
     g = g1()
     ts = g.ts
     o = EqOracle(g, 12)
-    sigma = Substitution(ts, {1: parse_term(ts, "Z", g.arities)})
+    sigma = {1: parse_term(ts, "Z", g.arities)}
     a1 = ts.app("A", (ts.var(1),))
     a2 = ts.app("A", (a1,))
     a3 = ts.app("A", (a2,))
@@ -79,7 +79,7 @@ def test_check_nsg_sequence_cutoff_breach():
     g = g1()
     ts = g.ts
     o = EqOracle(g, 6)
-    sigma = Substitution(ts, {1: parse_term(ts, "Z", g.arities)})
+    sigma = {1: parse_term(ts, "Z", g.arities)}
     z = parse_term(ts, "Z", g.arities)
     mu = omega_iterate(ts, ts.app("A", (ts.var(1),)), 1)
     # eqlevel(Z sigma, mu sigma) may exceed the cutoff? Z vs mu is 0;
@@ -104,9 +104,8 @@ def reduction_instances(seed, count, cutoff=7):
         o = EqOracle(g, cutoff)
         e1 = random_finite_term(rng, ts, g.arities, [1, 2], rng.randint(0, 2))
         f1 = random_finite_term(rng, ts, g.arities, [1, 2], rng.randint(0, 2))
-        sigma = Substitution(
-            ts, {i: random_ground_term(rng, g, rng.randint(0, 1))
-                 for i in (1, 2)})
+        sigma = {i: random_ground_term(rng, g, rng.randint(0, 1))
+                 for i in (1, 2)}
         k = o.level(e1, f1)
         ell = o.level(apply_subst(ts, e1, sigma), apply_subst(ts, f1, sigma))
         if not (k < ell < cutoff):
@@ -153,7 +152,7 @@ def test_reduce_nsg_step_errors():
     g = g1()
     ts = g.ts
     o = EqOracle(g, 12)
-    sigma = Substitution(ts, {1: parse_term(ts, "Z", g.arities)})
+    sigma = {1: parse_term(ts, "Z", g.arities)}
     a1 = ts.app("A", (ts.var(1),))
     a2 = ts.app("A", (a1,))
     seq = NsgSequence([(a1, a2)], sigma)
@@ -307,13 +306,7 @@ def reference_enumerate_terms(g, max_vars, max_size, budget=2_000_000):
                             stack.append(child)
             if len(seen) != k:
                 continue
-            raw = {}
-            for idx, node in enumerate(assignment):
-                if node[0] == "var":
-                    raw[idx] = ("var", node[1])
-                else:
-                    raw[idx] = ("app", node[1], list(node[2]))
-            out.add(ts.intern_raw(raw, [0])[0])
+            out.add(ts.intern_raw(assignment, [0])[0])
     return sorted(out)
 
 
@@ -407,8 +400,7 @@ def test_enumerate_terms_keeps_the_store_minimal():
                                                   budget)
                     continue
                 ts = g.ts
-                blocks = ts._refine(dict(enumerate(ts.nodes)))
-                assert all(len(b) == 1 for b in blocks), (max_vars, size)
+                assert refine(ts.nodes)[1] == len(ts.nodes), (max_vars, size)
                 ref = fresh()
                 want = reference_enumerate_terms(ref, max_vars, size, budget)
                 assert sorted(bfs_render(ts, t) for t in got) == \
@@ -739,7 +731,7 @@ def test_sequence_bound_on_g1():
     universe = [(pr, lv, sz, eq) for pr, lv, sz, eq in enumerate_pairs(o, 1, 2)]
     built = 0
     for _ in range(60):
-        sigma = Substitution(ts, {1: random_ground_term(rng, g, rng.randint(0, 2))})
+        sigma = {1: random_ground_term(rng, g, rng.randint(0, 2))}
         scored = []
         for (e, f), lv, sz, eq in universe:
             inst = o.level(apply_subst(ts, e, sigma), apply_subst(ts, f, sigma))

@@ -146,6 +146,7 @@ def test_cyclic_term_rows_are_one_line(capsys):
     ("node n = Q(n)\nroot t = n", "line 1: unknown nonterminal 'Q'"),
     ("node a = A(a); node b = Z; root t = a; root t = b",
      "expected exactly one root, got 2"),
+    ("node n = A(m); root t = n", "dangling reference 'm' in node 'n'"),
 ])
 def test_bad_graph_term_is_one_error_line(capsys, graph, why):
     code, out, err = run(capsys, "eqlevel", "--grammar", G1,

@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from fogbisim.terms import (
-    Substitution, apply_subst, intern_graph, is_finite, parse_term,
+    apply_subst, intern_graph, is_finite, parse_term,
 )
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import enabled_actions, run_word, step_action
@@ -149,8 +149,9 @@ def eq_level_subst(o, s1, s2):
     pairs they bind a variable of either support to, as a Level. A
     reference of the paper's proofs."""
     e = o.cutoff
-    for i in sorted(s1.support() | s2.support()):
-        e = min(e, o.level(s1.lookup(i), s2.lookup(i)))
+    ts = o.g.ts
+    for i in sorted(s1.keys() | s2.keys()):
+        e = min(e, o.level(s1.get(i, ts.var(i)), s2.get(i, ts.var(i))))
         if e == 0:
             break
     return Level.finite(e) if e < o.cutoff else Level.at_least(o.cutoff)
@@ -160,12 +161,12 @@ def test_eq_level_subst():
     g = g1()
     o = EqOracle(g, 12)
     ts = g.ts
-    s1 = Substitution(ts, {1: ts.var(2)})
-    s2 = Substitution(ts, {1: parse_term(ts, "Z", g.arities)})
+    s1 = {1: ts.var(2)}
+    s2 = {1: parse_term(ts, "Z", g.arities)}
     assert eq_level_subst(o, s1, s2) == Level.finite(0)
     assert eq_level_subst(o, s1, s1) == Level.at_least(12)
-    s3 = Substitution(ts, {1: tower(g, 2)})
-    s4 = Substitution(ts, {1: tower(g, 4)})
+    s3 = {1: tower(g, 2)}
+    s4 = {1: tower(g, 4)}
     assert eq_level_subst(o, s3, s4) == Level.finite(2)
 
 
@@ -337,8 +338,8 @@ def test_congruence_inequalities(seed):
     for _ in range(10):
         e = random_finite_term(rng, ts, g.arities, [1, 2], rng.randint(0, 2))
         f = random_finite_term(rng, ts, g.arities, [1, 2], rng.randint(0, 2))
-        s1 = Substitution(ts, {i: random_ground_term(rng, g, 1) for i in (1, 2)})
-        s2 = Substitution(ts, {i: random_ground_term(rng, g, 1) for i in (1, 2)})
+        s1 = {i: random_ground_term(rng, g, 1) for i in (1, 2)}
+        s2 = {i: random_ground_term(rng, g, 1) for i in (1, 2)}
         # substitution cannot lower the eq-level
         assert o.level(e, f) <= o.level(
             apply_subst(ts, e, s1), apply_subst(ts, f, s1))
@@ -435,8 +436,8 @@ def witness_instances(seed, count, cutoff=7):
         o = EqOracle(g, cutoff)
         e = random_finite_term(rng, ts, g.arities, [1, 2], rng.randint(0, 2))
         f = random_finite_term(rng, ts, g.arities, [1, 2], rng.randint(0, 2))
-        s = Substitution(ts, {i: random_ground_term(rng, g, rng.randint(0, 1))
-                              for i in (1, 2)})
+        s = {i: random_ground_term(rng, g, rng.randint(0, 1))
+             for i in (1, 2)}
         k = o.level(e, f)
         ell = o.level(apply_subst(ts, e, s), apply_subst(ts, f, s))
         if k < ell < cutoff:
@@ -451,7 +452,7 @@ def test_sink_witnesses(seed):
     for g, o, e, f, s, k, ell in instances:
         i, h, w = find_sink_witness(o, e, f, s, k, ell)
         ts = g.ts
-        assert i in s.support()
+        assert s.get(i, ts.var(i)) != ts.var(i)
         assert h != ts.var(i)
         assert len(w) <= k
         # replay the witness word on the sinking side
@@ -470,7 +471,21 @@ def test_sink_witness_base_case():
     o = EqOracle(g, 10)
     ts = g.ts
     e, f = ts.var(1), tower(g, 1)
-    s = Substitution(ts, {1: tower(g, 1)})
+    s = {1: tower(g, 1)}
     k = o.level(e, f)
     ell = o.level(apply_subst(ts, e, s), apply_subst(ts, f, s))
     assert k == 0 and ell == 10  # A(Z) vs A(Z) reaches the cutoff
+
+
+def test_sink_witness_skips_identity_bindings():
+    """A binding x_i -> x_i counts as no binding. Here x1 sigma = x2 sigma
+    = x1, so the first candidate, x1 against H = x2, would pass the
+    level check if x1 counted as bound; the witness is x2 against x1."""
+    g = g1()
+    o = EqOracle(g, 10)
+    ts = g.ts
+    x1, x2 = ts.var(1), ts.var(2)
+    sigma = {1: x1, 2: x1}
+    ell = o.level(apply_subst(ts, x1, sigma), apply_subst(ts, x2, sigma))
+    assert o.level(x1, x2) == 0 and ell == 10
+    assert find_sink_witness(o, x1, x2, sigma, 0, ell) == (2, x1, ())

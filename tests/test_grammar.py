@@ -89,7 +89,7 @@ def test_sink_and_constants_are_cached_on_the_grammar(monkeypatch):
     assert calls == []  # parsing computes neither
     assert g.constants is g.constants and g.sink is g.sink
     assert calls == [g]  # the constants read the one cached table
-    assert g.sink.entries == compute_sink_table(g).entries
+    assert g.sink == compute_sink_table(g)
     assert g.constants.as_dict() == compute_constants(g).as_dict()
 
 
@@ -115,14 +115,14 @@ def test_stepinc_is_computed_apart_from_the_constants(monkeypatch):
 def test_g1_sink_table():
     g = g1()
     t = compute_sink_table(g)
-    assert t.get("A", 1) == ("r1",)
-    assert t.get("Z", 1) is None  # arity 0, no positions at all
-    assert ("Z", 1) not in t.entries
+    assert t[("A", 1)] == ("r1",)
+    assert t.get(("Z", 1)) is None  # arity 0, no positions at all
+    assert ("Z", 1) not in t
 
 
 def test_no_sink_word_self_loop():
     g = parse_grammar("nonterminals: A/1\nactions: a\nrule r1: A(x1) -a-> A(x1)\n")
-    assert compute_sink_table(g).entries == {}
+    assert compute_sink_table(g) == {}
 
 
 def test_g1_constants():
@@ -214,13 +214,13 @@ def test_sink_table_matches_oracles(seed):
     g = random_grammar(seed)
     table = compute_sink_table(g)
     # existence agrees with the boolean saturation oracle
-    assert set(table.entries) == saturate_sinkable(g)
-    cap = table.max_len() + 1
+    assert set(table) == saturate_sinkable(g)
+    cap = max(map(len, table.values()), default=0) + 1
     bfs = bfs_sink_words(g, cap)
-    for key, w in table.entries.items():
+    for key, w in table.items():
         assert bfs[key] == w, (key, w, bfs[key])
     # replay soundness
-    for (nt, i), w in table.entries.items():
+    for (nt, i), w in table.items():
         t = g.lhs_term(nt)
         for rid in w:
             t = step_rule(g, t, rid)
@@ -235,7 +235,7 @@ def test_sink_length_bound(seed):
     c = compute_constants(g)
     na = sum(g.arities.values())
     h = 2 + c.hinc
-    for w in table.entries.values():
+    for w in table.values():
         assert len(w) <= h ** na
 
 
@@ -261,11 +261,11 @@ def test_constants_monotone_under_added_rules(seed):
         rules.append(Rule("e%d" % len(rules), r.lhs, r.action, rhs))
     g2 = Grammar(ts, arities, actions, rules)
     c2 = compute_constants(g2)
-    assert c2.d0 <= c1.d0 or set(compute_sink_table(g).entries) != set(
-        compute_sink_table(g2).entries)
+    assert c2.d0 <= c1.d0 or set(compute_sink_table(g)) != set(
+        compute_sink_table(g2))
     # adding rules can only shorten sink words for existing entries
     t1, t2 = compute_sink_table(g), compute_sink_table(g2)
-    for key, w in t1.entries.items():
-        assert key in t2.entries and len(t2.entries[key]) <= len(w)
+    for key, w in t1.items():
+        assert key in t2 and len(t2[key]) <= len(w)
     assert c2.stepinc >= c1.stepinc
     assert c2.hinc >= c1.hinc

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fogbisim.terms import (
-    height, instantiate, is_finite, parse_term, pressize, varin,
+    apply_subst, height, is_finite, parse_term, pressize, varin,
 )
 from fogbisim.grammar import (
     GrammarError, parse_grammar, compute_constants, compute_sink_table,
@@ -85,7 +85,7 @@ def test_step_action_table_matches_step_rule(seed):
     for t, a, got in asked:
         # every rule with label a and t's root, in declaration order
         binding = dict(enumerate(g.ts.children(t), 1))
-        fresh = tuple((r.rid, instantiate(g.ts, r.rhs, binding)) for r in g.rules
+        fresh = tuple((r.rid, apply_subst(g.ts, r.rhs, binding)) for r in g.rules
                       if r.action == a and r.lhs == g.ts.root(t))
         assert got == fresh
 
@@ -97,9 +97,9 @@ def test_rule_steps_are_answered_from_the_table(seed, monkeypatch):
 
     def counted(ts, t, binding):
         calls.append(t)
-        return instantiate(ts, t, binding)
+        return apply_subst(ts, t, binding)
 
-    monkeypatch.setattr(lts, "instantiate", counted)
+    monkeypatch.setattr(lts, "apply_subst", counted)
     rng = random.Random(seed)
     g = random_grammar(seed)
     starts = [random_ground_term(rng, g, rng.randint(0, 3)) for _ in range(5)]
@@ -147,7 +147,7 @@ def test_run_word():
 def test_sink_word_replay():
     g = g1()
     table = compute_sink_table(g)
-    w = table.get("A", 1)
+    w = table[("A", 1)]
     path = run_word(g, g.lhs_term("A"), w)
     assert g.ts.is_var(path[-1]) and g.ts.var_index(path[-1]) == 1
 

@@ -282,7 +282,7 @@ def test_p_top_form_deep_term():
     w = parse_term(ts, "A(" * 3000 + "Z" + ")" * 3000, g.arities)
     top, sigma = p_top_form(ts, w, 2999)
     assert varin(ts, [top]) == {1}
-    assert sigma.lookup(1) == parse_term(ts, "A(Z)", g.arities)
+    assert sigma[1] == parse_term(ts, "A(Z)", g.arities)
     assert apply_subst(ts, top, sigma) == w
 
 
@@ -321,7 +321,7 @@ def test_balance_step_chain_grammar():
     z = parse_term(ts, "Z", g.arities)
     assert info.pivot == u
     assert info.vbar == {1: ("b1",)}
-    assert info.sigma_pp.lookup(1) == z
+    assert info.sigma_pp[1] == z
     assert info.bal_pair == rho.finish  # Q(Z) already had the Z argument
     assert o.level(*info.bal_pair) == 0
 
@@ -342,7 +342,7 @@ def test_balance_step_tie_goes_to_the_first_declared_word():
     assert o.level(t, u) == 2 and g.constants.d0 == 2
     info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), 0)
     assert info.vbar == {1: ("b9",)}
-    assert info.sigma_pp.lookup(1) == w
+    assert info.sigma_pp[1] == w
 
 
 def test_balance_step_not_enabled():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fogbisim.terms import (
-    TermStore, TermError, Substitution, apply_subst, height,
+    TermStore, TermError, apply_subst, height,
     intern_graph, is_finite, omega_iterate, parse_term, pressize, propsize,
-    render_term, varin,
+    refine, render_term, varin,
 )
 
 
@@ -15,7 +15,7 @@ ARITIES = {"A": 3, "B": 0, "C": 2, "D": 2}
 
 def fig1_terms(ts):
     e1 = parse_term(ts, "A(D(x5,C(x2,B)),x5,B)", ARITIES)
-    e2 = apply_subst(ts, e1, Substitution(ts, {2: e1}))
+    e2 = apply_subst(ts, e1, {2: e1})
     e3 = omega_iterate(ts, e1, 2)
     return e1, e2, e3
 
@@ -111,38 +111,40 @@ def test_intern_graph_errors():
 def test_apply_subst_fig1():
     ts = TermStore()
     e1, e2, _ = fig1_terms(ts)
-    assert apply_subst(ts, e1, Substitution(ts, {2: e1})) == e2
+    assert apply_subst(ts, e1, {2: e1}) == e2
     assert pressize(ts, [e2]) == 9  # shares E1's nodes
 
 
 def test_apply_subst_trivia():
     ts = TermStore()
     t = parse_term(ts, "A(x1,x2)", {"A": 2})
-    assert apply_subst(ts, t, Substitution(ts)) == t
-    r = apply_subst(ts, t, Substitution(ts, {1: ts.var(2)}))
+    assert apply_subst(ts, t, {}) == t
+    r = apply_subst(ts, t, {1: ts.var(2)})
     assert r == parse_term(ts, "A(x2,x2)", {"A": 2})
 
 
 def test_subst_support_drops_identities():
     ts = TermStore()
-    s = Substitution(ts, {1: ts.var(1), 2: ts.var(5)})
-    assert s.support() == {2}
+    t = parse_term(ts, "A(x1,x2)", {"A": 2})
+    assert apply_subst(ts, t, {1: ts.var(1), 2: ts.var(5)}) == \
+        apply_subst(ts, t, {2: ts.var(5)})
+    assert apply_subst(ts, t, {1: ts.var(1)}) == t
 
 
 def compose(ts, s1, s2):
     """σ1σ2 with x(σ1σ2) = (xσ1)σ2; a reference for the substitution
     laws below."""
     m = {}
-    for i in s1.support() | s2.support():
-        m[i] = apply_subst(ts, s1.lookup(i), s2)
-    return Substitution(ts, m)
+    for i in s1.keys() | s2.keys():
+        m[i] = apply_subst(ts, s1.get(i, ts.var(i)), s2)
+    return {i: t for i, t in m.items() if t != ts.var(i)}
 
 
 def test_compose_chases_bindings():
     ts = TermStore()
     b = parse_term(ts, "B")
-    s = compose(ts, Substitution(ts, {1: ts.var(2)}), Substitution(ts, {2: b}))
-    assert s.lookup(1) == b and s.lookup(2) == b
+    s = compose(ts, {1: ts.var(2)}, {2: b})
+    assert s[1] == b and s[2] == b
 
 
 def test_omega_iterate_fig1():
@@ -192,7 +194,7 @@ def test_omega_iterate_agrees_with_finite_unfolding():
     # E3 unfolds like E1[x2/E1]^k to any depth k
     t = e1
     for _ in range(4):
-        t = apply_subst(ts, t, Substitution(ts, {2: e1}))
+        t = apply_subst(ts, t, {2: e1})
     d = 4
     assert unfold(ts, e3, d) == unfold(ts, t, d)
 
@@ -229,7 +231,7 @@ def substs(draw):
 
 
 def mk_subst(ts, pairs):
-    return Substitution(ts, {i: build(ts, tr) for i, tr in pairs})
+    return {i: build(ts, tr) for i, tr in pairs}
 
 
 # cyclic images over NT, in the term-graph text format
@@ -279,7 +281,11 @@ def subst_by_raw_graph(ts, t, binding):
             raw[("t", u)] = ("app", node[1], [ref(c) for c in node[2]])
         elif node[1] not in binding:
             raw[("t", u)] = node
-    [out] = ts.intern_raw(raw, [ref(t)])
+    index = {name: k for k, name in enumerate(raw)}
+    nodes = [node if node[0] == "var" else
+             ("app", node[1], [index[name] for name in node[2]])
+             for node in raw.values()]
+    [out] = ts.intern_raw(nodes, [index[ref(t)]])
     return out
 
 
@@ -288,23 +294,24 @@ def test_apply_subst_finds_stored_cycle():
     ts = TermStore()
     w = intern_graph(ts, "node a = A(a,a)\nroot t = a")
     h = intern_graph(ts, "node b = A(b,x)\nnode x = x1\nroot t = b")
-    got = apply_subst(ts, h, Substitution(ts, {1: w}))
+    got = apply_subst(ts, h, {1: w})
     assert (got, pressize(ts, [got])) == (w, 1)
 
 
 @st.composite
 def raw_graphs(draw):
-    """A raw graph of one to three nodes over A/2, C/1, x1 and x2, rooted
-    at node 0; most of them are cyclic."""
+    """A term graph of one to three nodes over A/2, C/1, x1 and x2,
+    rooted at node 0; most of them are cyclic."""
     k = draw(st.integers(min_value=1, max_value=3))
     node = st.integers(min_value=0, max_value=k - 1)
-    raw = {}
-    for n in range(k):
+    raw = []
+    for _ in range(k):
         kind = draw(st.sampled_from(["A", "C", "x"]))
         if kind == "x":
-            raw[n] = ("var", draw(st.integers(min_value=1, max_value=2)))
+            raw.append(("var", draw(st.integers(min_value=1, max_value=2))))
         else:
-            raw[n] = ("app", kind, [draw(node) for _ in range(2 if kind == "A" else 1)])
+            raw.append(("app", kind,
+                        [draw(node) for _ in range(2 if kind == "A" else 1)]))
     return raw
 
 
@@ -315,8 +322,8 @@ STORE_STEP = st.tuples(raw_graphs(), st.integers(min_value=1, max_value=2),
 
 @given(st.lists(STORE_STEP, min_size=1, max_size=6))
 # w = A(w,w), then h = A(h,x1) with x1 := w, as in the test above
-@example([({0: ("app", "A", [0, 0])}, 1, 0, 0),
-          ({0: ("app", "A", [0, 1]), 1: ("var", 1)}, 1, 3, 0)])
+@example([([("app", "A", [0, 0])], 1, 0, 0),
+          ([("app", "A", [0, 1]), ("var", 1)], 1, 3, 0)])
 @settings(max_examples=200, deadline=None)
 def test_store_holds_one_node_per_class(steps):
     ts = TermStore()
@@ -325,12 +332,98 @@ def test_store_holds_one_node_per_class(steps):
         terms.append(ts.intern_raw(raw, [0])[0])
         terms.append(omega_iterate(ts, terms[a % len(terms)], i))
         t, img = terms[a % len(terms)], terms[b % len(terms)]
-        sigma = Substitution(ts, {i: img})
+        sigma = {i: img}
         terms.append(apply_subst(ts, t, sigma))
-        assert terms[-1] == subst_by_raw_graph(ts, t, sigma.map)
+        assert terms[-1] == subst_by_raw_graph(ts, t, sigma)
     # refining the whole store finds no two bisimilar nodes
-    blocks = ts._refine(dict(enumerate(ts.nodes)))
-    assert all(len(block) == 1 for block in blocks)
+    assert refine(ts.nodes)[1] == len(ts.nodes)
+
+
+
+def reference_refine(raw: dict) -> list[list]:
+    """Partition refinement over the nodes of a closed graph given as a
+    dict of named nodes, names in `repr` order; returns the blocks as
+    lists of names. The store's refinement before `refine`, kept as its
+    reference."""
+    names = sorted(raw.keys(), key=repr)
+
+    def initial(name):
+        node = raw[name]
+        if node[0] == "var":
+            return ("var", node[1])
+        return ("app", node[1], len(node[2]))
+
+    block_of = {}
+    keys = {}
+    for name in names:
+        keys.setdefault(initial(name), []).append(name)
+    for b, key in enumerate(sorted(keys, key=repr)):
+        for name in keys[key]:
+            block_of[name] = b
+
+    while True:
+        sig = {}
+        for name in names:
+            node = raw[name]
+            if node[0] == "var":
+                sig[name] = ("var", node[1])
+            else:
+                sig[name] = ("app", node[1],
+                             tuple(block_of[ref] for ref in node[2]))
+        groups = {}
+        for name in names:
+            groups.setdefault((block_of[name], sig[name]), []).append(name)
+        if len(groups) == len(set(block_of.values())):
+            break
+        for b, key in enumerate(sorted(groups, key=repr)):
+            for name in groups[key]:
+                block_of[name] = b
+
+    blocks: dict[int, list] = {}
+    for name in names:
+        blocks.setdefault(block_of[name], []).append(name)
+    return [blocks[b] for b in sorted(blocks)]
+
+
+# A is used with one child and with two
+LABELS = [("A", 1), ("A", 2), ("B", 0), ("C", 1), ("x", 1), ("x", 2)]
+
+
+@st.composite
+def closed_graphs(draw):
+    """A closed term graph of one to six nodes, any node a child of any
+    other, so most are cyclic; half of them are followed by a copy of
+    themselves whose arcs lead into either copy, which adds a bisimilar
+    duplicate of every node."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    nodes = []
+    for _ in range(k):
+        name, n = draw(st.sampled_from(LABELS))
+        if name == "x":
+            nodes.append(("var", n))
+        else:
+            nodes.append(("app", name, [draw(st.integers(0, k - 1))
+                                        for _ in range(n)]))
+    if draw(st.booleans()):
+        nodes += [node if node[0] == "var" else
+                  ("app", node[1], [c + k * draw(st.integers(0, 1))
+                                    for c in node[2]])
+                  for node in nodes]
+    return nodes
+
+
+@given(closed_graphs())
+@example([("app", "A", [2]), ("app", "A", [2, 2]), ("app", "B", []),
+          ("app", "A", [2]), ("var", 1), ("var", 1)])
+@settings(max_examples=300, deadline=None)
+def test_refine_matches_reference(nodes):
+    block, count = refine(nodes)
+    want = reference_refine(dict(enumerate(nodes)))
+    assert count == len(want)
+    got = [[i for i, b in enumerate(block) if b == j] for j in range(count)]
+    assert sorted(got) == sorted(sorted(members) for members in want)
+    # blocks are numbered by first occurrence
+    assert [members[0] for members in got] == sorted(m[0] for m in got)
 
 
 @given(finite_terms(), st.lists(
@@ -338,9 +431,9 @@ def test_store_holds_one_node_per_class(steps):
 @settings(max_examples=200, deadline=None)
 def test_apply_subst_matches_raw_graph_interning(tree, pairs):
     ts = TermStore()
-    sigma = Substitution(ts, {i: mk_image(ts, img) for i, img in pairs})
+    sigma = {i: mk_image(ts, img) for i, img in pairs}
     t = build(ts, tree)
-    want = subst_by_raw_graph(ts, t, sigma.map)
+    want = subst_by_raw_graph(ts, t, sigma)
     assert apply_subst(ts, t, sigma) == want
 
 
@@ -376,7 +469,7 @@ def test_omega_iterate_contract(tree, i, pairs):
     assert i not in varin(ts, [h2])
     assert pressize(ts, [h2]) <= pressize(ts, [h])
     sigma = mk_subst(ts, pairs)
-    without_i = Substitution(ts, {j: v for j, v in sigma.map.items() if j != i})
+    without_i = {j: v for j, v in sigma.items() if j != i}
     assert apply_subst(ts, h2, sigma) == apply_subst(ts, h2, without_i)
 
 
