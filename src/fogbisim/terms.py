@@ -9,9 +9,11 @@ A term graph is a list of nodes whose children are list indices.
 Finite terms over canonical children are interned by plain
 hash-consing. Graphs that may contain cycles go through a
 canonicalization routine that quotients the graph by bisimulation
-(`refine`) and then matches the quotient against the store bottom-up:
-acyclic nodes by hash-consing, cyclic strongly connected components by
-a canonical serialization of their subgraph. A substitution is a plain
+(`refine`) and then matches the quotient against the store: finite
+nodes by hash-consing, every node that reaches a cycle by a key, the
+serialization of the part of the graph below it that reaches a cycle.
+The quotient is minimal, so the key depends on the graph alone and no
+strongly connected components are computed. A substitution is a plain
 dict from variable indices to ids, applied by `apply_subst`.
 """
 
@@ -51,30 +53,48 @@ def refine(nodes) -> tuple[list[int], int]:
     return block, len(blocks)
 
 
+def _key(nodes, b, assign) -> tuple:
+    """Preorder serialization, children left to right, of the id-less
+    nodes reachable from b; a child with an id is the atom ("ext", id),
+    an id-less one its preorder number."""
+    numbering: dict = {}
+    stack = [b]
+    while stack:
+        v = stack.pop()
+        if v not in numbering:
+            numbering[v] = len(numbering)
+            stack.extend(c for c in reversed(nodes[v][2]) if assign[c] is None)
+    return tuple((nodes[v][1], tuple(("ext", assign[c]) if assign[c] is not None
+                                     else numbering[c] for c in nodes[v][2]))
+                 for v in numbering)
+
+
 class TermStore:
     """Append-only interning table for regular terms.
 
     Nodes are tuples: (VAR, index) or (APP, nonterminal, child_ids).
     Children of stored nodes are store ids, so `nodes` is itself a term
-    graph. The store keeps one node per bisimulation class, and an
-    acyclic node is always interned after its children, so every arc
+    graph. The store keeps one node per bisimulation class, and a
+    finite node is always interned after its children, so every arc
     below a finite term leads to a smaller id, while every cycle has an
     arc to an id no smaller than its source. Finite terms can therefore
     be built and walked in ascending id order by plain hash-consing
     (`app`, `apply_subst`); `intern_raw` is needed only for input that
     creates a cycle.
 
-    `intern_minimal` is the step that matches a graph against the store
-    (SCC condensation, hash-consing, cyclic serialization). It requires
-    a closed graph in which no two nodes are bisimilar: `intern_raw`
-    calls it on the quotient `refine` gives, and `bases.enumerate_terms`
-    on each generated graph that `refine` leaves with one block per node.
+    `intern_minimal` is the step that matches a graph against the store:
+    hash-consing, and a key lookup for the nodes that reach a cycle. No
+    SCC condensation is needed, because the key depends on the graph
+    alone. It requires a closed graph in which no two nodes are
+    bisimilar: `intern_raw` calls it on the quotient `refine` gives, and
+    `bases.enumerate_terms` on each generated graph that `refine` leaves
+    with one block per node.
     """
 
     def __init__(self):
         self.nodes: list[tuple] = []
         self._hashcons: dict[tuple, TermId] = {}
-        # canonical serialization of a cyclic class -> representative id
+        # key (`_key`) of a term that reaches a cycle -> its id
         self._cyclic_index: dict[tuple, TermId] = {}
 
     # -- basic constructors -------------------------------------------------
@@ -151,126 +171,55 @@ class TermStore:
 
     def intern_minimal(self, nodes) -> list[TermId]:
         """Map the nodes of a closed term graph with no two bisimilar
-        nodes to canonical store ids, bottom-up; returns the id of each.
+        nodes to canonical store ids; returns the id of each.
 
         nodes is as for `intern_raw`. Nothing is refined: two bisimilar
-        nodes would be stored twice."""
-        # Tarjan condensation, processed in reverse topological order.
+        nodes would be stored twice. Finite nodes are hash-consed. Every
+        other node reaches a cycle, and all their keys (`_key`) are
+        computed before any is looked up, so a key depends on the graph
+        alone. After a hit, hash-consing again finds the nodes above it
+        that `app` or `apply_subst` stored. What is left is new.
+        """
         assign: list = [None] * len(nodes)
-        for scc in self._sccs(nodes):
-            b = scc[0]
+        self._intern_ready(nodes, assign)
+        keys = {b: _key(nodes, b, assign)
+                for b, a in enumerate(assign) if a is None}
+        for b, key in keys.items():
+            assign[b] = self._cyclic_index.get(key)
+        if any(assign[b] is not None for b in keys):
+            self._intern_ready(nodes, assign)
+        new = [b for b, a in enumerate(assign) if a is None]
+        for k, b in enumerate(new):
+            assign[b] = len(self.nodes) + k
+        for b in new:
             node = nodes[b]
-            if node[0] == VAR:
-                assign[b] = self.var(node[1])
-            elif len(scc) == 1 and b not in node[2]:
-                kids = tuple(assign[ref] for ref in node[2])
-                assign[b] = self._intern((APP, node[1], kids))
-            else:
-                self._assign_cyclic(nodes, scc, assign)
+            stored = (APP, node[1], tuple(assign[c] for c in node[2]))
+            self._hashcons[stored] = self._cyclic_index[keys[b]] = assign[b]
+            self.nodes.append(stored)
         return assign
 
-    def _sccs(self, nodes) -> list[list]:
-        """SCCs of the graph in reverse topological order."""
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        out = []
-        counter = [0]
-
-        def succs(b):
+    def _intern_ready(self, nodes, assign):
+        """Hash-cons, children first, every node of the graph whose
+        children all have ids in assign, and fill in its id; a worklist
+        of waiting-child counts keeps this linear."""
+        waiting = [0] * len(nodes)
+        parents: list[list] = [[] for _ in nodes]
+        for b, node in enumerate(nodes):
+            if assign[b] is None and node[0] == APP:
+                for c in node[2]:
+                    if assign[c] is None:
+                        waiting[b] += 1
+                        parents[c].append(b)
+        ready = [b for b, a in enumerate(assign) if a is None and not waiting[b]]
+        while ready:
+            b = ready.pop()
             node = nodes[b]
-            return [] if node[0] == VAR else node[2]
-
-        def strongconnect(b):
-            # iterative Tarjan
-            work = [(b, 0)]
-            while work:
-                v, pi = work.pop()
-                if pi == 0:
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack.add(v)
-                recurse = False
-                ss = succs(v)
-                for i in range(pi, len(ss)):
-                    w = ss[i]
-                    if w not in index:
-                        work.append((v, i + 1))
-                        work.append((w, 0))
-                        recurse = True
-                        break
-                    elif w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if recurse:
-                    continue
-                for w in ss:
-                    if w in low and w in on_stack and w != v:
-                        low[v] = min(low[v], low[w])
-                if low[v] == index[v]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        scc.append(w)
-                        if w == v:
-                            break
-                    out.append(sorted(scc))
-
-        for b in range(len(nodes)):
-            if b not in index:
-                strongconnect(b)
-        return out
-
-    def _assign_cyclic(self, nodes, scc, assign):
-        members = set(scc)
-        keys = {b: self._serialize(nodes, b, members, assign) for b in scc}
-        hits = {b: self._cyclic_index.get(keys[b]) for b in scc}
-        found = [b for b in scc if hits[b] is not None]
-        if found:
-            # the store holds every subterm of its members, so one hit
-            # means the whole class is present
-            for b in scc:
-                if hits[b] is None:
-                    raise TermError("inconsistent cyclic index")
-                assign[b] = hits[b]
-            return
-        for b in scc:
-            assign[b] = len(self.nodes)
-            self.nodes.append(None)  # patched below
-        for b in scc:
-            node = nodes[b]
-            stored = (APP, node[1], tuple(assign[ref] for ref in node[2]))
-            self.nodes[assign[b]] = stored
-            self._hashcons[stored] = assign[b]
-            self._cyclic_index[keys[b]] = assign[b]
-
-    def _serialize(self, nodes, b, members, assign) -> tuple:
-        """Canonical DFS serialization of the SCC subgraph from b."""
-        numbering = {}
-        out = []
-        stack = [b]
-        # explicit preorder DFS, children left to right
-        order = []
-        while stack:
-            v = stack.pop()
-            if v in numbering:
-                continue
-            numbering[v] = len(numbering)
-            order.append(v)
-            node = nodes[v]
-            kids = [ref for ref in node[2] if ref in members]
-            for w in reversed(kids):
-                if w not in numbering:
-                    stack.append(w)
-        # second pass now that every reachable member is numbered
-        for v in order:
-            node = nodes[v]
-            parts = tuple(("loc", numbering[ref]) if ref in members
-                          else ("ext", assign[ref]) for ref in node[2])
-            out.append((node[1], parts))
-        return tuple(out)
+            assign[b] = self.var(node[1]) if node[0] == VAR else \
+                self._intern((APP, node[1], tuple(assign[c] for c in node[2])))
+            for p in parents[b]:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    ready.append(p)
 
     # -- walks ----------------------------------------------------------------
 
@@ -308,6 +257,8 @@ def intern_graph(ts: TermStore, text: str,
         except ValueError:
             raise TermError("line %d: cannot parse %r" % (lineno, line))
         if kw == "node":
+            if not name:
+                raise TermError("line %d: empty node name" % lineno)
             if name in named:
                 raise TermError("line %d: duplicate node %r" % (lineno, name))
             node, extra = _parse_node(rhs, lineno)
@@ -326,17 +277,26 @@ def intern_graph(ts: TermStore, text: str,
     ((name, target),) = roots
     if target not in named:
         raise TermError("root %r refers to undefined node %r" % (name, target))
-    index = {name: k for k, name in enumerate(named)}
-    nodes = []
     for name, node in named.items():
         if node[0] == APP:
             for ref in node[2]:
-                if ref not in index:
+                if ref not in named:
                     raise TermError("dangling reference %r in node %r"
                                     % (ref, name))
+    # only the nodes the root reaches, numbered breadth first
+    order = [target]
+    index = {target: 0}
+    nodes = []
+    for name in order:
+        node = named[name]
+        if node[0] == APP:
+            for ref in node[2]:
+                if ref not in index:
+                    index[ref] = len(order)
+                    order.append(ref)
             node = (APP, node[1], [index[ref] for ref in node[2]])
         nodes.append(node)
-    return ts.intern_raw(nodes, [index[target]])[0]
+    return ts.intern_raw(nodes, [0])[0]
 
 
 def _parse_node(rhs: str, lineno: int):

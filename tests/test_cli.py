@@ -140,6 +140,18 @@ def test_cyclic_term_rows_are_one_line(capsys):
     assert (code, out) == (0, "at-least 12\n")
 
 
+def test_unreachable_graph_nodes_do_not_change_output(capsys):
+    """Nodes the root does not reach are checked but not interned, so
+    they do not shift the ids a cyclic term is printed with."""
+    code, want, _ = run(capsys, "step", "--grammar", G1,
+                        "--term", A_OMEGA, "--action", "a")
+    assert code == 0 and "root t = " in want
+    code, out, _ = run(capsys, "step", "--grammar", G1, "--term",
+                       "node z = Z; node m = A(z); " + A_OMEGA,
+                       "--action", "a")
+    assert (code, out) == (0, want)
+
+
 @pytest.mark.parametrize("graph, why", [
     ("node n = A(n,n)\nroot t = n",
      "line 1: arity mismatch for 'A': expected 1, got 2"),
@@ -147,6 +159,7 @@ def test_cyclic_term_rows_are_one_line(capsys):
     ("node a = A(a); node b = Z; root t = a; root t = b",
      "expected exactly one root, got 2"),
     ("node n = A(m); root t = n", "dangling reference 'm' in node 'n'"),
+    ("node = Z; root t =", "line 1: empty node name"),
 ])
 def test_bad_graph_term_is_one_error_line(capsys, graph, why):
     code, out, err = run(capsys, "eqlevel", "--grammar", G1,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fogbisim.terms import (
-    TermStore, TermError, apply_subst, height,
+    APP, VAR, TermStore, TermError, apply_subst, height,
     intern_graph, is_finite, omega_iterate, parse_term, pressize, propsize,
     refine, render_term, varin,
 )
@@ -106,6 +106,18 @@ def test_intern_graph_errors():
         intern_graph(ts, "node a = B")
     with pytest.raises(TermError, match="exactly one root, got 2"):
         intern_graph(ts, "node a = B\nroot t = a\nroot u = a")
+
+
+def test_intern_graph_interns_only_what_the_root_reaches():
+    ts = TermStore()
+    z = intern_graph(ts, "node n0 = Z; node n1 = A(n2); node n2 = B(n1, n0);"
+                         " root t = n0")
+    assert (z, len(ts.nodes)) == (0, 1)
+    # every node of the text is still checked
+    with pytest.raises(TermError, match="dangling reference 'q' in node 'b'"):
+        intern_graph(ts, "node a = Z; node b = A(q); root t = a")
+    with pytest.raises(TermError, match="line 1: empty node name"):
+        intern_graph(ts, "node = Z; root t =")
 
 
 def test_apply_subst_fig1():
@@ -424,6 +436,207 @@ def test_refine_matches_reference(nodes):
     assert sorted(got) == sorted(sorted(members) for members in want)
     # blocks are numbered by first occurrence
     assert [members[0] for members in got] == sorted(m[0] for m in got)
+
+
+class ReferenceStore(TermStore):
+    """The store's matching step before keys depended on the graph
+    alone, kept as a reference: Tarjan's SCCs in reverse topological
+    order, acyclic nodes hash-consed, and each cyclic SCC serialized
+    with everything outside it as ("ext", id) atoms."""
+
+    def intern_minimal(self, nodes) -> list:
+        # Tarjan condensation, processed in reverse topological order.
+        assign: list = [None] * len(nodes)
+        for scc in self._sccs(nodes):
+            b = scc[0]
+            node = nodes[b]
+            if node[0] == VAR:
+                assign[b] = self.var(node[1])
+            elif len(scc) == 1 and b not in node[2]:
+                kids = tuple(assign[ref] for ref in node[2])
+                assign[b] = self._intern((APP, node[1], kids))
+            else:
+                self._assign_cyclic(nodes, scc, assign)
+        return assign
+
+    def _sccs(self, nodes) -> list[list]:
+        """SCCs of the graph in reverse topological order."""
+        index = {}
+        low = {}
+        on_stack = set()
+        stack = []
+        out = []
+        counter = [0]
+
+        def succs(b):
+            node = nodes[b]
+            return [] if node[0] == VAR else node[2]
+
+        def strongconnect(b):
+            # iterative Tarjan
+            work = [(b, 0)]
+            while work:
+                v, pi = work.pop()
+                if pi == 0:
+                    index[v] = low[v] = counter[0]
+                    counter[0] += 1
+                    stack.append(v)
+                    on_stack.add(v)
+                recurse = False
+                ss = succs(v)
+                for i in range(pi, len(ss)):
+                    w = ss[i]
+                    if w not in index:
+                        work.append((v, i + 1))
+                        work.append((w, 0))
+                        recurse = True
+                        break
+                    elif w in on_stack:
+                        low[v] = min(low[v], index[w])
+                if recurse:
+                    continue
+                for w in ss:
+                    if w in low and w in on_stack and w != v:
+                        low[v] = min(low[v], low[w])
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    out.append(sorted(scc))
+
+        for b in range(len(nodes)):
+            if b not in index:
+                strongconnect(b)
+        return out
+
+    def _assign_cyclic(self, nodes, scc, assign):
+        members = set(scc)
+        keys = {b: self._serialize(nodes, b, members, assign) for b in scc}
+        hits = {b: self._cyclic_index.get(keys[b]) for b in scc}
+        found = [b for b in scc if hits[b] is not None]
+        if found:
+            # the store holds every subterm of its members, so one hit
+            # means the whole class is present
+            for b in scc:
+                if hits[b] is None:
+                    raise TermError("inconsistent cyclic index")
+                assign[b] = hits[b]
+            return
+        for b in scc:
+            assign[b] = len(self.nodes)
+            self.nodes.append(None)  # patched below
+        for b in scc:
+            node = nodes[b]
+            stored = (APP, node[1], tuple(assign[ref] for ref in node[2]))
+            self.nodes[assign[b]] = stored
+            self._hashcons[stored] = assign[b]
+            self._cyclic_index[keys[b]] = assign[b]
+
+    def _serialize(self, nodes, b, members, assign) -> tuple:
+        """Canonical DFS serialization of the SCC subgraph from b."""
+        numbering = {}
+        out = []
+        stack = [b]
+        # explicit preorder DFS, children left to right
+        order = []
+        while stack:
+            v = stack.pop()
+            if v in numbering:
+                continue
+            numbering[v] = len(numbering)
+            order.append(v)
+            node = nodes[v]
+            kids = [ref for ref in node[2] if ref in members]
+            for w in reversed(kids):
+                if w not in numbering:
+                    stack.append(w)
+        # second pass now that every reachable member is numbered
+        for v in order:
+            node = nodes[v]
+            parts = tuple(("loc", numbering[ref]) if ref in members
+                          else ("ext", assign[ref]) for ref in node[2])
+            out.append((node[1], parts))
+        return tuple(out)
+
+
+def serialize(ts, t):
+    """t's graph in preorder, each id replaced by its preorder number:
+    equal for equal terms of two stores that each hold one node per
+    class."""
+    numbering = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u not in numbering:
+            numbering[u] = len(numbering)
+            stack.extend(reversed(ts.children(u)))
+    return tuple(ts.nodes[u][:2] + tuple(numbering[c] for c in ts.children(u))
+                 for u in numbering)
+
+
+ANY = st.integers(min_value=0, max_value=99)
+SESSION_STEP = st.one_of(
+    st.tuples(st.just("raw"), closed_graphs(), ANY),
+    st.tuples(st.just("subst"), ANY, st.integers(1, 2), ANY),
+    st.tuples(st.just("omega"), ANY, st.integers(1, 2)),
+    st.tuples(st.just("app"), st.sampled_from([("A", 1), ("A", 2), ("C", 1)]),
+              ANY, ANY),
+)
+
+
+def session_step(ts, terms, step):
+    """Run one session step on ts; terms are picked by index into the
+    terms the session has returned so far."""
+    def pick(k):
+        return terms[k % len(terms)]
+
+    kind = step[0]
+    if kind == "raw":
+        nodes = step[1]
+        return ts.intern_raw(nodes, [step[2] % len(nodes)])[0]
+    if kind == "subst":
+        return apply_subst(ts, pick(step[1]), {step[2]: pick(step[3])})
+    if kind == "omega":
+        return omega_iterate(ts, pick(step[1]), step[2])
+    (name, n), first, second = step[1:]
+    return ts.app(name, (pick(first), pick(second))[:n])
+
+
+@given(closed_graphs(), st.lists(SESSION_STEP, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_store_matches_reference_store(first, steps):
+    stores = (ReferenceStore(), TermStore())
+    terms = ([], [])
+    for step in [("raw", first, 0)] + steps:
+        for ts, got in zip(stores, terms):
+            got.append(session_step(ts, got, step))
+        ref, new = stores
+        assert serialize(ref, terms[0][-1]) == serialize(new, terms[1][-1])
+        assert len(ref.nodes) == len(new.nodes)
+        assert refine(new.nodes)[1] == len(new.nodes)
+
+
+def test_keys_are_computed_before_any_hit():
+    # the second graph's A-cycle is stored, so looking it up first must
+    # not change the key of the B node above it
+    ts = TermStore()
+    [b] = ts.intern_raw([(APP, "B", [0, 1]), (APP, "A", [1])], [0])
+    assert ts.intern_raw([(APP, "A", [0]), (APP, "B", [1, 0])], [1]) == [b]
+    assert len(ts.nodes) == 2
+
+
+def test_node_above_a_stored_cycle_is_found_by_hash_consing():
+    # `app` stores C(A^omega) without a key, so only hash-consing after
+    # the A-cycle's hit finds it
+    ts = TermStore()
+    w = intern_graph(ts, "node k = A(k); root t = k")
+    c = ts.app("C", (w,))
+    assert intern_graph(ts, "node c = C(k); node k = A(k); root t = c") == c
+    assert len(ts.nodes) == 2
 
 
 @given(finite_terms(), st.lists(
