@@ -16,7 +16,7 @@ from __future__ import annotations
 from .terms import apply_subst, omega_iterate, pressize, refine, varin
 from .grammar import Grammar
 from .lts import run_word
-from .equiv import EqOracle, find_sink_witness
+from .equiv import EqOracle, Indeterminate, find_sink_witness
 from .plays import (
     BalancedPlay, PivotPath, Segmentation, by_side, p_top_form,
     present_over_top,
@@ -25,10 +25,6 @@ from .plays import (
 
 class BasesError(Exception):
     pass
-
-
-class BasesIndeterminate(BasesError):
-    """An answer would require eq-levels beyond the oracle cutoff."""
 
 
 class NsgParams:
@@ -68,9 +64,9 @@ def check_nsg_sequence(o: EqOracle, seq: NsgSequence, p: NsgParams) -> bool:
             return False
         lv = o.level(*seq.element(ts, j - 1))
         if lv >= o.cutoff:
-            raise BasesError(
-                "element %d is at the oracle cutoff; cannot certify a "
-                "strictly decreasing sequence" % j)
+            raise Indeterminate(
+                "eq-level at least %d: element %d of the sequence needs a "
+                "finite level" % (o.cutoff, j))
         if prev is not None and lv >= prev:
             return False
         prev = lv
@@ -95,7 +91,8 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
     k = o.level(e1, f1)
     ell = o.level(*seq.element(ts, 0))
     if ell >= o.cutoff:
-        raise BasesIndeterminate("first element at/above the cutoff")
+        raise Indeterminate("eq-level at least %d: the reduction needs a "
+                            "finite level of the first element" % o.cutoff)
     if k >= ell:
         raise BasesError(
             "eqlevel(E1,F1) = eqlevel(E1 sigma, F1 sigma): nothing to "
@@ -321,7 +318,7 @@ def speceq_check(o: EqOracle, entry, k: int, c: int) -> bool:
         return lv > threshold
     if o.cutoff > threshold:
         return True
-    raise BasesIndeterminate(
+    raise Indeterminate(
         "threshold %d is at/above the cutoff %d and the pair is not "
         "distinguished below it" % (threshold, o.cutoff))
 
@@ -343,7 +340,7 @@ def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
                 continue
             try:
                 ok = speceq_check(o, entry, bound, c)
-            except BasesIndeterminate:
+            except Indeterminate:
                 return cand, bound, "indeterminate"
             if not ok:
                 violators.append(entry)

@@ -1,8 +1,9 @@
 """Command-line driver: reproducible workflows over grammar files.
 
 Exit codes: 0 success / not distinguished, 1 distinguished or check
-failure, 2 usage, parse or internal error, 3 indeterminate (cutoff
-reached).
+failure, 2 usage, parse or internal error (one `error:` line), 3
+indeterminate: the library raised `Indeterminate` (one `indeterminate:`
+line naming the cutoff), or `base` is neither complete nor sound.
 """
 
 import argparse
@@ -13,15 +14,14 @@ import sys
 from .terms import TermError, intern_graph, parse_term, pressize, render_term
 from .grammar import GrammarConstants, GrammarError, parse_grammar
 from .lts import run_word, step_action, step_rule
-from .equiv import EqOracle, EquivError
+from .equiv import EqOracle, EquivError, Indeterminate
 from .plays import (
-    PlaysError, PlaysIndeterminate, build_optimal_play, refine_segments,
-    transform_to_balanced, verify_balanced,
+    PlaysError, build_optimal_play, refine_segments, transform_to_balanced,
+    verify_balanced,
 )
 from .bases import (
-    BasesError, BasesIndeterminate, NsgParams, build_full_base_capped,
-    check_nsg_sequence, present_stair_as_nsg, reduce_nsg_step,
-    sound_candidate_search,
+    BasesError, NsgParams, build_full_base_capped, check_nsg_sequence,
+    present_stair_as_nsg, reduce_nsg_step, sound_candidate_search,
 )
 
 SCHEMA = 1
@@ -33,9 +33,7 @@ EXIT_INDETERMINATE = 3
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    pass
 
 
 def _load_grammar(args):
@@ -68,17 +66,12 @@ def _one_line(text):
 
 def _load_pair(args):
     """The grammar, its oracle, the --left and --right terms and their
-    eq-level."""
+    eq-level, an int: exact below the cutoff, else "at least" it."""
     g = _load_grammar(args)
     o = EqOracle(g, args.cutoff)
     t = _parse_term_arg(g, args.left)
     u = _parse_term_arg(g, args.right)
-    return g, o, t, u, o.eq_level(t, u)
-
-
-def _indeterminate(args, why):
-    print("eq-level at least %d: %s" % (args.cutoff, why), file=sys.stderr)
-    return EXIT_INDETERMINATE
+    return g, o, t, u, o.level(t, u)
 
 
 def _word_arg(g, text):
@@ -165,19 +158,19 @@ def cmd_run(args):
 
 
 def cmd_eqlevel(args):
-    lv = _load_pair(args)[4]
-    word = "finite" if lv.is_finite() else "at-least"
-    _emit(args, {"command": "eqlevel", "kind": word, "value": lv.value},
-          ["%s %d" % (word, lv.value)])
-    return EXIT_DISTINGUISHED if lv.is_finite() else EXIT_OK
+    e = _load_pair(args)[4]
+    word = "finite" if e < args.cutoff else "at-least"
+    _emit(args, {"command": "eqlevel", "kind": word, "value": e},
+          ["%s %d" % (word, e)])
+    return EXIT_DISTINGUISHED if e < args.cutoff else EXIT_OK
 
 
 def cmd_decide(args):
-    lv = _load_pair(args)[4]
-    if lv.is_finite():
+    e = _load_pair(args)[4]
+    if e < args.cutoff:
         _emit(args, {"command": "decide", "verdict": "distinguished",
-                     "level": lv.value},
-              ["distinguished level=%d" % lv.value])
+                     "level": e},
+              ["distinguished level=%d" % e])
         return EXIT_DISTINGUISHED
     _emit(args, {"command": "decide", "verdict": "equivalent-up-to",
                  "cutoff": args.cutoff},
@@ -186,10 +179,8 @@ def cmd_decide(args):
 
 
 def cmd_play(args):
-    g, o, t, u, lv = _load_pair(args)
-    if not lv.is_finite():
-        return _indeterminate(args, "no finite optimal play")
-    if lv.value == 0:
+    g, o, t, u, e = _load_pair(args)
+    if e == 0:
         _emit(args, {"command": "play", "eqlevel": 0, "steps": []},
               ["eqlevel 0: immediately distinguished"])
         return EXIT_OK
@@ -201,13 +192,13 @@ def cmd_play(args):
         if i < play.length():
             row["rules"] = list(play.moves[i])
         rows.append(row)
-    lines = ["eqlevel %d" % lv.value]
+    lines = ["eqlevel %d" % e]
     for row in rows:
         move = " ".join(row.get("rules", []))
         lines.append("%d\t%s\t%s\t%s"
                      % (row["index"], _one_line(row["left"]),
                         _one_line(row["right"]), move))
-    _emit(args, {"command": "play", "eqlevel": lv.value, "steps": rows}, lines)
+    _emit(args, {"command": "play", "eqlevel": e, "steps": rows}, lines)
     return EXIT_OK
 
 
@@ -231,12 +222,10 @@ def _balance_rows(g, bp):
 
 
 def cmd_balance(args):
-    g, o, t, u, lv = _load_pair(args)
-    if not lv.is_finite():
-        return _indeterminate(args, "nothing to balance")
+    g, o, t, u, e = _load_pair(args)
     bp, pp, seg = _run_balance(o, t, u)
     rows = _balance_rows(g, bp)
-    lines = ["ell=%d length=%d eqlevel=%d" % (bp.ell, bp.length(), lv.value)]
+    lines = ["ell=%d length=%d eqlevel=%d" % (bp.ell, bp.length(), e)]
     for r in rows:
         if r["kind"] == "rho":
             lines.append("rho\tj=%d\tside=%s\tlen=%d\tbalpair_size=%d"
@@ -247,16 +236,14 @@ def cmd_balance(args):
     lines.append("close_pivots=%s crucial=%s"
                  % (list(seg.close), [list(x) for x in seg.crucial]))
     _emit(args, {"command": "balance", "ell": bp.ell, "length": bp.length(),
-                 "eqlevel": lv.value, "segments": rows,
+                 "eqlevel": e, "segments": rows,
                  "close_pivots": list(seg.close),
                  "crucial": [list(x) for x in seg.crucial]}, lines)
     return EXIT_OK
 
 
 def cmd_verify(args):
-    _, o, t, u, lv = _load_pair(args)
-    if not lv.is_finite():
-        return _indeterminate(args, "nothing to verify")
+    _, o, t, u, _ = _load_pair(args)
     rep = verify_balanced(o, *_run_balance(o, t, u))
     lines = ["%s\t%s\t%s" % (name, "ok" if ok else "FAIL", detail)
              for name, ok, detail in rep.checks]
@@ -299,9 +286,7 @@ def cmd_base(args):
 
 
 def cmd_pipeline(args):
-    g, o, t, u, lv = _load_pair(args)
-    if not lv.is_finite():
-        return _indeterminate(args, "pipeline needs a finite level")
+    g, o, t, u, e = _load_pair(args)
     bp, pp, seg = _run_balance(o, t, u)
     rep = verify_balanced(o, bp, pp, seg)
     checks = [{"name": n, "ok": ok, "detail": d} for n, ok, d in rep.checks]
@@ -330,7 +315,7 @@ def cmd_pipeline(args):
     lines = ["%s\t%s\t%s" % (cc["name"], "ok" if cc["ok"] else "FAIL",
                              cc["detail"]) for cc in checks]
     lines.append("result\t%s" % ("ok" if all_ok else "FAIL"))
-    _emit(args, {"command": "pipeline", "ok": all_ok, "eqlevel": lv.value,
+    _emit(args, {"command": "pipeline", "ok": all_ok, "eqlevel": e,
                  "ell": bp.ell, "checks": checks}, lines)
     return EXIT_OK if all_ok else EXIT_DISTINGUISHED
 
@@ -393,13 +378,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return ex.code
-    except (BasesIndeterminate, PlaysIndeterminate) as ex:
+    except Indeterminate as ex:
         print("indeterminate: %s" % ex, file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (GrammarError, TermError, EquivError, BasesError, PlaysError) as ex:
+    except (CliError, GrammarError, TermError, EquivError, BasesError,
+            PlaysError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_USAGE
     except Exception as ex:

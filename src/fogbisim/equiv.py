@@ -2,11 +2,13 @@
 
 The eq-level of (T, U) is the largest k with T ~_k U, an element of
 N u {omega}. The oracle computes it exactly below a mandatory cutoff K
-and otherwise answers AtLeast(K); it never claims omega. Variables get
-the stipulated treatment eqlevel(x_i, H) = 0 for H != x_i and
-eqlevel(x_i, x_i) = omega, applied in the base case. The game search
-closes a cycle of pairs in one visit, however high the cutoff, instead
-of unrolling it down to the budget.
+and otherwise answers K, meaning "at least K"; it never claims omega.
+A check that needs a finite level where K is all there is raises
+`Indeterminate`. Variables get the stipulated treatment
+eqlevel(x_i, H) = 0 for H != x_i and eqlevel(x_i, x_i) = omega,
+applied in the base case. The game search
+closes a cycle of pairs in one visit instead of unrolling it down to
+the budget, as long as no assumption fails (see `EqOracle`).
 """
 
 from __future__ import annotations
@@ -20,34 +22,21 @@ class EquivError(Exception):
     pass
 
 
+class Indeterminate(Exception):
+    """The answer needs an eq-level at or above the oracle's cutoff."""
+
+
 class Level:
-    """Finite(k) or AtLeast(K): a value and whether it is exact. Levels
-    are equal when value and exactness agree; they define no ordering."""
+    """An eq-level as `perfbench/record.py` reads it: exactly `value`
+    when `is_finite()`, else at least `value`, the cutoff. The package
+    itself passes levels as plain ints."""
 
     def __init__(self, value: int, exact: bool):
         self.value = value
         self.exact = exact
 
-    @staticmethod
-    def finite(k: int) -> "Level":
-        return Level(k, True)
-
-    @staticmethod
-    def at_least(k: int) -> "Level":
-        return Level(k, False)
-
     def is_finite(self) -> bool:
         return self.exact
-
-    def __eq__(self, other):
-        return (isinstance(other, Level) and self.value == other.value
-                and self.exact == other.exact)
-
-    def __hash__(self):
-        return hash((self.value, self.exact))
-
-    def __repr__(self):
-        return "Finite(%d)" % self.value if self.exact else "AtLeast(%d)" % self.value
 
 
 class EqOracle:
@@ -75,9 +64,11 @@ class EqOracle:
     sub-queries of the same `level` call, and enters the memo when that
     frame closes at or above every value it was assumed at. A frame
     that closes below one drops the tentative results computed since it
-    opened and replays its game, and the rest of the call assumes
-    nothing, so a failed assumption costs one plain replay. A cycle thus
-    costs one visit, however high the cutoff.
+    opened and replays its game, capped at the value it just closed at,
+    and the rest of the call assumes nothing. Until an assumption fails,
+    a cycle thus costs one visit, however high the cutoff; after one
+    fails, the rest of the call unrolls every cycle it meets down to its
+    budget, and its cost grows with the cutoff again.
 
     A result rests on frames by their opening numbers, which one call
     never reuses; a frame starts with its own number as its `low`, and
@@ -93,11 +84,12 @@ class EqOracle:
 
     Every value stored is exact. An assumption is at least the capped
     level it stands for, and the game only rises with its answers, so no
-    value computed is below the true capped level. Once every assumption
-    a value rests on is confirmed, the values assigned, joined with the
-    true levels, form a post-fixed point of the level equations; by
-    Knaster-Tarski they are at most the greatest fixed point, the true
-    levels. (Liu and Smolka, ICALP 1998, solve greatest fixed points
+    value computed is below the true capped level: a failed frame's
+    replay, capped at the value it closed at, answers for its own budget.
+    Once every assumption a value rests on is confirmed, the values
+    assigned, joined with the true levels, form a post-fixed point of
+    the level equations; by Knaster-Tarski they are at most the greatest
+    fixed point, the true levels. (Liu and Smolka, ICALP 1998, solve greatest fixed points
     locally in this way; a confirmed cycle is a self-bisimulation up to
     the budget in the sense of Christensen, Huttel and Stirling, 1995.)
     """
@@ -165,11 +157,12 @@ class EqOracle:
                 key, b, _, low, assumed, mark, num = top
                 if e < assumed:
                     # the pair was assumed too high: drop what rests on
-                    # that, replay its game, and assume nothing more
+                    # that, replay its game capped at e, and assume
+                    # nothing more
                     del pending[mark:]
                     tentative = {ent[0]: ent for ent in pending}
                     optimistic = False
-                    top[2:5] = [self._game(key[0], key[1], b), num, -1]
+                    top[2:5] = [self._game(key[0], key[1], e), num, -1]
                     e = None
                     continue
                 stack.pop()
@@ -252,11 +245,9 @@ class EqOracle:
                     best = 1 + worst  # worst <= cap, so best never rises
         return best
 
-    # -- public API ----------------------------------------------------------
-
     def eq_level(self, t: int, u: int) -> Level:
         e = self.level(t, u)
-        return Level.finite(e) if e < self.cutoff else Level.at_least(self.cutoff)
+        return Level(e, e < self.cutoff)
 
 
 def attacker_optimal(o: EqOracle, t: int, u: int):

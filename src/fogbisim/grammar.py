@@ -106,9 +106,9 @@ class Grammar:
         return self.ts.app(nt, tuple(self.ts.var(i) for i in range(1, m + 1)))
 
 
-def parse_grammar(text: str, ts: TermStore | None = None) -> Grammar:
+def parse_grammar(text: str) -> Grammar:
     """Parse the line-oriented grammar file format."""
-    ts = ts or TermStore()
+    ts = TermStore()
     arities: dict[str, int] = {}
     actions: list[str] = []
     rules: list[Rule] = []

@@ -17,15 +17,13 @@ from itertools import islice
 from .terms import apply_subst, pressize
 from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
-from .equiv import EqOracle, attacker_optimal, defender_optimal
+from .equiv import (
+    EqOracle, Indeterminate, attacker_optimal, defender_optimal,
+)
 
 
 class PlaysError(Exception):
     pass
-
-
-class PlaysIndeterminate(PlaysError):
-    """An answer would require eq-levels beyond the oracle cutoff."""
 
 
 def by_side(side, mine, theirs):
@@ -72,7 +70,8 @@ def optimal_steps(o: EqOracle, t: int, u: int):
     time: yields (move, pair) until the eq-level reaches 0."""
     e = o.level(t, u)
     if e >= o.cutoff:
-        raise PlaysError("eq-level at/above cutoff; cannot build a play")
+        raise Indeterminate("eq-level at least %d: no finite optimal play"
+                            % o.cutoff)
     pair = (t, u)
     for _ in range(e):
         side, rid, succ = attacker_optimal(o, *pair)
@@ -138,7 +137,8 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
     pivot = rho.start[1 - side]
     e_pair = o.level(*rho.finish)
     if e_pair >= o.cutoff:
-        raise PlaysError("eq-level at cutoff; cannot balance")
+        raise Indeterminate("eq-level at least %d: a balancing step needs "
+                            "a finite level" % o.cutoff)
     m = g.arities[a_name]
     vbar = {}
     sigma_pp = {}
@@ -157,8 +157,9 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
             if best is None or lv > best[0]:
                 best = (lv, w, v)
         if best is None:
-            raise PlaysIndeterminate(
-                "cutoff starvation: no qualifying V_%d for pivot" % i)
+            raise Indeterminate(
+                "cutoff starvation: no qualifying V_%d for pivot below the "
+                "cutoff %d" % (i, o.cutoff))
         vbar[i] = best[1]
         sigma_pp[i] = best[2]
     new_side_term = apply_subst(ts, e_prime, sigma_pp)
@@ -240,7 +241,8 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
     ts = g.ts
     d0 = g.constants.d0
     if o.level(t, u) >= o.cutoff:
-        raise PlaysError("eq-level at/above cutoff")
+        raise Indeterminate("eq-level at least %d: the balanced-play "
+                            "transformation needs a finite level" % o.cutoff)
 
     def grow(pair, prev):
         """The optimal play from pair, grown only up to its earliest

@@ -63,7 +63,7 @@ def test_criterion_01_term_figure_regression():
             "nonterminals: A/3, B/0, C/2, D/2\n"
             "actions: a, b\n"
             "rule r1: A(x1,x2,x3) -b-> x2\n"
-            "rule r2: A(x1,x2,x3) -a-> C(x2, D(x2, x1))\n", ts=None)
+            "rule r2: A(x1,x2,x3) -a-> C(x2, D(x2, x1))\n")
         ts2 = g.ts
         f1 = parse_term(ts2, "A(D(x5,C(x2,B)),x5,B)", g.arities)
         f3 = omega_iterate(ts2, f1, 2)
@@ -117,7 +117,7 @@ def test_criterion_03_eq_level_property_battery():
                 s2 = {i: random_ground_term(rng, g, 1) for i in (1, 2)}
                 assert o.level(e, f) <= o.level(
                     apply_subst(ts, e, s1), apply_subst(ts, f, s1))
-                assert eq_level_subst(o, s1, s2).value <= o.level(
+                assert eq_level_subst(o, s1, s2) <= o.level(
                     apply_subst(ts, e, s1), apply_subst(ts, e, s2))
 
 

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -9,10 +10,13 @@ from fogbisim.terms import (
     varin,
 )
 from fogbisim.grammar import parse_grammar
-from fogbisim.equiv import EqOracle
-from fogbisim.plays import refine_segments, transform_to_balanced
+from fogbisim.equiv import EqOracle, Indeterminate
+from fogbisim.plays import (
+    Play, PlaysError, balance_step, build_optimal_play, refine_segments,
+    transform_to_balanced,
+)
 from fogbisim.bases import (
-    BasesError, BasesIndeterminate, Candidate, NsgParams, NsgSequence,
+    BasesError, Candidate, NsgParams, NsgSequence,
     bound_of_candidate, build_full_base_capped, check_nsg_sequence,
     enumerate_pairs, enumerate_terms, present_stair_as_nsg,
     reduce_nsg_step, sound_candidate_search, speceq_check,
@@ -85,8 +89,41 @@ def test_check_nsg_sequence_cutoff_breach():
     # eqlevel(Z sigma, mu sigma) may exceed the cutoff? Z vs mu is 0;
     # use a genuinely deep pair instead
     seq = NsgSequence([(tower(g, 6), tower(g, 7))], sigma)
-    with pytest.raises(BasesError):
+    with pytest.raises(Indeterminate):
         check_nsg_sequence(o, seq, NsgParams(1, 20, 0))
+
+
+def test_every_cutoff_check_raises_indeterminate():
+    """Each library check that needs a level below the cutoff raises
+    Indeterminate, neither a PlaysError nor a BasesError, naming the
+    cutoff."""
+    g = g1()
+    ts = g.ts
+    o = EqOracle(g, 6)
+    z = parse_term(ts, "Z", g.arities)
+    a1 = ts.app("A", (ts.var(1),))
+    # one element, A^7(Z) vs A^8(Z): eq-level 7, above the cutoff
+    seq = NsgSequence([(a1, ts.app("A", (a1,)))], {1: tower(g, 6)})
+    gc = parse_grammar((GRAMMARS / "gchain.fog").read_text())
+    oc = EqOracle(gc, 6)
+    # a window whose left word is root-performable from A and whose
+    # finish pair is identical
+    a, p, q = (parse_term(gc.ts, x, gc.arities)
+               for x in ("A(Z)", "P(Z)", "Q(Z)"))
+    rho = Play([(a, a), (p, p), (q, q)], [("a2", "a2"), ("p1", "p1")])
+    checks = [
+        lambda: build_optimal_play(o, z, z),
+        lambda: transform_to_balanced(o, z, z),
+        lambda: balance_step(oc, rho, 0),
+        lambda: check_nsg_sequence(o, seq, NsgParams(1, 20, 0)),
+        lambda: reduce_nsg_step(o, seq, NsgParams(1, 20, 0)),
+        lambda: speceq_check(o, entry(o, tower(g, 7), tower(g, 8)), 40, 1),
+    ]
+    for check in checks:
+        with pytest.raises(Indeterminate) as got:
+            check()
+        assert not isinstance(got.value, (BasesError, PlaysError))
+        assert re.search(r"at least 6:|cutoff 6\b", str(got.value))
 
 
 # -- one-step sequence reduction ----------------------------------------------
@@ -569,7 +606,7 @@ def test_speceq_check():
         "nonterminals: P/0, Q/0\nactions: a\n"
         "rule p1: P -a-> P\nrule q1: Q -a-> Q\n")
     o2 = EqOracle(g2, 4)
-    with pytest.raises(BasesIndeterminate):
+    with pytest.raises(Indeterminate):
         speceq_check(o2, entry(o2, parse_term(g2.ts, "P", g2.arities),
                                parse_term(g2.ts, "Q", g2.arities)), 10, 10)
 

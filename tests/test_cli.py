@@ -287,9 +287,44 @@ def test_pipeline_indeterminate(capsys):
     assert code == 3
 
 
+BASE_4 = ["base", "--grammar", GCHAIN, "--cutoff", "12", "--n", "1", "--s",
+          "2", "--g", "0", "--max-size", "4"]
+BASE_4_OUT = {
+    False: "layer\tj=1\ts=2\te=2\tpairs=13\nlayer\tj=0\ts=6\te=4\t"
+           "pairs=17914\nE_B=8\nstatus=capped\n",
+    True: '{"E_B": 8, "command": "base", "layers": [{"e": 2, "level": 1, '
+          '"pairs": 13, "s": 2}, {"e": 4, "level": 0, "pairs": 17914, '
+          '"s": 6}], "schema": 1, "status": "capped"}\n'}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv", [
+    [command, "--grammar", grammar, "--cutoff", cutoff, "--left", left,
+     "--right", right]
+    for command in ("play", "balance", "verify", "pipeline")
+    for grammar, cutoff, left, right in (
+        (G1, "12", "Z", "Z"),
+        (GCHAIN, "100000000", "Q(Z)", "Q(Q(Z))"),
+        (G1, "3", "A(A(A(Z)))", "A(A(A(A(Z))))"))] + [BASE_4],
+    ids=lambda argv: "%s-%s" % (argv[0], argv[4]))
+def test_every_exit_3_path(capsys, argv, as_json):
+    """A command whose answer needs a finite level at or above the
+    cutoff prints nothing on stdout and one `indeterminate:` line naming
+    the cutoff; `base` prints its capped report and nothing on stderr."""
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 3
+    if argv[0] == "base":
+        assert (out, err) == (BASE_4_OUT[as_json], "")
+    else:
+        assert out == ""
+        assert re.fullmatch(r"indeterminate: eq-level at least %s: [^\n]+\n"
+                            % argv[4], err), err
+
+
 def test_balancing_indeterminate_and_error_exit_codes(capsys, monkeypatch):
     import fogbisim.cli as cli
-    from fogbisim.plays import PlaysError, PlaysIndeterminate
+    from fogbisim.equiv import Indeterminate
+    from fogbisim.plays import PlaysError
 
     def raise_with(ex):
         def fake(*args, **kw):
@@ -298,7 +333,7 @@ def test_balancing_indeterminate_and_error_exit_codes(capsys, monkeypatch):
 
     argv = ("balance", "--grammar", GCHAIN, "--left", "A(Z)", "--right", "B(Z)")
     monkeypatch.setattr(cli, "transform_to_balanced",
-                        raise_with(PlaysIndeterminate("cutoff starvation")))
+                        raise_with(Indeterminate("cutoff starvation")))
     code, _, err = run(capsys, *argv)
     assert code == 3 and err.startswith("indeterminate:")
     monkeypatch.setattr(cli, "transform_to_balanced",

@@ -10,7 +10,7 @@ from fogbisim.terms import (
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import enabled_actions, run_word, step_action
 from fogbisim.equiv import (
-    EqOracle, EquivError, Level, attacker_optimal, defender_optimal,
+    EqOracle, EquivError, attacker_optimal, defender_optimal,
     find_sink_witness,
 )
 from fogbisim.bases import enumerate_terms
@@ -113,7 +113,9 @@ def test_reflexive_at_least():
     g = g1()
     o = EqOracle(g, 12)
     t = tower(g, 2)
-    assert o.eq_level(t, t) == Level.at_least(12)
+    assert o.level(t, t) == 12
+    lv = o.eq_level(t, t)
+    assert (lv.value, lv.is_finite()) == (12, False)
 
 
 def test_variable_stipulation():
@@ -121,7 +123,7 @@ def test_variable_stipulation():
     o = EqOracle(g, 12)
     x1 = g.ts.var(1)
     b = parse_term(g.ts, "Z", g.arities)
-    assert o.eq_level(x1, b) == Level.finite(0)
+    assert o.level(x1, b) == 0
     assert o.level(x1, g.ts.app("A", (x1,)), 0) >= 0
     assert not o.level(x1, g.ts.app("A", (x1,)), 1) >= 1
 
@@ -131,7 +133,7 @@ def test_counter_pairs_analytic():
     o = EqOracle(g, 12)
     for n in range(0, 5):
         for m in range(n + 1, 6):
-            assert o.eq_level(tower(g, n), tower(g, m)) == Level.finite(n)
+            assert o.level(tower(g, n), tower(g, m)) == n
 
 
 def test_check_k_monotone_consistency():
@@ -139,22 +141,22 @@ def test_check_k_monotone_consistency():
     o = EqOracle(g, 8)
     t, u = tower(g, 3), tower(g, 5)
     lv = o.eq_level(t, u)
-    assert lv == Level.finite(3)
+    assert (lv.value, lv.is_finite()) == (3, True)
     for k in range(0, 9):
         assert (o.level(t, u, k) >= k) == (k <= 3)
 
 
 def eq_level_subst(o, s1, s2):
     """The eq-level of two substitutions: the least eq-level of the
-    pairs they bind a variable of either support to, as a Level. A
-    reference of the paper's proofs."""
+    pairs they bind a variable of either support to, capped at the
+    cutoff. A reference of the paper's proofs."""
     e = o.cutoff
     ts = o.g.ts
     for i in sorted(s1.keys() | s2.keys()):
         e = min(e, o.level(s1.get(i, ts.var(i)), s2.get(i, ts.var(i))))
         if e == 0:
             break
-    return Level.finite(e) if e < o.cutoff else Level.at_least(o.cutoff)
+    return e
 
 
 def test_eq_level_subst():
@@ -163,11 +165,11 @@ def test_eq_level_subst():
     ts = g.ts
     s1 = {1: ts.var(2)}
     s2 = {1: parse_term(ts, "Z", g.arities)}
-    assert eq_level_subst(o, s1, s2) == Level.finite(0)
-    assert eq_level_subst(o, s1, s1) == Level.at_least(12)
+    assert eq_level_subst(o, s1, s2) == 0
+    assert eq_level_subst(o, s1, s1) == 12
     s3 = {1: tower(g, 2)}
     s4 = {1: tower(g, 4)}
-    assert eq_level_subst(o, s3, s4) == Level.finite(2)
+    assert eq_level_subst(o, s3, s4) == 2
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -243,15 +245,16 @@ def log_games(monkeypatch):
 
 def replays(log):
     """The games replayed after a failed assumption: a game opened for
-    the pair and budget whose game just closed. Only the replay does
-    that; any other game that closes answers its own query later."""
-    return sum(a[0] == "close" and b[0] == "open" and a[1:] == b[1:]
-               for a, b in zip(log, log[1:]))
+    the pair whose game just closed, at a budget no higher. Only the
+    replay does that, capped at the value the game closed at; any other
+    game that closes answers its own query later."""
+    return sum(a[0] == "close" and b[0] == "open" and a[1:3] == b[1:3]
+               and b[3] <= a[3] for a, b in zip(log, log[1:]))
 
 
 @pytest.mark.parametrize("gseed, k, want_replays", [
     (3, 8, 2),      # A(B(mu, mu)) vs mu, mu = A(mu)
-    (3, 15, None), (11, 4, None), (12, 10, None)])
+    (3, 15, 3), (11, 4, 1), (12, 10, 1)])
 def test_failed_assumption_replays_the_frame(monkeypatch, gseed, k,
                                              want_replays):
     g, (t, u) = battery_pair(gseed, k)
@@ -260,7 +263,20 @@ def test_failed_assumption_replays_the_frame(monkeypatch, gseed, k,
     n = replays(log)
     monkeypatch.undo()
     assert e == reference_level(EqOracle(g, 8), t, u)
-    assert n >= 1 and (want_replays is None or n == want_replays), n
+    assert n == want_replays, n
+
+
+def test_replay_is_capped_at_the_failed_value(monkeypatch):
+    # the frame closes at 2 below its assumption; replayed at its own
+    # budget instead, it would unroll a cycle down to the cutoff (1,005
+    # games)
+    g, (t, u) = battery_pair(11, 4)
+    log = log_games(monkeypatch)
+    o = EqOracle(g, 1000)
+    assert o.level(t, u) == 2
+    assert sum(ev[0] == "open" for ev in log) <= 10
+    monkeypatch.undo()
+    audit_memo(o)
 
 
 @pytest.mark.parametrize("gseed, cutoff, budget, left, right", [
@@ -344,7 +360,7 @@ def test_congruence_inequalities(seed):
         assert o.level(e, f) <= o.level(
             apply_subst(ts, e, s1), apply_subst(ts, f, s1))
         # substitution-distance lower bound
-        lv = eq_level_subst(o, s1, s2).value
+        lv = eq_level_subst(o, s1, s2)
         assert lv <= o.level(apply_subst(ts, e, s1), apply_subst(ts, e, s2))
 
 

@@ -7,7 +7,7 @@ from fogbisim.terms import (
 )
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import run_word, step_rule
-from fogbisim.equiv import EqOracle
+from fogbisim.equiv import EqOracle, Indeterminate
 from fogbisim import plays
 from fogbisim.plays import (
     BalanceInfo, BalancedPlay, PivotPath, Play, PlaysError,
@@ -96,7 +96,7 @@ def test_build_optimal_play_trivial_and_errors():
     z = parse_term(g.ts, "Z", g.arities)
     p = build_optimal_play(o, g.ts.var(1), z)
     assert p.length() == 0 and p.start == p.finish
-    with pytest.raises(PlaysError):
+    with pytest.raises(Indeterminate):
         build_optimal_play(o, z, z)  # at cutoff
 
 
@@ -431,7 +431,7 @@ def test_transform_rejects_cutoff():
     g = g1()
     o = EqOracle(g, 8)
     z = parse_term(g.ts, "Z", g.arities)
-    with pytest.raises(PlaysError):
+    with pytest.raises(Indeterminate):
         transform_to_balanced(o, z, z)
 
 
@@ -444,7 +444,7 @@ def reference_transform_to_balanced(o, t, u):
     g = o.g
     d0 = g.constants.d0
     if o.level(t, u) >= o.cutoff:
-        raise PlaysError("eq-level at/above cutoff")
+        raise Indeterminate("eq-level at/above cutoff")
     pi = build_optimal_play(o, t, u)
 
     def scan(play, prev_side, death):
