@@ -92,6 +92,16 @@ class EqOracle:
     fixed point, the true levels. (Liu and Smolka, ICALP 1998, solve greatest fixed points
     locally in this way; a confirmed cycle is a self-bisimulation up to
     the budget in the sense of Christensen, Huttel and Stirling, 1995.)
+
+    A query the memo cannot answer is pruned before it is searched.
+    When (A, i) has no sink word (`hidden`), the i-th child of an
+    A-rooted term never reaches the root: every term reachable from
+    A(X1..Xm) is E sigma with E reachable from A(x1..xm), and E is never
+    x_i. So replacing that child (`_prune`, by x1) changes no level at
+    any budget, and pairs that differ only there share one search and
+    one memo entry, the true level of real terms. Only the pair a
+    `level` call is asked is pruned; the game and the optimal moves
+    step real terms.
     """
 
     def __init__(self, g: Grammar, cutoff: int):
@@ -101,6 +111,31 @@ class EqOracle:
         self.cutoff = cutoff
         self.exact: dict[tuple[int, int], int] = {}
         self.lower: dict[tuple[int, int], int] = {}
+        # nonterminal -> the child positions (0-based) no sink word exposes
+        self.hidden: dict[str, tuple[int, ...]] = {}
+        for nt, m in g.arities.items():
+            hide = tuple(i for i in range(m) if (nt, i + 1) not in g.sink)
+            if hide:
+                self.hidden[nt] = hide
+        self._pruned: dict[int, int] = {}
+
+    def _prune(self, t: int) -> int:
+        """t with every hidden child of its root replaced by x1: a term
+        bisimilar to t, one level deep, so plain hash-consing is exact."""
+        p = self._pruned.get(t)
+        if p is None:
+            ts = self.g.ts
+            node = ts.nodes[t]
+            hide = node[0] != VAR and self.hidden.get(node[1])
+            if hide:
+                kids = list(node[2])
+                for i in hide:
+                    kids[i] = ts.var(1)
+                p = ts.app(node[1], tuple(kids))
+            else:
+                p = t
+            self._pruned[t] = p
+        return p
 
     def _known(self, t: int, u: int, budget: int) -> int | None:
         """The level of (t, u) capped at budget, if the memo or the root
@@ -131,6 +166,11 @@ class EqOracle:
         e = self._known(t, u, budget)
         if e is not None:
             return e
+        if self.hidden:
+            t, u = self._prune(t), self._prune(u)
+            e = self._known(t, u, budget)
+            if e is not None:
+                return e
         exact, lower = self.exact, self.lower
         key = (t, u) if t <= u else (u, t)
         # a frame: [key, budget, game, low, assumed, mark, num]; num is

@@ -157,9 +157,14 @@ class TermStore:
         nodes is a closed term graph: node k is (VAR, index) or (APP,
         nonterminal, children), and every child is an index into nodes,
         so refinement sees every node a cycle could be bisimilar to.
-        Cycles are allowed.
+        Cycles are allowed. The finite nodes are hash-consed first and
+        enter the refinement as leaves labelled by their ids, so a
+        finite graph costs one round instead of one per level.
         """
-        block, _ = refine(nodes)
+        settled: list = [None] * len(nodes)
+        self._intern_ready(nodes, settled)
+        block, _ = refine([(APP, ("fin", a), ()) if a is not None and node[0] == APP
+                           else node for node, a in zip(nodes, settled)])
         # quotient graph: the first node of each block stands for it
         quotient = []
         for node, b in zip(nodes, block):

@@ -315,6 +315,46 @@ def test_closed_cycles_bound_the_games(monkeypatch):
     assert sum(ev[0] == "open" for ev in log) <= 10
 
 
+@pytest.mark.parametrize("seed", [0, 4, 5, 7, 8, 9])
+def test_pruning_keeps_every_level(seed):
+    # a child no sink word exposes never reaches the root, so replacing
+    # it by x1 changes no level; reference_level never prunes
+    rng = random.Random(seed)
+    g = random_grammar(seed)
+    cutoff = 8
+    o = EqOracle(g, cutoff)
+    ref = EqOracle(g, cutoff)
+    assert o.hidden
+    terms = [random_ground_term(rng, g, rng.randint(0, 3)) for _ in range(10)]
+    terms += enumerate_terms(g, 1, 2)
+    pruned = 0
+    for _ in range(60):
+        t, u = rng.choice(terms), rng.choice(terms)
+        b = rng.randint(0, cutoff)
+        pruned += o._prune(t) != t or o._prune(u) != u
+        assert o.level(t, u, b) == reference_level(ref, t, u, b), (t, u, b)
+        assert o.level(t, o._prune(t)) == cutoff
+    assert pruned
+    audit_memo(o)
+
+
+def test_no_hidden_position_means_no_pruning(monkeypatch):
+    calls = []
+    prune = EqOracle._prune
+    monkeypatch.setattr(EqOracle, "_prune",
+                        lambda self, t: calls.append(t) or prune(self, t))
+    for name in ("g1.fog", "gnull.fog"):
+        with open(GRAMMAR_DIR / name) as f:
+            g = parse_grammar(f.read())
+        o = EqOracle(g, 12)
+        assert o.hidden == {}
+        terms = enumerate_terms(g, 1, 2)
+        for t in terms:
+            for u in terms:
+                o.level(t, u)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_hierarchy_and_symmetry(seed):
     rng = random.Random(seed)

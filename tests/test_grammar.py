@@ -8,7 +8,7 @@ from fogbisim.grammar import (
     Grammar, GrammarError, Rule, compute_constants, compute_sink_table,
     max_arity, nonvar_subterms_of_rhs, parse_grammar,
 )
-from fogbisim.lts import step_rule
+from fogbisim.lts import enabled_actions, step_action, step_rule
 
 from gen import random_grammar
 
@@ -226,6 +226,33 @@ def test_sink_table_matches_oracles(seed):
             t = step_rule(g, t, rid)
             assert t is not None
         assert g.ts.is_var(t) and g.ts.var_index(t) == i
+
+
+def exposed_positions(g, nt, state_cap=3000):
+    """The i with x_i among the terms a breadth-first search over
+    `step_action` reaches from A(x1..xm), within state_cap terms."""
+    start = g.lhs_term(nt)
+    seen = {start}
+    q = deque([start])
+    while q and len(seen) < state_cap:
+        t = q.popleft()
+        for a in enabled_actions(g, t):
+            for _, t2 in step_action(g, t, a):
+                if t2 not in seen:
+                    seen.add(t2)
+                    q.append(t2)
+    return {g.ts.var_index(t) for t in seen if g.ts.is_var(t)}
+
+
+def test_sink_entries_are_the_exposed_positions():
+    # the premise of the oracle's pruning: (A, i) has a sink word exactly
+    # when some run from A(x1..xm) reaches x_i
+    grammars = [(name, load(name)) for name in ("g1.fog", "gchain.fog", "gnull.fog")]
+    grammars += [(seed, random_grammar(seed)) for seed in range(100)]
+    for name, g in grammars:
+        for nt, m in g.arities.items():
+            want = {i for i in range(1, m + 1) if (nt, i) in g.sink}
+            assert exposed_positions(g, nt) == want, (name, nt)
 
 
 @pytest.mark.parametrize("seed", range(10))

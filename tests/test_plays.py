@@ -19,6 +19,7 @@ from fogbisim.plays import (
 
 from gen import chain_grammar, random_grammar, random_ground_term
 from test_acceptance import bundled_pairs
+from test_equiv import log_games
 
 G1 = (
     "nonterminals: A/1, Z/0\n"
@@ -597,6 +598,19 @@ def test_transform_builds_only_the_steps_it_keeps(monkeypatch):
         calls.clear()
         bp, _ = transform_to_balanced(o, t, u)
         assert len(calls) == bp.length(), (t, u)
+
+
+def test_pruning_bounds_the_balancing_games(monkeypatch):
+    # each balancing step builds a pair over a new child no rule word of
+    # the P and R chains exposes; pruned, every such pair meets the one
+    # counter chain already solved (without pruning: 420 games)
+    n = 40
+    g, o, t, u = chain_case(n)
+    assert o.level(t, u) == n
+    log = log_games(monkeypatch)
+    bp, _ = transform_to_balanced(o, t, u)
+    assert bp.ell > 1
+    assert sum(ev[0] == "open" for ev in log) <= 2 * n
 
 
 # -- pivot paths -------------------------------------------------------------

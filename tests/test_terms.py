@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -118,6 +119,22 @@ def test_intern_graph_interns_only_what_the_root_reaches():
         intern_graph(ts, "node a = Z; node b = A(q); root t = a")
     with pytest.raises(TermError, match="line 1: empty node name"):
         intern_graph(ts, "node = Z; root t =")
+
+
+def test_finite_graph_form_is_hash_consed_before_refining():
+    # finite nodes enter the refinement as settled leaves, so a long
+    # chain costs one refinement round, not one per level
+    n = 4000
+    text = "".join("node v%d = A(v%d); " % (i, i + 1) for i in range(n))
+    text += "node v%d = Z; root t = v0" % n
+    ts = TermStore()
+    start = time.perf_counter()
+    t = intern_graph(ts, text)
+    assert time.perf_counter() - start < 5
+    want = ts.app("Z", ())
+    for _ in range(n):
+        want = ts.app("A", (want,))
+    assert (t, len(ts.nodes)) == (want, n + 1)
 
 
 def test_apply_subst_fig1():
