@@ -59,39 +59,32 @@ class EqOracle:
     The eq-level is the greatest solution of the game equations, and
     `level` closes cycles on that basis instead of unrolling them. A
     sub-query whose pair is open on the stack is answered cap at once:
-    the pair is assumed to hold up to cap. A result that rests on an
-    assumption of a frame still open is tentative; it answers later
-    sub-queries of the same `level` call, and enters the memo when that
-    frame closes at or above every value it was assumed at. A frame
-    that closes below one drops the tentative results computed since it
-    opened and replays its game, capped at the value it just closed at,
-    and the rest of the call assumes nothing. Until an assumption fails,
-    a cycle thus costs one visit, however high the cutoff; after one
-    fails, the rest of the call unrolls every cycle it meets down to its
-    budget, and its cost grows with the cutoff again.
+    the pair is assumed to hold up to cap. Every game that closes enters
+    the memo at once, and `level` logs the value each write replaced. A
+    frame that closes below a value it was assumed at restores the
+    entries written since it opened, replays its game capped at the
+    value it just closed at, and the rest of the call assumes nothing. A
+    result that rests on a frame's assumption was written after that
+    frame opened, and so was every result that read it, so the restore
+    removes all of them. A search that raises restores every entry the
+    call wrote. Until an assumption fails, a cycle thus costs one visit,
+    however high the cutoff; after one fails, the rest of the call
+    unrolls every cycle it meets down to its budget, and its cost grows
+    with the cutoff again.
 
-    A result rests on frames by their opening numbers, which one call
-    never reuses; a frame starts with its own number as its `low`, and
-    a frame that closes tentatively passes its low on to its parent. A
-    tentative result may keep a low that names a frame closed since; as
-    in Tarjan's lowlink argument, such a stale low is harmless. The open
-    frames opened before the closed one are its ancestors, and the
-    deepest of them, the top whenever one of them reads the result,
-    already holds a low no higher than the closed frame's, passed on as
-    frames closed. Every frame opened later has a higher number, so the
-    stale low keeps it tentative down to that ancestor, as the true low
-    would.
-
-    Every value stored is exact. An assumption is at least the capped
-    level it stands for, and the game only rises with its answers, so no
-    value computed is below the true capped level: a failed frame's
-    replay, capped at the value it closed at, answers for its own budget.
-    Once every assumption a value rests on is confirmed, the values
-    assigned, joined with the true levels, form a post-fixed point of
-    the level equations; by Knaster-Tarski they are at most the greatest
-    fixed point, the true levels. (Liu and Smolka, ICALP 1998, solve greatest fixed points
-    locally in this way; a confirmed cycle is a self-bisimulation up to
-    the budget in the sense of Christensen, Huttel and Stirling, 1995.)
+    Every value left in the memo is exact. A call returns only after
+    every frame has closed at or above each value it was assumed at, and
+    a failed frame's entries are gone. An assumption is at least the
+    capped level it stands for, and the game only rises with its
+    answers, so no value computed is below the true capped level: a
+    failed frame's replay, capped at the value it closed at, answers for
+    its own budget. Once every assumption holds, the values assigned,
+    joined with the true levels, form a post-fixed point of the level
+    equations; by Knaster-Tarski they are at most the greatest fixed
+    point, the true levels. (Liu and Smolka, ICALP 1998, solve greatest
+    fixed points locally in this way; a confirmed cycle is a
+    self-bisimulation up to the budget in the sense of Christensen,
+    Huttel and Stirling, 1995.)
 
     A query the memo cannot answer is pruned before it is searched.
     When (A, i) has no sink word (`hidden`), the i-th child of an
@@ -163,6 +156,8 @@ class EqOracle:
             budget = self.cutoff
         if budget > self.cutoff:
             raise EquivError("budget %d exceeds cutoff %d" % (budget, self.cutoff))
+        if budget < 0:
+            raise EquivError("budget %d is negative" % budget)
         e = self._known(t, u, budget)
         if e is not None:
             return e
@@ -171,95 +166,71 @@ class EqOracle:
             e = self._known(t, u, budget)
             if e is not None:
                 return e
-        exact, lower = self.exact, self.lower
         key = (t, u) if t <= u else (u, t)
-        # a frame: [key, budget, game, low, assumed, mark, num]; num is
-        # the frame's opening number, never reused in this call, low the
-        # lowest opening number whose assumption the result rests on (its
-        # own num if none), assumed the highest value the pair was
-        # assumed at (-1: never), mark the length of `pending` when the
-        # frame opened
-        top = [key, budget, self._game(t, u, budget), 0, -1, 0, 0]
+        # a frame: [key, budget, game, assumed, mark]; assumed is the
+        # highest value the pair was assumed at (-1: never), mark the
+        # length of `undo` when the frame opened
+        top = [key, budget, self._game(t, u, budget), -1, 0]
         stack = [top]
-        opened = 1
         open_at = {key: top}  # pair -> its open frame
-        # results that rest on a frame still open, in the order they were
-        # computed, and by pair: entries [key, e, budget, low]
-        pending = []
-        tentative = {}
+        # (exact?, pair, the value a write replaced or None); the entries
+        # hold no container, so the garbage collector stops tracking them
+        undo = []
         optimistic = True
-        while True:
-            top = stack[-1]
-            try:
-                t2, u2, cap = top[2].send(e)
-            except StopIteration as done:
-                e = done.value
-                key, b, _, low, assumed, mark, num = top
-                if e < assumed:
-                    # the pair was assumed too high: drop what rests on
-                    # that, replay its game capped at e, and assume
-                    # nothing more
-                    del pending[mark:]
-                    tentative = {ent[0]: ent for ent in pending}
-                    optimistic = False
-                    top[2:5] = [self._game(key[0], key[1], e), num, -1]
-                    e = None
+        try:
+            while True:
+                top = stack[-1]
+                try:
+                    t2, u2, cap = top[2].send(e)
+                except StopIteration as done:
+                    e = done.value
+                    key, b, _, assumed, mark = top
+                    if e < assumed:
+                        # the pair was assumed too high: undo what was
+                        # written since the frame opened, replay its game
+                        # capped at e, and assume nothing more
+                        self._restore(undo, mark)
+                        optimistic = False
+                        top[2:4] = [self._game(key[0], key[1], e), -1]
+                        e = None
+                        continue
+                    stack.pop()
+                    if optimistic:
+                        del open_at[key]
+                    # e == b is only a lower bound; _known saw none as high
+                    memo = self.exact if e < b else self.lower
+                    undo.append((e < b, key, memo.get(key)))
+                    memo[key] = e
+                    if not stack:
+                        return e
                     continue
-                stack.pop()
+                key = (t2, u2) if t2 <= u2 else (u2, t2)
                 if optimistic:
-                    del open_at[key]
-                if low < num:
-                    # rests on an open ancestor, as does all that
-                    # rested on this frame
-                    ent = [key, e, b, low]
-                    pending.append(ent)
-                    tentative[key] = ent
-                    if low < stack[-1][3]:
-                        stack[-1][3] = low
-                    continue
-                if len(pending) > mark:
-                    # every assumption since this frame opened holds, so
-                    # what rested on them is exact; an older, lower bound
-                    # of a pair may commit after a higher one
-                    for key2, e2, b2, _ in pending[mark:]:
-                        tentative.pop(key2, None)
-                        if e2 < b2:
-                            exact[key2] = e2
-                        elif lower.get(key2, -1) < b2:
-                            lower[key2] = b2
-                    del pending[mark:]
-                if e < b:
-                    exact[key] = e
-                else:
-                    lower[key] = b  # _known saw a smaller bound or none
-                if not stack:
-                    return e
-                continue
-            key = (t2, u2) if t2 <= u2 else (u2, t2)
-            if tentative:
-                ent = tentative.get(key)
-                if ent is not None and (ent[1] < ent[2] or ent[2] >= cap):
-                    e = min(ent[1], cap)
-                    if ent[3] < top[3]:
-                        top[3] = ent[3]
-                    continue
-            if optimistic:
-                frame = open_at.get(key)
-                if frame is not None:
-                    # a cycle: assume the pair holds up to cap
-                    if cap > frame[4]:
-                        frame[4] = cap
-                    if frame[6] < top[3]:
-                        top[3] = frame[6]
-                    e = cap
-                    continue
-            frame = [key, cap, self._game(t2, u2, cap), opened, -1,
-                     len(pending), opened]
-            opened += 1
-            if optimistic:
-                open_at[key] = frame
-            stack.append(frame)
-            e = None
+                    frame = open_at.get(key)
+                    if frame is not None:
+                        # a cycle: assume the pair holds up to cap
+                        if cap > frame[3]:
+                            frame[3] = cap
+                        e = cap
+                        continue
+                frame = [key, cap, self._game(t2, u2, cap), -1, len(undo)]
+                if optimistic:
+                    open_at[key] = frame
+                stack.append(frame)
+                e = None
+        except BaseException:
+            self._restore(undo, 0)
+            raise
+
+    def _restore(self, undo, mark: int):
+        """Undo the memo writes logged from `mark` on, newest first."""
+        for exact, key, old in reversed(undo[mark:]):
+            memo = self.exact if exact else self.lower
+            if old is None:
+                del memo[key]
+            else:
+                memo[key] = old
+        del undo[mark:]
 
     def _game(self, t: int, u: int, budget: int):
         """One game node: returns the level of (t, u) capped at budget."""

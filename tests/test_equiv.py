@@ -9,6 +9,7 @@ from fogbisim.terms import (
 )
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import enabled_actions, run_word, step_action
+from fogbisim import equiv
 from fogbisim.equiv import (
     EqOracle, EquivError, attacker_optimal, defender_optimal,
     find_sink_witness,
@@ -126,6 +127,18 @@ def test_variable_stipulation():
     assert o.level(x1, b) == 0
     assert o.level(x1, g.ts.app("A", (x1,)), 0) >= 0
     assert not o.level(x1, g.ts.app("A", (x1,)), 1) >= 1
+
+
+def test_budget_out_of_range():
+    g = g1()
+    o = EqOracle(g, 12)
+    t, u = tower(g, 1), tower(g, 2)
+    for b in (-1, -3, 13):
+        with pytest.raises(EquivError):
+            o.level(t, t, b)
+        with pytest.raises(EquivError):
+            o.level(t, u, b)
+    assert o.level(t, u, 0) == 0 and o.level(t, t, 0) == 0
 
 
 def test_counter_pairs_analytic():
@@ -279,6 +292,43 @@ def test_replay_is_capped_at_the_failed_value(monkeypatch):
     audit_memo(o)
 
 
+@pytest.mark.parametrize("cutoff, stops", [
+    (100, (300, 1000, 3000)),
+    (8, (55,)),  # an entry resting on an assumption that fails is stored
+])
+def test_interrupted_search_leaves_the_memo_exact(monkeypatch, cutoff, stops):
+    # a search that raises takes back every memo entry it wrote, so what
+    # rests on an assumption it never checked cannot outlive it
+    g, (t, u) = battery_pair(3, 15)
+    o = EqOracle(g, cutoff)
+    want = reference_level(EqOracle(g, cutoff), t, u)
+    calls = 0
+
+    def interrupting(g, t, a):
+        nonlocal calls
+        if armed:
+            calls += 1
+            if calls in stops:
+                raise KeyboardInterrupt
+        return step_action(g, t, a)
+
+    monkeypatch.setattr(equiv, "step_action", interrupting)
+    interrupts = 0
+    while True:
+        armed = True
+        try:
+            e = o.level(t, u)
+            break
+        except KeyboardInterrupt:
+            interrupts += 1
+        armed = False  # audit_memo steps through the same name
+        audit_memo(o)
+    assert interrupts == len(stops)
+    assert e == want
+    armed = False
+    audit_memo(o)
+
+
 @pytest.mark.parametrize("gseed, cutoff, budget, left, right", [
     (147, 6, 6, "node b = B(b,a,a); node a = A(a,b,b); root t = a",
      "node b = B(a,a,a); node a = A(b,b,b); root t = a"),
@@ -286,9 +336,10 @@ def test_replay_is_capped_at_the_failed_value(monkeypatch):
 ])
 def test_tentative_results_wait_for_the_frame_they_rest_on(
         gseed, cutoff, budget, left, right):
-    # a pair that closes resting on a frame below its parent passes that
-    # frame on to the parent; otherwise the parent enters the memo before
-    # the assumption is checked, and the check fails here
+    # a pair that closes resting on a frame below its parent is written
+    # after that frame opened, and so is the parent that reads it; both
+    # are undone if the frame's assumption fails, and an entry kept past
+    # the failure makes the check fail here
     g = random_grammar(gseed)
     t, u = (intern_graph(g.ts, x, g.arities) if "node" in x
             else parse_term(g.ts, x, g.arities) for x in (left, right))
@@ -301,8 +352,9 @@ def test_tentative_results_wait_for_the_frame_they_rest_on(
 def test_closed_cycles_bound_the_games(monkeypatch):
     log = log_games(monkeypatch)
     g = g1()
-    # at the unrolling loop's count; cycle closing without the tentative
-    # table would take 8,192 games here
+    # at the unrolling loop's count; cycle closing that could not read a
+    # result resting on an unchecked assumption would take 8,192 games
+    # here
     assert EqOracle(g, 31).level(tower(g, 13), tower(g, 14)) == 13
     assert sum(ev[0] == "open" for ev in log) <= 92
     del log[:]
