@@ -14,7 +14,7 @@ loop grows a candidate until every enumerated pair outside it is
 from __future__ import annotations
 
 from .terms import apply_subst, omega_iterate, pressize, refine, varin
-from .grammar import Grammar
+from .grammar import MAX_DIGITS, Grammar
 from .lts import run_word
 from .equiv import EqOracle, Indeterminate, find_sink_witness
 from .plays import (
@@ -131,10 +131,7 @@ def next_size(g: Grammar, s: int, growth: int, e: int) -> int:
     return 2 * s + growth * (1 + e) + e * g.stepinc
 
 
-# a threshold of more digits than this could not be printed: Python's
-# int-to-decimal conversion refuses it by default
-MAX_THRESHOLD_DIGITS = 4300
-_TOO_LARGE = 10 ** MAX_THRESHOLD_DIGITS
+_TOO_LARGE = 10 ** MAX_DIGITS
 
 
 def layer_thresholds(g: Grammar, params: NsgParams, entries):
@@ -143,13 +140,13 @@ def layer_thresholds(g: Grammar, params: NsgParams, entries):
     entries is a collection of (layer, pressize, eq-level) triples; e_j
     is the largest eq-level of an entry of layer <= j within s_j, or 0.
     Raises BasesError as soon as some s_j has more than
-    MAX_THRESHOLD_DIGITS digits."""
+    MAX_DIGITS digits."""
     s_vals, e_vals = {}, {}
     s = params.s
     for j in range(params.n, -1, -1):
         if s >= _TOO_LARGE:
             raise BasesError("layer-%d size threshold exceeds %d digits"
-                             % (j, MAX_THRESHOLD_DIGITS))
+                             % (j, MAX_DIGITS))
         s_vals[j] = s
         e_vals[j] = max((eq for lv, sz, eq in entries if lv <= j and sz <= s),
                         default=0)
@@ -371,7 +368,7 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     if ts.is_var(v):
         raise BasesError("stair base is a dead variable (classifier bug)")
     a_name = ts.root(v)
-    top_v, sigma = p_top_form(ts, v, g.constants.d0)
+    top_v, sigma = p_top_form(ts, v, g.d0)
     sbb = dict(enumerate(ts.children(top_v), 1))
 
     words = [w2] + [pp.segments[q][0] for q in range(kj, kj1 - 1)]

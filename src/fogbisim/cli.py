@@ -12,7 +12,7 @@ import json
 import sys
 
 from .terms import TermError, intern_graph, parse_term, pressize, render_term
-from .grammar import GrammarConstants, GrammarError, parse_grammar
+from .grammar import GrammarError, parse_grammar
 from .lts import run_word, step_action, step_rule
 from .equiv import EqOracle, EquivError, Indeterminate
 from .plays import (
@@ -96,11 +96,11 @@ def _emit(args, payload, lines):
 
 def cmd_validate(args):
     g = _load_grammar(args)
-    cd = g.constants.as_dict()
+    cd = g.constants._asdict()
     lines = ["nonterminals: %d" % len(g.arities),
              "rules: %d" % len(g.rules),
              "actions: %d" % len(g.actions)]
-    lines += ["%s\t%s" % (k, cd[k]) for k in GrammarConstants.FIELDS]
+    lines += ["%s\t%s" % kv for kv in cd.items()]
     _emit(args, {"command": "validate", "nonterminals": len(g.arities),
                  "rules": len(g.rules), "actions": len(g.actions),
                  "constants": cd}, lines)
@@ -109,9 +109,9 @@ def cmd_validate(args):
 
 def cmd_constants(args):
     g = _load_grammar(args)
-    cd = g.constants.as_dict()
+    cd = g.constants._asdict()
     _emit(args, {"command": "constants", "constants": cd},
-          ["%s\t%s" % (k, cd[k]) for k in GrammarConstants.FIELDS])
+          ["%s\t%s" % kv for kv in cd.items()])
     return EXIT_OK
 
 

@@ -60,14 +60,17 @@ class EqOracle:
     `level` closes cycles on that basis instead of unrolling them. A
     sub-query whose pair is open on the stack is answered cap at once:
     the pair is assumed to hold up to cap. Every game that closes enters
-    the memo at once, and `level` logs the value each write replaced. A
-    frame that closes below a value it was assumed at restores the
+    the memo at once, and while some open frame has been assumed,
+    `level` logs the value each write replaced; a write made with none
+    assumed rests on no assumption, and no restore needs it. A frame
+    that closes below a value it was assumed at restores the logged
     entries written since it opened, replays its game capped at the
     value it just closed at, and the rest of the call assumes nothing. A
     result that rests on a frame's assumption was written after that
-    frame opened, and so was every result that read it, so the restore
-    removes all of them. A search that raises restores every entry the
-    call wrote. Until an assumption fails, a cycle thus costs one visit,
+    frame was assumed, so it was logged, and after the frame opened, and
+    so was every result that read it, so the restore removes all of
+    them. A search that raises restores every entry the call logged.
+    Until an assumption fails, a cycle thus costs one visit,
     however high the cutoff; after one fails, the rest of the call
     unrolls every cycle it meets down to its budget, and its cost grows
     with the cutoff again.
@@ -176,6 +179,7 @@ class EqOracle:
         # (exact?, pair, the value a write replaced or None); the entries
         # hold no container, so the garbage collector stops tracking them
         undo = []
+        assuming = 0  # open frames whose pair has been assumed
         optimistic = True
         try:
             while True:
@@ -185,6 +189,8 @@ class EqOracle:
                 except StopIteration as done:
                     e = done.value
                     key, b, _, assumed, mark = top
+                    if assumed >= 0:
+                        assuming -= 1
                     if e < assumed:
                         # the pair was assumed too high: undo what was
                         # written since the frame opened, replay its game
@@ -199,7 +205,9 @@ class EqOracle:
                         del open_at[key]
                     # e == b is only a lower bound; _known saw none as high
                     memo = self.exact if e < b else self.lower
-                    undo.append((e < b, key, memo.get(key)))
+                    if assuming:
+                        # a write with no assumption open rests on none
+                        undo.append((e < b, key, memo.get(key)))
                     memo[key] = e
                     if not stack:
                         return e
@@ -209,6 +217,8 @@ class EqOracle:
                     frame = open_at.get(key)
                     if frame is not None:
                         # a cycle: assume the pair holds up to cap
+                        if frame[3] < 0:
+                            assuming += 1
                         if cap > frame[3]:
                             frame[3] = cap
                         e = cap

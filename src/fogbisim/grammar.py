@@ -3,13 +3,25 @@
 A grammar is a finite set of root-rewriting rules A(x1..xm) -a-> E over
 ranked nonterminals. Besides parsing and validation this module
 computes the shortest sink words w_[A,i] (words of rules taking
-A(x1..xm) down to the variable x_i) and the family of numeric constants
-that bound the sizes appearing in the balancing/base machinery.
+A(x1..xm) down to the variable x_i), d0 (one more than the longest of
+them), and the family of numeric constants that bound the sizes
+appearing in the balancing/base machinery. Each is derived once, on
+first use, and kept on the grammar. Every integer the tools print has
+at most MAX_DIGITS digits.
 """
 
 from __future__ import annotations
 
-from .terms import TermStore, TermError, height, propsize, parse_term, varin
+import math
+from collections import namedtuple
+from functools import cached_property
+
+from .terms import VAR, TermStore, TermError, height, propsize, parse_term, varin
+
+# Python's int-to-decimal conversion refuses an int of more digits than
+# this by default, so no constant or threshold may exceed it
+MAX_DIGITS = 4300
+_TOO_LARGE = 10 ** MAX_DIGITS
 
 
 class GrammarError(Exception):
@@ -28,6 +40,11 @@ class Rule:
 
 
 class Grammar:
+    """Ranked nonterminals, actions and rules, with the tables the rule
+    steps read. The sink table, d0, stepinc and the constants are cached
+    properties: each is derived once, on first use, so parsing pays for
+    none of them, and d0 needs the sink table but not the constants."""
+
     def __init__(self, ts: TermStore, arities: dict[str, int],
                  actions: list[str], rules: list[Rule]):
         if not arities or not actions or not rules:
@@ -52,12 +69,6 @@ class Grammar:
             for a, rs in self.rules_by_lhs.items()}
         # (term, action) -> successors; filled by lts.step_action
         self.successors: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
-        # computed on first use, so that parsing does not pay for them; set
-        # here rather than cached in __dict__, which would slow every
-        # attribute read on the grammar
-        self._sink: dict[tuple[str, int], tuple[str, ...]] | None = None
-        self._constants: GrammarConstants | None = None
-        self._stepinc: int | None = None
 
     def _validate(self):
         for kind, names in (("nonterminal name", self.arities),
@@ -76,29 +87,28 @@ class Grammar:
                     "rule %s: rhs uses x%d beyond arity %d of %s"
                     % (r.rid, min(bad), self.arities[r.lhs], r.lhs))
 
-    @property
+    @cached_property
     def sink(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        """The shortest sink-word table, computed on first use:
-        sink[(A, i)] is the shortest (A,i)-sink word."""
-        if self._sink is None:
-            self._sink = compute_sink_table(self)
-        return self._sink
+        """The shortest sink-word table: sink[(A, i)] is the shortest
+        (A,i)-sink word."""
+        return compute_sink_table(self)
 
-    @property
+    @cached_property
+    def d0(self) -> int:
+        """One more than the longest shortest sink word: the one
+        constant balancing and the stair presentation read."""
+        return 1 + max(map(len, self.sink.values()), default=0)
+
+    @cached_property
     def stepinc(self) -> int:
-        """The largest nonterminal-node count of a rule right-hand side,
-        computed on first use apart from the other constants: the size
-        bounds of bases read only this one."""
-        if self._stepinc is None:
-            self._stepinc = max(propsize(self.ts, [r.rhs]) for r in self.rules)
-        return self._stepinc
+        """The largest nonterminal-node count of a rule right-hand side:
+        the one constant the size bounds of bases read."""
+        return max(propsize(self.ts, [r.rhs]) for r in self.rules)
 
-    @property
+    @cached_property
     def constants(self) -> GrammarConstants:
-        """The derived constants, computed on first use."""
-        if self._constants is None:
-            self._constants = compute_constants(self)
-        return self._constants
+        """The derived constants, d0 and stepinc among them."""
+        return compute_constants(self)
 
     def lhs_term(self, nt: str) -> int:
         """A(x1..xm) for the nonterminal's declared arity."""
@@ -170,111 +180,86 @@ def compute_sink_table(g: Grammar) -> dict[tuple[str, int], tuple[str, ...]]:
     the lexicographically least by rule declaration order is kept.
     Positions no word sinks to have no entry.
 
-    Dynamic programming: word[A,i] relaxes via each rule A -r-> E
-    using the best way to sink the finite term E to x_i; iterate to a
-    fixpoint.
+    Dynamic programming over words of rule indices, which order by
+    (length, word) exactly as the tie-break asks: word[A,i] relaxes via
+    each rule A -r-> E using the best way to sink the finite term E to
+    x_i; iterate to a fixpoint.
     """
-    order = {r.rid: i for i, r in enumerate(g.rules)}
+    nodes = g.ts.nodes
+    # each right-hand side's nodes in ascending id order, children first
+    rhs_nodes = [(k, r, sorted(g.ts.reachable([r.rhs])))
+                 for k, r in enumerate(g.rules)]
+    best: dict[tuple[str, int], tuple[int, ...]] = {}
 
-    def better(a, b):
-        # a beats b: shorter, or equal length and lexicographically less
-        if b is None:
-            return True
-        if a is None:
-            return False
-        ka = (len(a), tuple(order[r] for r in a))
-        kb = (len(b), tuple(order[r] for r in b))
-        return ka < kb
-
-    best: dict[tuple[str, int], tuple[str, ...] | None] = {}
-    for nt, m in g.arities.items():
-        for i in range(1, m + 1):
-            best[(nt, i)] = None
-
-    def sink_term(t: int, i: int):
-        """Best known word sinking the finite term t to x_i, or None;
-        built in ascending id order, so children come first."""
-        word = {}
-        for u in sorted(g.ts.reachable([t])):
-            node = g.ts.nodes[u]
-            if node[0] == "var":
-                word[u] = () if node[1] == i else None
-                continue
-            b = None
-            for j, child in enumerate(node[2], 1):
-                head = best.get((node[1], j))
-                if head is None or word[child] is None:
-                    continue
-                cand = head + word[child]
-                if better(cand, b):
-                    b = cand
-            word[u] = b
-        return word[t]
+    def order(w):
+        return (len(w), w)
 
     changed = True
     while changed:
         changed = False
-        for r in g.rules:
+        for k, r, below in rhs_nodes:
             for i in range(1, g.arities[r.lhs] + 1):
-                tail = sink_term(r.rhs, i)
-                if tail is None:
+                # the best known word sinking each node of E to x_i
+                word = {}
+                for u in below:
+                    node = nodes[u]
+                    if node[0] == VAR:
+                        word[u] = () if node[1] == i else None
+                        continue
+                    word[u] = min(
+                        (best[(node[1], j)] + word[c]
+                         for j, c in enumerate(node[2], 1)
+                         if (node[1], j) in best and word[c] is not None),
+                        key=order, default=None)
+                if word[r.rhs] is None:
                     continue
-                cand = (r.rid,) + tail
-                if better(cand, best[(r.lhs, i)]):
+                cand = (k,) + word[r.rhs]
+                old = best.get((r.lhs, i))
+                if old is None or order(cand) < order(old):
                     best[(r.lhs, i)] = cand
                     changed = True
-    return {k: v for k, v in best.items() if v is not None}
+    return {p: tuple(g.rules[k].rid for k in w) for p, w in best.items()}
 
 
-class GrammarConstants:
-    FIELDS = ["m", "hinc", "stepinc", "d0", "d1", "d2", "d3", "d4", "d5",
-              "n", "s", "g", "c"]
-
-    def __init__(self, **kw):
-        for f in self.FIELDS:
-            setattr(self, f, kw[f])
-
-    def as_dict(self) -> dict[str, int]:
-        return {f: getattr(self, f) for f in self.FIELDS}
-
-    def __repr__(self):
-        return "GrammarConstants(%s)" % ", ".join(
-            "%s=%d" % (f, getattr(self, f)) for f in self.FIELDS)
+GrammarConstants = namedtuple(
+    "GrammarConstants", "m hinc stepinc d0 d1 d2 d3 d4 d5 n s g c")
 
 
-def max_arity(g: Grammar) -> int:
-    return max(g.arities.values())
-
-
-def nonvar_subterms_of_rhs(g: Grammar) -> set[int]:
-    """All non-variable subterms of all rule right-hand sides."""
-    out = set()
-    for r in g.rules:
-        for t in g.ts.reachable([r.rhs]):
-            if not g.ts.is_var(t):
-                out.add(t)
-    return out
+def _power(b: int, e: int, name: str) -> int:
+    """b ** e for the constant `name`, refused before it is computed when
+    it would have more than MAX_DIGITS digits."""
+    if b > 1 and e * math.log10(b) > MAX_DIGITS:
+        raise GrammarError("constant %s exceeds %d digits" % (name, MAX_DIGITS))
+    return b ** e
 
 
 def compute_constants(g: Grammar) -> GrammarConstants:
+    """The bounds d1..d5, n, s, g and c, derived from d0, stepinc, the
+    largest arity m and hinc = max(height(E) - 1, 0) over the right-hand
+    sides. A GrammarError names the first constant of more than
+    MAX_DIGITS digits."""
     ts = g.ts
-    m = max_arity(g)
-    # height(E)-1 over all rhs, clamped at 0
-    hinc = max((height(ts, r.rhs) - 1 for r in g.rules), default=0)
-    hinc = max(hinc, 0)
+    m = max(g.arities.values())
+    hinc = max(max(height(ts, r.rhs) for r in g.rules) - 1, 0)
     stepinc = g.stepinc
-    d0 = 1 + max(map(len, g.sink.values()), default=0)
+    d0 = g.d0
     nN = len(g.arities)
     nR = len(g.rules)
-    d1 = 2 * nN * max(d0, nR ** d0) ** (m + 2)
+    # the non-variable subterms of all right-hand sides
+    nonvar = propsize(ts, [r.rhs for r in g.rules])
+    d1 = 2 * nN * _power(max(d0, _power(nR, d0, "d1")), m + 2, "d1")
     d2 = d0 + (1 + d0 * hinc) * (d0 - 1)
-    d3 = max(d0, nR ** d0) ** 2
-    nonvar = nonvar_subterms_of_rhs(g)
-    d4 = d1 * (1 + len(nonvar)) ** (d2 + d0 - 1)
+    d3 = _power(max(d0, _power(nR, d0, "d3")), 2, "d3")
+    d4 = d1 * _power(1 + nonvar, d2 + d0 - 1, "d4")
     d5 = (d2 + d0 - 1) * (1 + (d0 - 1) * hinc)
-    n = m ** d0
-    s = m ** (d0 + 1) + (m + 2) * d0 * stepinc + (d2 + d0 - 1) * stepinc
+    n = _power(m, d0, "n")
+    s = _power(m, d0 + 1, "s") + (m + 2) * d0 * stepinc + (d2 + d0 - 1) * stepinc
     gg = (d2 + d0 - 1) * stepinc
     c = max(d3, 2 * d4 * d5)
-    return GrammarConstants(m=m, hinc=hinc, stepinc=stepinc, d0=d0, d1=d1,
-                            d2=d2, d3=d3, d4=d4, d5=d5, n=n, s=s, g=gg, c=c)
+    consts = GrammarConstants(m, hinc, stepinc, d0, d1, d2, d3, d4, d5,
+                              n, s, gg, c)
+    for name, v in zip(consts._fields, consts):
+        if v >= _TOO_LARGE:
+            raise GrammarError("constant %s exceeds %d digits"
+                               % (name, MAX_DIGITS))
+    return consts

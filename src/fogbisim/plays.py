@@ -130,7 +130,7 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
     """One balancing step of the given side on a play of length d0."""
     g = o.g
     ts = g.ts
-    dec = enables_balancing(g, rho, side, g.constants.d0)
+    dec = enables_balancing(g, rho, side, g.d0)
     if dec is None:
         raise PlaysError("play does not enable balancing on side %d" % side)
     a_name, kids, e_prime = dec
@@ -239,7 +239,7 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
     """The full phase procedure; returns (BalancedPlay, PivotPath)."""
     g = o.g
     ts = g.ts
-    d0 = g.constants.d0
+    d0 = g.d0
     if o.level(t, u) >= o.cutoff:
         raise Indeterminate("eq-level at least %d: the balanced-play "
                             "transformation needs a finite level" % o.cutoff)
@@ -477,7 +477,7 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     t0, u0 = bp.start_pair
     psz = pressize(ts, [t0, u0])
     e0 = o.level(t0, u0)
-    d0 = consts.d0
+    d0 = g.d0
 
     rep.add("total-length-equals-eqlevel", bp.length() == e0,
             "length=%d eqlevel=%d" % (bp.length(), e0))

@@ -108,3 +108,16 @@ def chain_grammar(n):
     lines.append("rule c1: %s(x1) -c-> %s(x1)" % (rs[-1], rs[-1]))
     lines.append("rule z1: Z -a-> Z")
     return "\n".join(lines) + "\n"
+
+
+def deep_grammar(levels):
+    """Grammar text of A0(x1) -a-> x1, Ai(x1) -a-> A(i-1)(A(i-1)(x1)) for
+    i = 1..levels, and Z -a-> Z: the shortest (Ai,1)-sink word has
+    2^(i+1) - 1 rules. grammars/gdeep.fog is deep_grammar(12)."""
+    nts = ["A%d" % i for i in range(levels + 1)]
+    lines = ["nonterminals: " + ", ".join(x + "/1" for x in nts) + ", Z/0",
+             "actions: a", "rule a0: A0(x1) -a-> x1"]
+    lines += ["rule a%d: A%d(x1) -a-> A%d(A%d(x1))" % (i, i, i - 1, i - 1)
+              for i in range(1, levels + 1)]
+    lines.append("rule z1: Z -a-> Z")
+    return "\n".join(lines) + "\n"

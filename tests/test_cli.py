@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 import shlex
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +17,7 @@ GRAMMARS = ROOT / "grammars"
 G1 = str(GRAMMARS / "g1.fog")
 GCHAIN = str(GRAMMARS / "gchain.fog")
 GNULL = str(GRAMMARS / "gnull.fog")
+GDEEP = str(GRAMMARS / "gdeep.fog")
 
 
 def run(capsys, *argv):
@@ -65,6 +67,52 @@ def test_constants_match_module(capsys):
     c = compute_constants(parse_grammar(open(G1).read()))
     assert doc["constants"]["d4"] == c.d4
     assert doc["constants"]["c"] == c.c
+
+
+class Expired(BaseException):
+    """Raised by `time_limit`; not an Exception, so `main` lets it out."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise Expired("took more than %d s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# gdeep's d0 is 8,192 and its d1..d5 and c run far past 4,300 digits;
+# every pair of ground terms is bisimilar
+
+@pytest.mark.parametrize("command", ["balance", "pipeline"])
+def test_gdeep_balancing_stops_at_the_cutoff_at_once(capsys, command):
+    # the cutoff check needs d0 only, not the constants
+    with time_limit(10):
+        code, out, err = run(capsys, command, "--grammar", GDEEP,
+                             "--left", "A3(Z)", "--right", "A2(Z)")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("indeterminate: ")
+
+
+@pytest.mark.parametrize("command", ["constants", "validate"])
+def test_gdeep_constants_are_refused_by_name(capsys, command):
+    with time_limit(10):
+        code, out, err = run(capsys, command, "--grammar", GDEEP)
+    assert (code, out) == (2, "")
+    assert err == "error: constant d1 exceeds 4300 digits\n"
+
+
+def test_gdeep_eqlevel(capsys):
+    with time_limit(10):
+        code, out, _ = run(capsys, "eqlevel", "--grammar", GDEEP,
+                           "--left", "A3(Z)", "--right", "A2(Z)")
+    assert (code, out) == (0, "at-least 12\n")
 
 
 def test_step_rule_and_action(capsys):

@@ -329,6 +329,36 @@ def test_interrupted_search_leaves_the_memo_exact(monkeypatch, cutoff, stops):
     audit_memo(o)
 
 
+def test_no_assumption_logs_no_undo(monkeypatch):
+    # the query meets no pair that is still open, so no write rests on
+    # an assumption and the undo log stays empty; a higher tower pair
+    # would (a then b leads back to it)
+    g = g1()
+    logged = []
+    restore = EqOracle._restore
+
+    def recorded(self, undo, mark):
+        logged.append(len(undo))
+        restore(self, undo, mark)
+
+    calls = 0
+
+    def interrupting(g, t, a):
+        nonlocal calls
+        calls += 1
+        if calls == 8:  # the query's last call, after a game closed
+            raise KeyboardInterrupt
+        return step_action(g, t, a)
+
+    monkeypatch.setattr(EqOracle, "_restore", recorded)
+    monkeypatch.setattr(equiv, "step_action", interrupting)
+    o = EqOracle(g, 31)
+    with pytest.raises(KeyboardInterrupt):
+        o.level(tower(g, 2), tower(g, 3))
+    assert o.exact[(tower(g, 1), tower(g, 2))] == 1 and logged == [0]
+    audit_memo(o)
+
+
 @pytest.mark.parametrize("gseed, cutoff, budget, left, right", [
     (147, 6, 6, "node b = B(b,a,a); node a = A(a,b,b); root t = a",
      "node b = B(a,a,a); node a = A(b,b,b); root t = a"),

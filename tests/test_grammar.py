@@ -6,11 +6,11 @@ import pytest
 from fogbisim.terms import TermStore, parse_term, varin
 from fogbisim.grammar import (
     Grammar, GrammarError, Rule, compute_constants, compute_sink_table,
-    max_arity, nonvar_subterms_of_rhs, parse_grammar,
+    parse_grammar,
 )
 from fogbisim.lts import enabled_actions, step_action, step_rule
 
-from gen import random_grammar
+from gen import chain_grammar, deep_grammar, random_grammar
 
 GRAMMAR_DIR = os.path.join(os.path.dirname(__file__), "..", "grammars")
 
@@ -90,7 +90,7 @@ def test_sink_and_constants_are_cached_on_the_grammar(monkeypatch):
     assert g.constants is g.constants and g.sink is g.sink
     assert calls == [g]  # the constants read the one cached table
     assert g.sink == compute_sink_table(g)
-    assert g.constants.as_dict() == compute_constants(g).as_dict()
+    assert g.constants == compute_constants(g)
 
 
 def test_stepinc_is_computed_apart_from_the_constants(monkeypatch):
@@ -107,7 +107,7 @@ def test_stepinc_is_computed_apart_from_the_constants(monkeypatch):
     with open(os.path.join(GRAMMAR_DIR, "gchain.fog")) as f:
         g = parse_grammar(f.read())
     assert g.stepinc == 1 and g.stepinc is g.stepinc
-    assert calls == [] and g._constants is None
+    assert calls == [] and "constants" not in vars(g)
     assert g.constants.stepinc == g.stepinc == 1
     assert g1().stepinc == 2
 
@@ -147,14 +147,14 @@ def test_g1_constants():
 def test_max_arity():
     g = parse_grammar("nonterminals: A/3, B/0, C/2, D/2\nactions: a\n"
                       "rule r1: A(x1,x2,x3) -a-> x1\n")
-    assert max_arity(g) == 3
-    assert max_arity(g1()) == 1
+    assert compute_constants(g).m == 3
+    assert compute_constants(g1()).m == 1
 
 
 def test_nonvarsubrhs_g1():
-    g = g1()
-    # A(A(x1)), A(x1), Z
-    assert len(nonvar_subterms_of_rhs(g)) == 3
+    c = compute_constants(g1())
+    # d4's base counts the non-variable subterms A(A(x1)), A(x1), Z
+    assert c.d4 == c.d1 * (1 + 3) ** (c.d2 + c.d0 - 1)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -226,6 +226,91 @@ def test_sink_table_matches_oracles(seed):
             t = step_rule(g, t, rid)
             assert t is not None
         assert g.ts.is_var(t) and g.ts.var_index(t) == i
+
+
+def reference_sink_table(g):
+    """A reference for compute_sink_table: the same DP over words of
+    rule ids, ranking two candidates by (length, declaration indices)
+    at each comparison."""
+    order = {r.rid: i for i, r in enumerate(g.rules)}
+
+    def better(a, b):
+        # a beats b: shorter, or equal length and lexicographically less
+        if b is None:
+            return True
+        if a is None:
+            return False
+        ka = (len(a), tuple(order[r] for r in a))
+        kb = (len(b), tuple(order[r] for r in b))
+        return ka < kb
+
+    best = {}
+    for nt, m in g.arities.items():
+        for i in range(1, m + 1):
+            best[(nt, i)] = None
+
+    def sink_term(t, i):
+        word = {}
+        for u in sorted(g.ts.reachable([t])):
+            node = g.ts.nodes[u]
+            if node[0] == "var":
+                word[u] = () if node[1] == i else None
+                continue
+            b = None
+            for j, child in enumerate(node[2], 1):
+                head = best.get((node[1], j))
+                if head is None or word[child] is None:
+                    continue
+                cand = head + word[child]
+                if better(cand, b):
+                    b = cand
+            word[u] = b
+        return word[t]
+
+    changed = True
+    while changed:
+        changed = False
+        for r in g.rules:
+            for i in range(1, g.arities[r.lhs] + 1):
+                tail = sink_term(r.rhs, i)
+                if tail is None:
+                    continue
+                cand = (r.rid,) + tail
+                if better(cand, best[(r.lhs, i)]):
+                    best[(r.lhs, i)] = cand
+                    changed = True
+    return {k: v for k, v in best.items() if v is not None}
+
+
+def test_sink_table_matches_the_reference():
+    grammars = [random_grammar(seed, max_rules=12, max_depth=3)
+                for seed in range(500)]
+    grammars += [load(name) for name in ("g1.fog", "gchain.fog", "gnull.fog")]
+    grammars += [parse_grammar(chain_grammar(n)) for n in (8, 40)]
+    for g in grammars:
+        assert compute_sink_table(g) == reference_sink_table(g)
+
+
+def test_gdeep_sink_word_doubles_per_level():
+    with open(os.path.join(GRAMMAR_DIR, "gdeep.fog")) as f:
+        text = f.read()
+    assert [line for line in text.splitlines() if not line.startswith("#")] \
+        == deep_grammar(12).splitlines()
+    g = parse_grammar(text)
+    assert len(g.sink[("A12", 1)]) == 8191 and g.d0 == 8192
+    assert "constants" not in vars(g)
+
+
+@pytest.mark.parametrize("levels, name", [(6, "d4"), (12, "d1")])
+def test_oversize_constants_are_refused_by_name(levels, name):
+    # d0 = 2^(levels+1); at six levels d4 would have about 35,000 digits,
+    # at twelve nR^d0 in d1 about 9,400, and each power is refused
+    # before it is computed
+    g = parse_grammar(deep_grammar(levels))
+    with pytest.raises(GrammarError,
+                       match="constant %s exceeds 4300 digits" % name):
+        g.constants
+    assert g.d0 == 2 ** (levels + 1)
 
 
 def exposed_positions(g, nt, state_cap=3000):

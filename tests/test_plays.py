@@ -5,7 +5,7 @@ import pytest
 from fogbisim.terms import (
     apply_subst, intern_graph, omega_iterate, parse_term, pressize, varin,
 )
-from fogbisim.grammar import parse_grammar
+from fogbisim.grammar import GrammarError, parse_grammar
 from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle, Indeterminate
 from fogbisim import plays
@@ -17,7 +17,7 @@ from fogbisim.plays import (
     verify_balanced, _build_pivot_path,
 )
 
-from gen import chain_grammar, random_grammar, random_ground_term
+from gen import chain_grammar, deep_grammar, random_grammar, random_ground_term
 from test_acceptance import bundled_pairs
 from test_equiv import log_games
 
@@ -411,6 +411,21 @@ def test_transform_nullary_chains():
     assert rep.ok(), [c for c in rep.checks if not c[1]]
 
 
+def test_verify_refuses_oversize_constants():
+    # six levels give d0 = 128 and a d4 of about 35,000 digits: balancing
+    # reads d0 alone, and the checks that compare against d4 are refused
+    # by name
+    text = deep_grammar(6).replace("actions: a\n", "actions: a, b\n")
+    g = parse_grammar(text + "rule zb: Z -b-> Z\n")
+    t = parse_term(g.ts, "A1(Z)", g.arities)
+    u = parse_term(g.ts, "A2(Z)", g.arities)
+    o = EqOracle(g, 12)
+    bp, pp = transform_to_balanced(o, t, u)
+    seg = refine_segments(g, bp, pp)
+    with pytest.raises(GrammarError, match="constant d4 exceeds 4300 digits"):
+        verify_balanced(o, bp, pp, seg)
+
+
 def test_transform_chain_grammar():
     g = parse_grammar(GCHAIN)
     t = parse_term(g.ts, "A(Z)", g.arities)
@@ -510,6 +525,21 @@ def chain_case(n):
     t = parse_term(g.ts, "A(A(Z))", g.arities)
     u = parse_term(g.ts, "B(B(Z))", g.arities)
     return g, EqOracle(g, n + 1), t, u
+
+
+def test_balancing_reads_d0_without_the_constants(monkeypatch):
+    # balancing needs d0 alone, so it must not pay for d1..d5 and c,
+    # which on deep grammars run to thousands of digits
+    import fogbisim.grammar as grammar
+
+    def refuse(g):
+        raise AssertionError("balancing built the constants")
+
+    monkeypatch.setattr(grammar, "compute_constants", refuse)
+    g, o, t, u = chain_case(8)
+    bp, pp = transform_to_balanced(o, t, u)
+    assert bp.length() == o.level(t, u) == 8
+    assert g.d0 == 2 and "constants" not in vars(g)
 
 
 # pairs whose transformation turns on the abstract replay of E', with
