@@ -16,7 +16,7 @@ from __future__ import annotations
 from .terms import apply_subst, omega_iterate, pressize, refine, varin
 from .grammar import MAX_DIGITS, Grammar
 from .lts import run_word
-from .equiv import EqOracle, Indeterminate, find_sink_witness
+from .equiv import EqOracle, Indeterminate, find_sink_witness, pair_text
 from .plays import (
     BalancedPlay, PivotPath, Segmentation, by_side, p_top_form,
     present_over_top,
@@ -62,11 +62,8 @@ def check_nsg_sequence(o: EqOracle, seq: NsgSequence, p: NsgParams) -> bool:
             return False
         if pressize(ts, [e, f]) > p.s + p.g * (j - 1):
             return False
-        lv = o.level(*seq.element(ts, j - 1))
-        if lv >= o.cutoff:
-            raise Indeterminate(
-                "eq-level at least %d: element %d of the sequence needs a "
-                "finite level" % (o.cutoff, j))
+        lv = o.finite_level(*seq.element(ts, j - 1), "element %d of the "
+                            "sequence needs a finite level" % j)
         if prev is not None and lv >= prev:
             return False
         prev = lv
@@ -89,10 +86,8 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
         raise BasesError("cannot reduce an empty sequence")
     e1, f1 = seq.tops[0]
     k = o.level(e1, f1)
-    ell = o.level(*seq.element(ts, 0))
-    if ell >= o.cutoff:
-        raise Indeterminate("eq-level at least %d: the reduction needs a "
-                            "finite level of the first element" % o.cutoff)
+    ell = o.finite_level(*seq.element(ts, 0), "the reduction needs a "
+                         "finite level of the first element")
     if k >= ell:
         raise BasesError(
             "eqlevel(E1,F1) = eqlevel(E1 sigma, F1 sigma): nothing to "
@@ -275,16 +270,29 @@ def enumerate_pairs(o: EqOracle, max_vars: int, max_size: int):
             yield ((a, b), lv, len(reach[a] | reach[b]), o.level(a, b))
 
 
+def _cap_reason(s_vals, cap: int):
+    """Why an enumeration up to cap misses pairs within some threshold:
+    the first layer from n down whose s_j exceeds cap, or None."""
+    over = [j for j, s in s_vals.items() if s > cap]
+    if not over:
+        return None
+    j = max(over)
+    return "layer-%d size threshold %d exceeds the max size %d" % (
+        j, s_vals[j], cap)
+
+
 def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):
     """The full candidate over the pairs of pressize <= cap: each pair
     below the cutoff that lies within its own layer's threshold, the
     thresholds being the `layer_thresholds` of all pairs below the cutoff.
 
-    Returns (Candidate, E_B, complete); complete is False when some s_j
-    exceeds the cap or a pair at the cutoff (treated as equivalent and
-    left out) lies within its own layer's threshold. For nonnegative n, s
-    and g the thresholds never shrink from layer n down to 0, so a pair
-    of layer lv is within s_j for some j >= lv exactly when within s_lv.
+    Returns (Candidate, E_B, status, reason). status is "complete", or
+    "capped" when some s_j exceeds the cap or a pair at the cutoff
+    (treated as equivalent and left out) lies within its own layer's
+    threshold; reason names the first such layer, else that pair, and is
+    None exactly when complete. For nonnegative n, s and g the
+    thresholds never shrink from layer n down to 0, so a pair of layer lv
+    is within s_j for some j >= lv exactly when within s_lv.
     """
     universe = list(enumerate_pairs(o, params.n, cap))
     s_vals, _ = layer_thresholds(
@@ -294,9 +302,15 @@ def build_full_base_capped(o: EqOracle, params: NsgParams, cap: int):
               if sz <= s_vals[lv]]
     cand = Candidate(o, params, [(pr, lv, sz, eq) for pr, lv, sz, eq in within
                                  if eq < o.cutoff])
-    complete = max(s_vals.values()) <= cap \
-        and all(eq < o.cutoff for _, _, _, eq in within)
-    return cand, bound_of_candidate(cand), complete
+    reason = _cap_reason(s_vals, cap)
+    at_cutoff = [(pr, lv) for pr, lv, _, eq in within if eq >= o.cutoff]
+    if reason is None and at_cutoff:
+        pr, lv = at_cutoff[0]
+        reason = ("eq-level at least %d: layer-%d pair %s lies within its "
+                  "threshold %d" % (o.cutoff, lv, pair_text(o.g.ts, *pr),
+                                    s_vals[lv]))
+    return (cand, bound_of_candidate(cand),
+            "complete" if reason is None else "capped", reason)
 
 
 # -- the soundness machinery -------------------------------------------------
@@ -316,20 +330,22 @@ def speceq_check(o: EqOracle, entry, k: int, c: int) -> bool:
     if o.cutoff > threshold:
         return True
     raise Indeterminate(
-        "threshold %d is at/above the cutoff %d and the pair is not "
-        "distinguished below it" % (threshold, o.cutoff))
+        "threshold %d is at/above the cutoff %d and %s is not "
+        "distinguished below it"
+        % (threshold, o.cutoff, pair_text(o.g.ts, t, u)))
 
 
 def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
     """Grow a candidate until every enumerated pair outside it passes
-    the scale-E_B equivalence test; returns (Candidate, E_B, status)
-    with status in {"sound", "indeterminate", "capped"}."""
+    the scale-E_B equivalence test; returns (Candidate, E_B, status,
+    reason) with status in {"sound", "indeterminate", "capped"}. reason
+    is None exactly when sound; else it is `speceq_check`'s message, or
+    names the first layer whose s_j exceeds the cap."""
     universe = list(enumerate_pairs(o, params.n, cap))
     picked: set = set()
     while True:
         cand = Candidate(o, params, picked)
         bound = bound_of_candidate(cand)
-        capped = any(cand.s_vals[j] > cap for j in cand.s_vals)
         violators = []
         for entry in universe:
             _, lv, sz, _ = entry
@@ -337,12 +353,14 @@ def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
                 continue
             try:
                 ok = speceq_check(o, entry, bound, c)
-            except Indeterminate:
-                return cand, bound, "indeterminate"
+            except Indeterminate as ex:
+                return cand, bound, "indeterminate", str(ex)
             if not ok:
                 violators.append(entry)
         if not violators:
-            return cand, bound, ("capped" if capped else "sound")
+            reason = _cap_reason(cand.s_vals, cap)
+            return (cand, bound, "sound" if reason is None else "capped",
+                    reason)
         picked.update(violators)
 
 

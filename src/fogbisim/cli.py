@@ -3,7 +3,9 @@
 Exit codes: 0 success / not distinguished, 1 distinguished or check
 failure, 2 usage, parse or internal error (one `error:` line), 3
 indeterminate: the library raised `Indeterminate` (one `indeterminate:`
-line naming the cutoff), or `base` is neither complete nor sound.
+line naming the cutoff, the check and the pair), or `base` is neither
+complete nor sound (its report, and one `capped:` or `indeterminate:`
+line giving the reason).
 """
 
 import argparse
@@ -11,7 +13,9 @@ import functools
 import json
 import sys
 
-from .terms import TermError, intern_graph, parse_term, pressize, render_term
+from .terms import (
+    TermError, intern_graph, one_line, parse_term, pressize, render_term,
+)
 from .grammar import GrammarError, parse_grammar
 from .lts import run_word, step_action, step_rule
 from .equiv import EqOracle, EquivError, Indeterminate
@@ -56,12 +60,6 @@ def _parse_term_arg(g, text):
         return parse_term(g.ts, text, g.arities)
     except TermError as ex:
         raise CliError("term error in %r: %s" % (text, ex))
-
-
-def _one_line(text):
-    """A rendered term as one text row: graph lines joined by '; ', a
-    form `_parse_term_arg` reads back."""
-    return text.replace("\n", "; ")
 
 
 def _load_pair(args):
@@ -132,7 +130,7 @@ def cmd_step(args):
     _emit(args, {"command": "step",
                  "results": [{"rule": rid, "term": render_term(g.ts, r)}
                              for rid, r in results]},
-          ["%s\t%s" % (rid, _one_line(render_term(g.ts, r)))
+          ["%s\t%s" % (rid, one_line(render_term(g.ts, r)))
            for rid, r in results])
     return EXIT_OK
 
@@ -148,9 +146,9 @@ def cmd_run(args):
     lines = []
     if args.trace:
         lines += ["%d\t%s\t%s"
-                  % (i, rid, _one_line(render_term(g.ts, terms[i + 1])))
+                  % (i, rid, one_line(render_term(g.ts, terms[i + 1])))
                   for i, rid in enumerate(word)]
-    lines.append(_one_line(render_term(g.ts, terms[-1])))
+    lines.append(one_line(render_term(g.ts, terms[-1])))
     _emit(args, {"command": "run",
                  "trace": [render_term(g.ts, x) for x in terms],
                  "end": render_term(g.ts, terms[-1])}, lines)
@@ -196,8 +194,8 @@ def cmd_play(args):
     for row in rows:
         move = " ".join(row.get("rules", []))
         lines.append("%d\t%s\t%s\t%s"
-                     % (row["index"], _one_line(row["left"]),
-                        _one_line(row["right"]), move))
+                     % (row["index"], one_line(row["left"]),
+                        one_line(row["right"]), move))
     _emit(args, {"command": "play", "eqlevel": e, "steps": rows}, lines)
     return EXIT_OK
 
@@ -264,14 +262,13 @@ def cmd_base(args):
     params = NsgParams(args.n, args.s, args.g_param)
     if args.sound_c is not None:
         try:
-            cand, bound, status = sound_candidate_search(
+            cand, bound, status, reason = sound_candidate_search(
                 o, params, args.sound_c, args.max_size)
         except BasesError as ex:
             raise CliError("base search failed: %s" % ex)
     else:
-        cand, bound, complete = build_full_base_capped(
+        cand, bound, status, reason = build_full_base_capped(
             o, params, args.max_size)
-        status = "complete" if complete else "capped"
     layers = []
     for j in sorted(cand.layers, reverse=True):
         layers.append({"level": j, "s": cand.s_vals[j], "e": cand.e_vals[j],
@@ -281,8 +278,10 @@ def cmd_base(args):
     lines += ["E_B=%d" % bound, "status=%s" % status]
     _emit(args, {"command": "base", "layers": layers, "E_B": bound,
                  "status": status}, lines)
-    return EXIT_OK if status in ("complete", "sound") \
-        else EXIT_INDETERMINATE
+    if reason is None:
+        return EXIT_OK
+    print("%s: %s" % (status, reason), file=sys.stderr)
+    return EXIT_INDETERMINATE
 
 
 def cmd_pipeline(args):

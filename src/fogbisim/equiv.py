@@ -3,8 +3,9 @@
 The eq-level of (T, U) is the largest k with T ~_k U, an element of
 N u {omega}. The oracle computes it exactly below a mandatory cutoff K
 and otherwise answers K, meaning "at least K"; it never claims omega.
-A check that needs a finite level where K is all there is raises
-`Indeterminate`. Variables get the stipulated treatment
+A check that needs a finite level asks `EqOracle.finite_level`, which
+raises `Indeterminate` naming the check and the pair when K is all
+there is. Variables get the stipulated treatment
 eqlevel(x_i, H) = 0 for H != x_i and eqlevel(x_i, x_i) = omega,
 applied in the base case. The game search
 closes a cycle of pairs in one visit instead of unrolling it down to
@@ -13,7 +14,7 @@ the budget, as long as no assumption fails (see `EqOracle`).
 
 from __future__ import annotations
 
-from .terms import VAR, apply_subst
+from .terms import VAR, apply_subst, one_line, render_term
 from .grammar import Grammar
 from .lts import enabled_actions, step_action
 
@@ -24,6 +25,11 @@ class EquivError(Exception):
 
 class Indeterminate(Exception):
     """The answer needs an eq-level at or above the oracle's cutoff."""
+
+
+def pair_text(ts, t: int, u: int) -> str:
+    """`T vs U` on one line, each term as `play` prints it."""
+    return one_line("%s vs %s" % (render_term(ts, t), render_term(ts, u)))
 
 
 class Level:
@@ -45,7 +51,9 @@ class EqOracle:
     Internally levels are plain ints e with the convention that
     e < budget means "exactly e" and e == budget means "at least
     budget". The memo keeps exact values forever (`exact`) and the best
-    lower bound proven so far (`lower`).
+    lower bound proven so far (`lower`). `finite_level` is the one
+    cutoff stop: every check that needs an exact level asks it, and at
+    the cutoff it raises `Indeterminate` naming the check and the pair.
 
     One game node is the generator `_game`: it yields the sub-queries
     (t2, u2, cap) the memo cannot answer and receives their levels.
@@ -152,6 +160,15 @@ class EqOracle:
             self.exact[key] = 0
             return 0
         return None
+
+    def finite_level(self, t: int, u: int, why: str) -> int:
+        """The exact level of (t, u), which `why` needs finite; at the
+        cutoff, the one `Indeterminate` that names why and the pair."""
+        e = self.level(t, u)
+        if e >= self.cutoff:
+            raise Indeterminate("eq-level at least %d: %s: %s" % (
+                self.cutoff, why, pair_text(self.g.ts, t, u)))
+        return e
 
     def level(self, t: int, u: int, budget: int | None = None) -> int:
         """e < budget: exact; e == budget: at least budget."""

@@ -13,10 +13,13 @@ at most MAX_DIGITS digits.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from functools import cached_property
 
-from .terms import VAR, TermStore, TermError, height, propsize, parse_term, varin
+from .terms import (
+    NAME, VAR, TermStore, TermError, height, parse_term, propsize, varin,
+)
 
 # Python's int-to-decimal conversion refuses an int of more digits than
 # this by default, so no constant or threshold may exceed it
@@ -116,6 +119,13 @@ class Grammar:
         return self.ts.app(nt, tuple(self.ts.var(i) for i in range(1, m + 1)))
 
 
+_DECL = re.compile(r"(%s)\s*/\s*([0-9]+)" % NAME.pattern)
+# rule ID: LHS -ACTION-> RHS, where LHS is NAME or NAME(x1,..,xm)
+_RULE = re.compile(
+    r"rule\s+(N)\s*:\s*(N)\s*(?:\(([^()]*)\))?\s*-+\s*(N)\s*-+>(.*)"
+    .replace("N", NAME.pattern))
+
+
 def parse_grammar(text: str) -> Grammar:
     """Parse the line-oriented grammar file format."""
     ts = TermStore()
@@ -129,35 +139,34 @@ def parse_grammar(text: str) -> Grammar:
         try:
             if line.startswith("nonterminals:"):
                 for part in line[len("nonterminals:"):].split(","):
-                    name, ar = part.split("/")
-                    name = name.strip()
+                    m = _DECL.fullmatch(part.strip())
+                    if m is None:
+                        raise GrammarError("line %d: cannot parse nonterminal "
+                                           "%r" % (lineno, part.strip()))
+                    name = m.group(1)
                     if name in arities:
                         raise GrammarError("duplicate nonterminal %r" % name)
-                    arities[name] = int(ar)
-                    if arities[name] < 0:
-                        raise GrammarError("negative arity %d of %r"
-                                           % (arities[name], name))
+                    arities[name] = int(m.group(2))
             elif line.startswith("actions:"):
                 for part in line[len("actions:"):].split(","):
                     a = part.strip()
+                    if not NAME.fullmatch(a):
+                        raise GrammarError("line %d: cannot parse action %r"
+                                           % (lineno, a))
                     if a in actions:
                         raise GrammarError("duplicate action %r" % a)
                     actions.append(a)
             elif line.startswith("rule "):
-                head, body = line[len("rule "):].split(":", 1)
-                lhs_txt, arrow_rhs = body.split("-", 1)
-                action, rhs_txt = arrow_rhs.split("->", 1)
-                action = action.strip().strip("-")
-                lhs_term = lhs_txt.strip()
-                if "(" in lhs_term:
-                    lhs_name = lhs_term.split("(", 1)[0].strip()
-                    args = lhs_term.split("(", 1)[1].rstrip(")").split(",")
-                    expect = ["x%d" % i for i in range(1, len(args) + 1)]
-                    if [a.strip() for a in args] != expect:
-                        raise GrammarError(
-                            "line %d: lhs arguments must be x1..xm in order" % lineno)
-                else:
-                    lhs_name, args = lhs_term, []
+                m = _RULE.fullmatch(line)
+                if m is None:
+                    raise GrammarError("line %d: cannot parse rule %r"
+                                       % (lineno, line))
+                rid, lhs_name, lhs_args, action, rhs_txt = m.groups()
+                args = [] if lhs_args is None else lhs_args.split(",")
+                expect = ["x%d" % i for i in range(1, len(args) + 1)]
+                if [a.strip() for a in args] != expect:
+                    raise GrammarError(
+                        "line %d: lhs arguments must be x1..xm in order" % lineno)
                 if lhs_name not in arities:
                     raise GrammarError("line %d: unknown lhs %r" % (lineno, lhs_name))
                 if len(args) != arities[lhs_name]:
@@ -165,7 +174,7 @@ def parse_grammar(text: str) -> Grammar:
                         "line %d: lhs %s has %d arguments, its arity is %d"
                         % (lineno, lhs_name, len(args), arities[lhs_name]))
                 rhs = parse_term(ts, rhs_txt.strip(), arities)
-                rules.append(Rule(head.strip(), lhs_name, action, rhs))
+                rules.append(Rule(rid, lhs_name, action, rhs))
             else:
                 raise GrammarError("line %d: cannot parse %r" % (lineno, line))
         except (ValueError, TermError) as e:

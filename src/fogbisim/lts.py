@@ -2,9 +2,8 @@
 
 The rule LTS is deterministic: a rule A(x1..xm) -a-> E rewrites any
 A-rooted term A(x1..xm)sigma to Esigma, and does not apply elsewhere.
-Variables are dead in both semantics. Also provides the sink-word
-test and the greedy d0-sinking factorization that the balanced-play
-checks use.
+Variables are dead in both semantics. Also provides the greedy
+d0-sinking factorization that the balanced-play checks use.
 """
 
 from __future__ import annotations
@@ -62,43 +61,30 @@ def run_word(g: Grammar, t: int, word) -> list[int] | None:
     return path
 
 
-# -- word-shape predicates ---------------------------------------------------
-
-def is_sink_word(g: Grammar, word) -> int | None:
-    """If word is an (A,i)-sink word for A = lhs of its first rule,
-    return i; otherwise None. Sink words are nonempty by definition."""
-    word = tuple(word)
-    if not word:
-        return None
-    a = g.rule_by_id[word[0]].lhs
-    path = run_word(g, g.lhs_term(a), word)
-    if path is None or not g.ts.is_var(path[-1]):
-        return None
-    return g.ts.var_index(path[-1])
-
+# -- d0-sinking words ---------------------------------------------------------
 
 def d0_sinking_split(g: Grammar, word, d0: int):
     """Greedy factorization of a d0-sinking word; None if not d0-sinking.
 
     Repeatedly strips the shortest nonempty prefix of length < d0 that
-    is a sink word; accepts iff the residue is shorter than d0.
-    Returns the list of pieces v1..vk plus the residue (possibly empty).
+    is an (A,i)-sink word, A the lhs of its first rule: replayed once
+    from A(x1..xm), cut at the first variable (no rule applies there);
+    accepts iff the residue is shorter than d0. Returns the list of
+    pieces v1..vk plus the residue (possibly empty).
     """
     word = tuple(word)
     pieces = []
     pos = 0
-    while True:
-        found = None
-        for ln in range(1, d0):
-            if pos + ln > len(word):
+    while pos < len(word):
+        cur = g.lhs_term(g.rule_by_id[word[pos]].lhs)
+        for end, rid in enumerate(word[pos:pos + d0 - 1], pos + 1):
+            cur = step_rule(g, cur, rid)
+            if cur is None or g.ts.is_var(cur):
                 break
-            if is_sink_word(g, word[pos:pos + ln]) is not None:
-                found = ln
-                break
-        if found is None:
+        if cur is None or not g.ts.is_var(cur):
             break
-        pieces.append(word[pos:pos + found])
-        pos += found
+        pieces.append(word[pos:end])
+        pos = end
     rest = word[pos:]
     if len(rest) < d0:
         return pieces, rest

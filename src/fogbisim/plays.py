@@ -18,7 +18,7 @@ from .terms import apply_subst, pressize
 from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
 from .equiv import (
-    EqOracle, Indeterminate, attacker_optimal, defender_optimal,
+    EqOracle, Indeterminate, attacker_optimal, defender_optimal, pair_text,
 )
 
 
@@ -68,12 +68,8 @@ class Play:
 def optimal_steps(o: EqOracle, t: int, u: int):
     """The attacker- and defender-optimal play from (T, U), one step at a
     time: yields (move, pair) until the eq-level reaches 0."""
-    e = o.level(t, u)
-    if e >= o.cutoff:
-        raise Indeterminate("eq-level at least %d: no finite optimal play"
-                            % o.cutoff)
     pair = (t, u)
-    for _ in range(e):
+    for _ in range(o.finite_level(t, u, "no finite optimal play")):
         side, rid, succ = attacker_optimal(o, *pair)
         rid2, u2 = defender_optimal(o, *pair, side, rid, succ)
         pair = by_side(side, succ, u2)
@@ -135,10 +131,8 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
         raise PlaysError("play does not enable balancing on side %d" % side)
     a_name, kids, e_prime = dec
     pivot = rho.start[1 - side]
-    e_pair = o.level(*rho.finish)
-    if e_pair >= o.cutoff:
-        raise Indeterminate("eq-level at least %d: a balancing step needs "
-                            "a finite level" % o.cutoff)
+    e_pair = o.finite_level(*rho.finish,
+                            "a balancing step needs a finite level")
     m = g.arities[a_name]
     vbar = {}
     sigma_pp = {}
@@ -159,7 +153,7 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
         if best is None:
             raise Indeterminate(
                 "cutoff starvation: no qualifying V_%d for pivot below the "
-                "cutoff %d" % (i, o.cutoff))
+                "cutoff %d: %s" % (i, o.cutoff, pair_text(ts, *rho.finish)))
         vbar[i] = best[1]
         sigma_pp[i] = best[2]
     new_side_term = apply_subst(ts, e_prime, sigma_pp)
@@ -236,13 +230,12 @@ class PivotPath:
 
 
 def transform_to_balanced(o: EqOracle, t: int, u: int):
-    """The full phase procedure; returns (BalancedPlay, PivotPath)."""
+    """The full phase procedure; returns (BalancedPlay, PivotPath). One
+    loop runs every phase, the first with no previous step (prev None);
+    a pair at the cutoff stops it in `optimal_steps`."""
     g = o.g
     ts = g.ts
     d0 = g.d0
-    if o.level(t, u) >= o.cutoff:
-        raise Indeterminate("eq-level at least %d: the balanced-play "
-                            "transformation needs a finite level" % o.cutoff)
 
     def grow(pair, prev):
         """The optimal play from pair, grown only up to its earliest
@@ -280,27 +273,21 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
                 cur = step_rule(g, cur, play.moves[q][prev.side])
             q += 1
 
-    pi, got, _ = grow((t, u), None)
-    if got is None:
-        bp = BalancedPlay((t, u), pi, [], [], [])
-        return bp, PivotPath([], [])
-
-    q, side = got
-    mu0 = pi.subplay(0, q)
-    balances = [balance_step(o, pi.subplay(q, q + d0), side)]
-    mus = []
-    splits = []
+    mus, splits, balances = [], [], []  # the first split is always None
+    pair, prev = (t, u), None
     while True:
-        cont, got, death = grow(balances[-1].bal_pair, balances[-1])
+        play, got, death = grow(pair, prev)
         splits.append(death)
         if got is None:
-            mus.append(cont)
+            mus.append(play)
             break
         q, side = got
-        mus.append(cont.subplay(0, q))
-        balances.append(balance_step(o, cont.subplay(q, q + d0), side))
+        mus.append(play.subplay(0, q))
+        prev = balance_step(o, play.subplay(q, q + d0), side)
+        balances.append(prev)
+        pair = prev.bal_pair
 
-    bp = BalancedPlay((t, u), mu0, balances, mus, splits)
+    bp = BalancedPlay((t, u), mus[0], balances, mus[1:], splits[1:])
     return bp, _build_pivot_path(bp)
 
 

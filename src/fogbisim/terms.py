@@ -19,12 +19,18 @@ dict from variable indices to ids, applied by `apply_subst`.
 
 from __future__ import annotations
 
+import re
+
 
 TermId = int
 
 # node encodings inside a TermStore
 VAR = "var"
 APP = "app"
+
+# a name (nonterminal, action, rule id, graph node reference): ASCII
+# letters, digits, `_` and `'`; x followed by digits is a variable
+NAME = re.compile(r"[A-Za-z0-9_']+")
 
 
 class TermError(Exception):
@@ -306,25 +312,26 @@ def intern_graph(ts: TermStore, text: str,
 
 def _parse_node(rhs: str, lineno: int):
     """Returns (node, extra) where extra holds synthesized var nodes."""
-    rhs = rhs.strip()
-    if _is_var(rhs):
-        return (VAR, int(rhs[1:])), {}
-    if "(" in rhs:
-        head, rest = rhs.split("(", 1)
-        if not rest.endswith(")"):
-            raise TermError("line %d: unbalanced parens in %r" % (lineno, rhs))
-        args = [a.strip() for a in rest[:-1].split(",")] if rest[:-1].strip() else []
-        refs = []
-        extra = {}
-        for a in args:
-            if _is_var(a):
-                vn = "\x00v%s" % a[1:]
-                extra[vn] = (VAR, int(a[1:]))
-                refs.append(vn)
-            else:
-                refs.append(a)
-        return (APP, head.strip(), refs), extra
-    return (APP, rhs, []), {}
+    head, paren, rest = rhs.strip().partition("(")
+    if paren and not rest.endswith(")"):
+        raise TermError("line %d: unbalanced parens in %r" % (lineno, rhs))
+    args = [a.strip() for a in rest[:-1].split(",")] if rest[:-1].strip() else []
+    head = head.strip()
+    for name in [head] + args:
+        if not NAME.fullmatch(name):
+            raise TermError("line %d: expected a name, got %r" % (lineno, name))
+    if not paren and _is_var(head):
+        return (VAR, int(head[1:])), {}
+    refs = []
+    extra = {}
+    for a in args:
+        if _is_var(a):
+            vn = "\x00v%s" % a[1:]
+            extra[vn] = (VAR, int(a[1:]))
+            refs.append(vn)
+        else:
+            refs.append(a)
+    return (APP, head, refs), extra
 
 
 def _arity_error(arities: dict[str, int] | None, name: str, nkids: int):
@@ -338,6 +345,7 @@ def _arity_error(arities: dict[str, int] | None, name: str, nkids: int):
 
 
 def _is_var(s: str) -> bool:
+    """Whether the `NAME` match s is x and digits, all ASCII."""
     return len(s) > 1 and s[0] == "x" and s[1:].isdigit()
 
 
@@ -364,12 +372,11 @@ def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) 
     open_apps = []  # (name, children so far) of each unclosed "name("
     while True:
         skip_ws()
-        start = pos
-        while pos < len(s) and (s[pos].isalnum() or s[pos] in "_'"):
-            pos += 1
-        name = s[start:pos]
-        if not name:
+        m = NAME.match(s, pos)
+        if m is None:
             fail("expected a term")
+        name = m.group()
+        pos = m.end()
         if _is_var(name):
             t = ts.var(int(name[1:]))
         elif pos < len(s) and s[pos] == "(":
@@ -413,6 +420,12 @@ def render_term(ts: TermStore, t: TermId) -> str:
             lines.append("node n%d = %s" % (tid, node[1]))
     lines.append("root t = n%d" % t)
     return "\n".join(lines)
+
+
+def one_line(text: str) -> str:
+    """A rendered term as one text row: graph lines joined by '; ', a
+    form `intern_graph` reads back."""
+    return text.replace("\n", "; ")
 
 
 def _render_finite(ts: TermStore, t: TermId) -> str:

@@ -234,8 +234,8 @@ def test_criterion_08_bound_mechanization():
         ts = g.ts
         o = EqOracle(g, 10)
         p = NsgParams(1, 2, 0)
-        base, bound, complete = build_full_base_capped(o, p, 4)
-        assert complete
+        base, bound, status, _ = build_full_base_capped(o, p, 4)
+        assert status == "complete"
         rng = random.Random(11)
         universe = list(enumerate_pairs(o, 1, 2))
         built = 0
@@ -286,10 +286,10 @@ def test_criterion_09_soundness_loop():
             g = parse_grammar(text)
             o = EqOracle(g, 10)
             p = NsgParams(0, 2, 0)
-            cand, bound, status = sound_candidate_search(o, p, 1, 2)
+            cand, bound, status, _ = sound_candidate_search(o, p, 1, 2)
             assert status == "sound"
-            full, fbound, complete = build_full_base_capped(o, p, 2)
-            assert complete
+            full, fbound, status, _ = build_full_base_capped(o, p, 2)
+            assert status == "complete"
             assert cand.layers == full.layers
             assert bound == fbound
 

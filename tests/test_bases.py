@@ -514,8 +514,9 @@ def test_enumerate_pairs_properties():
 def test_build_full_base_ground():
     g = g1()
     o = EqOracle(g, 8)
-    cand, bound, complete = build_full_base_capped(o, NsgParams(0, 2, 0), 2)
-    assert complete
+    cand, bound, status, reason = build_full_base_capped(
+        o, NsgParams(0, 2, 0), 2)
+    assert (status, reason) == ("complete", None)
     assert bound == 1  # all small ground pairs have eq-level 0
     z = parse_term(g.ts, "Z", g.arities)
     assert (z, tower(g, 1)) in cand.layers[0]
@@ -524,16 +525,28 @@ def test_build_full_base_ground():
 def test_build_full_base_empty():
     g = parse_grammar("nonterminals: Z/0\nactions: a\nrule z1: Z -a-> Z\n")
     o = EqOracle(g, 8)
-    cand, bound, complete = build_full_base_capped(o, NsgParams(0, 0, 0), 1)
-    assert complete and bound == 1 and not any(cand.layers.values())
+    cand, bound, status, reason = build_full_base_capped(
+        o, NsgParams(0, 0, 0), 1)
+    assert (status, reason) == ("complete", None)
+    assert bound == 1 and not any(cand.layers.values())
 
 
 def test_build_full_base_capped_flag():
     g = g1()
     o = EqOracle(g, 8)
     # layer-0 threshold s0 grows beyond the cap with n = 1
-    cand, bound, complete = build_full_base_capped(o, NsgParams(1, 4, 1), 3)
-    assert not complete
+    cand, bound, status, reason = build_full_base_capped(
+        o, NsgParams(1, 4, 1), 3)
+    assert (status, reason) == (
+        "capped", "layer-1 size threshold 4 exceeds the max size 3")
+    # thresholds within the cap, but P ~ Q is only known up to the cutoff
+    g2 = parse_grammar(
+        "nonterminals: P/0, Q/0\nactions: a\n"
+        "rule p1: P -a-> P\nrule q1: Q -a-> Q\n")
+    _, _, status, reason = build_full_base_capped(
+        EqOracle(g2, 4), NsgParams(0, 2, 0), 2)
+    assert (status, reason) == ("capped", "eq-level at least 4: layer-0 "
+                                "pair P vs Q lies within its threshold 2")
 
 
 def reference_build_full_base_capped(o, params, cap):
@@ -577,8 +590,11 @@ def assert_same_base(g, caps):
     for n, s, gg in BASE_PARAMS:
         for cap in caps:
             params = NsgParams(n, s, gg)
-            cand, bound, complete = build_full_base_capped(o, params, cap)
-            assert (set().union(*cand.layers.values()), bound, complete) == \
+            cand, bound, status, reason = build_full_base_capped(
+                o, params, cap)
+            assert (reason is None) == (status == "complete")
+            assert (set().union(*cand.layers.values()), bound,
+                    status == "complete") == \
                 reference_build_full_base_capped(o, params, cap), (params, cap)
 
 
@@ -627,8 +643,9 @@ def test_speceq_threshold_arithmetic():
 def test_sound_search_single_term_grammar():
     g = parse_grammar("nonterminals: Z/0\nactions: a\nrule z1: Z -a-> Z\n")
     o = EqOracle(g, 8)
-    cand, bound, status = sound_candidate_search(o, NsgParams(0, 2, 0), 1, 2)
-    assert status == "sound"
+    cand, bound, status, reason = sound_candidate_search(
+        o, NsgParams(0, 2, 0), 1, 2)
+    assert (status, reason) == ("sound", None)
     assert not any(cand.layers.values()) and bound == 1
 
 
@@ -645,10 +662,10 @@ def test_sound_search_matches_full_base():
         g = parse_grammar(text)
         o = EqOracle(g, 10)
         p = NsgParams(0, 2, 0)
-        cand, bound, status = sound_candidate_search(o, p, 1, 2)
-        assert status == "sound", text
-        full, fbound, complete = build_full_base_capped(o, p, 2)
-        assert complete
+        cand, bound, status, reason = sound_candidate_search(o, p, 1, 2)
+        assert (status, reason) == ("sound", None), text
+        full, fbound, status, reason = build_full_base_capped(o, p, 2)
+        assert (status, reason) == ("complete", None)
         assert cand.layers == full.layers
         assert bound == fbound
 
@@ -658,8 +675,11 @@ def test_sound_search_indeterminate():
         "nonterminals: P/0, Q/0\nactions: a\n"
         "rule p1: P -a-> P\nrule q1: Q -a-> Q\n")
     o = EqOracle(g, 4)  # P ~ Q but only AtLeast(4) is provable
-    cand, bound, status = sound_candidate_search(o, NsgParams(0, 2, 0), 1, 2)
+    cand, bound, status, reason = sound_candidate_search(
+        o, NsgParams(0, 2, 0), 1, 2)
     assert status == "indeterminate"
+    assert reason == ("threshold 6 is at/above the cutoff 4 and P vs Q is "
+                      "not distinguished below it")
 
 
 @pytest.mark.parametrize("name, cap", [("gchain.fog", 3), ("g1.fog", 6)])
@@ -762,8 +782,8 @@ def test_sequence_bound_on_g1():
     ts = g.ts
     o = EqOracle(g, 10)
     p = NsgParams(1, 2, 0)
-    base, bound, complete = build_full_base_capped(o, p, 4)
-    assert complete
+    base, bound, status, _ = build_full_base_capped(o, p, 4)
+    assert status == "complete"
     rng = random.Random(3)
     universe = [(pr, lv, sz, eq) for pr, lv, sz, eq in enumerate_pairs(o, 1, 2)]
     built = 0

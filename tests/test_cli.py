@@ -358,15 +358,76 @@ BASE_4_OUT = {
 def test_every_exit_3_path(capsys, argv, as_json):
     """A command whose answer needs a finite level at or above the
     cutoff prints nothing on stdout and one `indeterminate:` line naming
-    the cutoff; `base` prints its capped report and nothing on stderr."""
+    the cutoff; `base` prints its capped report and one reason line."""
     code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
     assert code == 3
     if argv[0] == "base":
-        assert (out, err) == (BASE_4_OUT[as_json], "")
+        assert (out, err) == (BASE_4_OUT[as_json], "capped: layer-0 size "
+                              "threshold 6 exceeds the max size 4\n")
     else:
         assert out == ""
         assert re.fullmatch(r"indeterminate: eq-level at least %s: [^\n]+\n"
                             % argv[4], err), err
+
+
+@pytest.mark.parametrize("command", ["play", "balance", "verify",
+                                     "pipeline"])
+def test_indeterminate_names_the_pair(capsys, command):
+    code, out, err = run(capsys, command, "--grammar", GCHAIN, "--cutoff",
+                         "100000000", "--left", "Q(Z)", "--right", "Q(Q(Z))")
+    assert (code, out) == (3, "")
+    assert err == ("indeterminate: eq-level at least 100000000: no finite "
+                   "optimal play: Q(Z) vs Q(Q(Z))\n")
+
+
+def test_every_exit_3_base_run_gives_one_reason(capsys):
+    """Over a small grid, each `base` run that exits 3 prints its report
+    and one stderr line saying why; a run that exits 0 prints none."""
+    exits = []
+    for grammar in (G1, GCHAIN):
+        for size in ("1", "2", "3", "4"):
+            for sound in ([], ["--sound-c", "1"]):
+                code, out, err = run(
+                    capsys, "base", "--grammar", grammar, "--n", "1", "--s",
+                    "2", "--g", "0", "--max-size", size, *sound)
+                status = out.splitlines()[-1]
+                exits.append(code)
+                if code == 0:
+                    assert status in ("status=complete", "status=sound")
+                    assert err == ""
+                    continue
+                assert code == 3
+                word = status[len("status="):]
+                assert word in ("capped", "indeterminate")
+                assert len(err.splitlines()) == 1, err
+                assert err.startswith(word + ": "), err
+    assert exits.count(3) == 14
+    # the reason names a pair when speceq_check cannot decide one
+    assert err == ("indeterminate: threshold 15 is at/above the cutoff 12 "
+                   "and node n6 = S(n6); root t = n6 vs S(Z) is not "
+                   "distinguished below it\n")
+
+
+@pytest.mark.parametrize("term, message", [
+    ("x\u00b2", "unknown nonterminal 'x' at position 1 in 'x\u00b2'"),
+    ("A(x\u0663)", "unknown nonterminal 'x' at position 3 in 'A(x\u0663)'"),
+    ("node n = x\u00b2; root t = n", "line 1: expected a name, got 'x\u00b2'"),
+], ids=["superscript", "arabic-digit", "graph-node"])
+def test_non_ascii_names_are_refused_by_name(capsys, term, message):
+    code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", term,
+                         "--right", "A(Z)")
+    assert (code, out) == (2, "")
+    assert err == "error: term error in %r: %s\n" % (term, message)
+
+
+def test_non_ascii_rule_variable_is_refused_by_name(tmp_path, capsys):
+    bad = tmp_path / "bad.fog"
+    bad.write_text("nonterminals: Z/0\nactions: a\nrule r1: Z -a-> x\u00b2\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--grammar", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: grammar error: line 3: unknown nonterminal 'x' at "
+                   "position 1 in 'x\u00b2'\n")
 
 
 def test_balancing_indeterminate_and_error_exit_codes(capsys, monkeypatch):
@@ -472,7 +533,7 @@ def term_texts(arities):
         st.lists(node, min_size=1, max_size=3),
         st.sampled_from(["n0", "n0", "n1", "n2"]),
         st.sampled_from(["; ", "\n"]))
-    noise = st.text(alphabet="ABPZx12n()=,; #\nroteda", max_size=24)
+    noise = st.text(alphabet="ABPZx12n()=,; #\nroteda\u00b2\u0663", max_size=24)
     return st.one_of(well_formed, well_formed, well_formed, any_arity, graph,
                      noise)
 

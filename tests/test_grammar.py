@@ -68,6 +68,45 @@ def test_parse_rejects_bad_declarations(text):
         parse_grammar(text)
 
 
+RULE_HEAD = "nonterminals: A/1\nactions: a\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a left-hand side is NAME or NAME(x1,..,xm), parentheses balanced
+    (RULE_HEAD + "rule r1: A(x1 -a-> x1",
+     "line 3: cannot parse rule 'rule r1: A(x1 -a-> x1'"),
+    (RULE_HEAD + "rule r1: A(x1)) -a-> x1",
+     "line 3: cannot parse rule 'rule r1: A(x1)) -a-> x1'"),
+    (RULE_HEAD + "rule r1 A(x1) -a-> x1",
+     "line 3: cannot parse rule 'rule r1 A(x1) -a-> x1'"),
+    (RULE_HEAD + "rule r1: A(x1,x2) -a-> x1",
+     "line 3: lhs A has 2 arguments, its arity is 1"),
+    # a declaration item is NAME/ARITY
+    ("nonterminals: A\nactions: a\nrule r1: A -a-> A",
+     "line 1: cannot parse nonterminal 'A'"),
+    ("nonterminals: A/x\nactions: a\nrule r1: A -a-> A",
+     "line 1: cannot parse nonterminal 'A/x'"),
+    # names, arities and variable indices are ASCII
+    ("nonterminals: A/\u0663\nactions: a\nrule r1: A -a-> A",
+     "line 1: cannot parse nonterminal 'A/\u0663'"),
+    ("nonterminals: A\u00e9/0\nactions: a\nrule r1: A -a-> A",
+     "line 1: cannot parse nonterminal 'A\u00e9/0'"),
+    ("nonterminals: A/0\nactions: a, b\u00e9\nrule r1: A -a-> A",
+     "line 2: cannot parse action 'b\u00e9'"),
+    (RULE_HEAD + "rule r1: A(x1) -a-> x\u00b2",
+     "line 3: unknown nonterminal 'x' at position 1 in 'x\u00b2'"),
+    (RULE_HEAD + "rule r1: A(x1) -a-> x\u0663",
+     "line 3: unknown nonterminal 'x' at position 1 in 'x\u0663'"),
+], ids=["lhs-unclosed", "lhs-extra-paren", "rule-no-colon", "lhs-arity",
+        "decl-no-arity", "decl-arity-letter", "decl-arity-arabic-digit",
+        "decl-name-accent", "action-accent", "var-superscript",
+        "var-arabic-digit"])
+def test_parse_refuses_malformed_lines_by_name(text, message):
+    with pytest.raises(GrammarError) as e:
+        parse_grammar(text)
+    assert str(e.value) == message
+
+
 def test_constructor_rejects_unknown_lhs():
     ts = TermStore()
     z = ts.app("Z", ())

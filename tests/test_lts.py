@@ -8,9 +8,7 @@ from fogbisim.terms import (
 from fogbisim.grammar import (
     GrammarError, parse_grammar, compute_constants, compute_sink_table,
 )
-from fogbisim.lts import (
-    d0_sinking_split, is_sink_word, run_word, step_action, step_rule,
-)
+from fogbisim.lts import d0_sinking_split, run_word, step_action, step_rule
 
 from gen import random_grammar, random_ground_term
 
@@ -150,6 +148,20 @@ def test_sink_word_replay():
     w = table[("A", 1)]
     path = run_word(g, g.lhs_term("A"), w)
     assert g.ts.is_var(path[-1]) and g.ts.var_index(path[-1]) == 1
+
+
+def is_sink_word(g, word):
+    """If word is an (A,i)-sink word for A = lhs of its first rule,
+    return i; otherwise None. Sink words are nonempty by definition.
+    A reference for `d0_sinking_split`, which replays each piece once."""
+    word = tuple(word)
+    if not word:
+        return None
+    a = g.rule_by_id[word[0]].lhs
+    path = run_word(g, g.lhs_term(a), word)
+    if path is None or not g.ts.is_var(path[-1]):
+        return None
+    return g.ts.var_index(path[-1])
 
 
 def test_is_sink_segment():
@@ -324,6 +336,47 @@ def test_d0_sinking_greedy_matches_exhaustive(seed):
     word, _ = random_walk(rng, g, t, rng.randint(0, 6))
     got = d0_sinking_split(g, word, c.d0) is not None
     assert got == exhaustive_d0_sinking(g, word, c.d0)
+
+
+def restart_walk(rng, g, steps):
+    """A rule word of `steps` rules that walks from the left-hand side of
+    a random rule and starts afresh at another one wherever the walk
+    reaches a variable or stops, so it may hold many sink pieces."""
+    word = []
+    cur = None
+    for _ in range(steps):
+        rules = [] if cur is None or g.ts.is_var(cur) \
+            else g.rules_by_lhs[g.ts.root(cur)]
+        if not rules:
+            cur = g.lhs_term(rng.choice(g.rules).lhs)
+            rules = g.rules_by_lhs[g.ts.root(cur)]
+        r = rng.choice(rules)
+        word.append(r.rid)
+        cur = step_rule(g, cur, r.rid)
+    return tuple(word)
+
+
+def test_d0_sinking_split_finds_every_piece():
+    """Words of several sink pieces: the greedy split agrees with the
+    exhaustive one at d0 = 3..8, and its pieces are sink words shorter
+    than d0 that spell the word with the residue."""
+    several = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_grammar(seed)
+        for _ in range(10):
+            word = restart_walk(rng, g, rng.randint(0, 14))
+            for d0 in range(3, 9):
+                got = d0_sinking_split(g, word, d0)
+                assert (got is not None) == exhaustive_d0_sinking(g, word, d0)
+                if got is None:
+                    continue
+                pieces, rest = got
+                assert sum(pieces, ()) + rest == word
+                assert all(len(p) < d0 and is_sink_word(g, p) is not None
+                           for p in pieces)
+                several += len(pieces) >= 2
+    assert several >= 200  # the words do hold several pieces
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -451,6 +451,22 @@ def test_transform_rejects_cutoff():
         transform_to_balanced(o, z, z)
 
 
+def test_cutoff_starvation_names_the_pair(monkeypatch):
+    """With every V_i candidate read at level 0, no V_i lies above the
+    balanced pair's level: the step stops and names that pair."""
+    g = parse_grammar(GCHAIN)
+    o = EqOracle(g, 12)
+    t, u = (parse_term(g.ts, x, g.arities) for x in ("A(A(Z))", "B(B(Z))"))
+    rho = build_optimal_play(o, t, u).subplay(0, g.d0)
+    real = EqOracle.level
+    monkeypatch.setattr(EqOracle, "level", lambda o, a, b, budget=None:
+                        real(o, a, b) if (a, b) == rho.finish else 0)
+    with pytest.raises(Indeterminate) as got:
+        balance_step(o, rho, 0)
+    assert str(got.value) == ("cutoff starvation: no qualifying V_1 for pivot "
+                              "below the cutoff 12: Q(A(Z)) vs S(B(Z))")
+
+
 # -- the transformation against the eager reference -------------------------
 
 def reference_transform_to_balanced(o, t, u):
