@@ -13,8 +13,10 @@ loop grows a candidate until every enumerated pair outside it is
 
 from __future__ import annotations
 
-from .terms import apply_subst, omega_iterate, pressize, refine, varin
-from .grammar import MAX_DIGITS, Grammar
+import math
+
+from .terms import MAX_DIGITS, apply_subst, omega_iterate, pressize, refine, varin
+from .grammar import Grammar
 from .lts import run_word
 from .equiv import EqOracle, Indeterminate, find_sink_witness, pair_text
 from .plays import (
@@ -195,6 +197,14 @@ def bound_of_candidate(c: Candidate) -> int:
 
 # -- enumeration of small regular terms --------------------------------------
 
+def _small_power(b: int, e: int) -> int | None:
+    """b ** e, or None, decided before it is computed, when it would
+    have about MAX_DIGITS digits or more."""
+    if b > 1 and e * math.log10(b) >= MAX_DIGITS - 1:
+        return None
+    return b ** e
+
+
 def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
                     budget: int = 2_000_000) -> list[int]:
     """All canonical regular terms with variables among x1..max_vars and
@@ -210,10 +220,18 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
     that quotient in breadth-first numbering was generated, and kept, at
     its own smaller size. The budget bounds the brute-force space of
     options**k graphs, an upper bound on the graphs generated; it is
-    checked for every k before any graph is built."""
+    checked for every k before any graph is built. A count of about
+    MAX_DIGITS digits or more is refused before it is computed, naming
+    the budget instead of the count."""
     ts = g.ts
     for k in range(1, max_size + 1):
-        total = (max_vars + sum(k ** m for m in g.arities.values())) ** k
+        powers = [_small_power(k, m) for m in g.arities.values()]
+        total = None if None in powers else \
+            _small_power(max_vars + sum(powers), k)
+        if total is None:
+            raise BasesError(
+                "enumeration budget exceeded (more than %d graphs of %d nodes)"
+                % (budget, k))
         if total > budget:
             raise BasesError(
                 "enumeration budget exceeded (%d graphs of %d nodes)"

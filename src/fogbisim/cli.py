@@ -42,9 +42,9 @@ class CliError(Exception):
 
 def _load_grammar(args):
     try:
-        with open(args.grammar) as fh:
+        with open(args.grammar, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise CliError("cannot read grammar file: %s" % ex)
     try:
         return parse_grammar(text)

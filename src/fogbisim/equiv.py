@@ -98,14 +98,15 @@ class EqOracle:
     Huttel and Stirling, 1995.)
 
     A query the memo cannot answer is pruned before it is searched.
-    When (A, i) has no sink word (`hidden`), the i-th child of an
+    When (A, i) has no sink word (in `g.sink`), the i-th child of an
     A-rooted term never reaches the root: every term reachable from
     A(X1..Xm) is E sigma with E reachable from A(x1..xm), and E is never
     x_i. So replacing that child (`_prune`, by x1) changes no level at
     any budget, and pairs that differ only there share one search and
     one memo entry, the true level of real terms. Only the pair a
     `level` call is asked is pruned; the game and the optimal moves
-    step real terms.
+    step real terms. `_prune` reads the sink table for the children a
+    term has, so a declared arity costs nothing until a term uses it.
     """
 
     def __init__(self, g: Grammar, cutoff: int):
@@ -115,12 +116,8 @@ class EqOracle:
         self.cutoff = cutoff
         self.exact: dict[tuple[int, int], int] = {}
         self.lower: dict[tuple[int, int], int] = {}
-        # nonterminal -> the child positions (0-based) no sink word exposes
-        self.hidden: dict[str, tuple[int, ...]] = {}
-        for nt, m in g.arities.items():
-            hide = tuple(i for i in range(m) if (nt, i + 1) not in g.sink)
-            if hide:
-                self.hidden[nt] = hide
+        # whether some declared position has no sink word (is hidden)
+        self.hidden = len(g.sink) < sum(g.arities.values())
         self._pruned: dict[int, int] = {}
 
     def _prune(self, t: int) -> int:
@@ -130,7 +127,8 @@ class EqOracle:
         if p is None:
             ts = self.g.ts
             node = ts.nodes[t]
-            hide = node[0] != VAR and self.hidden.get(node[1])
+            hide = node[0] != VAR and [i for i in range(len(node[2]))
+                                       if (node[1], i + 1) not in self.g.sink]
             if hide:
                 kids = list(node[2])
                 for i in hide:

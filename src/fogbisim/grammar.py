@@ -18,12 +18,10 @@ from collections import namedtuple
 from functools import cached_property
 
 from .terms import (
-    NAME, VAR, TermStore, TermError, height, parse_term, propsize, varin,
+    MAX_DIGITS, NAME, VAR, TermStore, TermError, _arity_error, _is_var,
+    parse_term, read_int,
 )
 
-# Python's int-to-decimal conversion refuses an int of more digits than
-# this by default, so no constant or threshold may exceed it
-MAX_DIGITS = 4300
 _TOO_LARGE = 10 ** MAX_DIGITS
 
 
@@ -61,7 +59,7 @@ class Grammar:
             if r.rid in self.rule_by_id:
                 raise GrammarError("duplicate rule id %r" % r.rid)
             self.rule_by_id[r.rid] = r
-        self._validate()
+        self.rhs_nodes = self._validate()
         self.rules_by_lhs: dict[str, list[Rule]] = {a: [] for a in arities}
         for r in rules:
             self.rules_by_lhs[r.lhs].append(r)
@@ -73,22 +71,39 @@ class Grammar:
         # (term, action) -> successors; filled by lts.step_action
         self.successors: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
 
-    def _validate(self):
+    def _validate(self) -> list[list[int]]:
+        """Check names and rules; return each right-hand side's nodes in
+        ascending id order, children first, from one walk per rule."""
         for kind, names in (("nonterminal name", self.arities),
                             ("action name", self.actions),
                             ("rule id", self.rule_by_id)):
             if "" in names:
                 raise GrammarError("empty %s" % kind)
+        nodes = self.ts.nodes
+        rhs_nodes = []
         for r in self.rules:
             if r.lhs not in self.arities:
                 raise GrammarError("rule %s: unknown nonterminal %r" % (r.rid, r.lhs))
             if r.action not in self.actions:
                 raise GrammarError("rule %s: unknown action %r" % (r.rid, r.action))
-            bad = varin(self.ts, [r.rhs]) - set(range(1, self.arities[r.lhs] + 1))
+            below = sorted(self.ts.reachable([r.rhs]))
+            bad = set()
+            for u in below:
+                node = nodes[u]
+                if node[0] == VAR:
+                    if node[1] > self.arities[r.lhs]:
+                        bad.add(node[1])
+                    continue
+                fault = ("not finite" if max(node[2], default=-1) >= u else
+                         _arity_error(self.arities, node[1], len(node[2])))
+                if fault:
+                    raise GrammarError("rule %s: rhs: %s" % (r.rid, fault))
             if bad:
                 raise GrammarError(
                     "rule %s: rhs uses x%d beyond arity %d of %s"
                     % (r.rid, min(bad), self.arities[r.lhs], r.lhs))
+            rhs_nodes.append(below)
+        return rhs_nodes
 
     @cached_property
     def sink(self) -> dict[tuple[str, int], tuple[str, ...]]:
@@ -106,7 +121,8 @@ class Grammar:
     def stepinc(self) -> int:
         """The largest nonterminal-node count of a rule right-hand side:
         the one constant the size bounds of bases read."""
-        return max(propsize(self.ts, [r.rhs]) for r in self.rules)
+        return max(sum(not self.ts.is_var(u) for u in below)
+                   for below in self.rhs_nodes)
 
     @cached_property
     def constants(self) -> GrammarConstants:
@@ -144,9 +160,12 @@ def parse_grammar(text: str) -> Grammar:
                         raise GrammarError("line %d: cannot parse nonterminal "
                                            "%r" % (lineno, part.strip()))
                     name = m.group(1)
+                    if _is_var(name):
+                        raise GrammarError("line %d: nonterminal %r is spelled "
+                                           "like a variable" % (lineno, name))
                     if name in arities:
                         raise GrammarError("duplicate nonterminal %r" % name)
-                    arities[name] = int(m.group(2))
+                    arities[name] = read_int(m.group(2), "arity")
             elif line.startswith("actions:"):
                 for part in line[len("actions:"):].split(","):
                     a = part.strip()
@@ -195,9 +214,6 @@ def compute_sink_table(g: Grammar) -> dict[tuple[str, int], tuple[str, ...]]:
     x_i; iterate to a fixpoint.
     """
     nodes = g.ts.nodes
-    # each right-hand side's nodes in ascending id order, children first
-    rhs_nodes = [(k, r, sorted(g.ts.reachable([r.rhs])))
-                 for k, r in enumerate(g.rules)]
     best: dict[tuple[str, int], tuple[int, ...]] = {}
 
     def order(w):
@@ -206,7 +222,7 @@ def compute_sink_table(g: Grammar) -> dict[tuple[str, int], tuple[str, ...]]:
     changed = True
     while changed:
         changed = False
-        for k, r, below in rhs_nodes:
+        for k, (r, below) in enumerate(zip(g.rules, g.rhs_nodes)):
             for i in range(1, g.arities[r.lhs] + 1):
                 # the best known word sinking each node of E to x_i
                 word = {}
@@ -249,13 +265,17 @@ def compute_constants(g: Grammar) -> GrammarConstants:
     MAX_DIGITS digits."""
     ts = g.ts
     m = max(g.arities.values())
-    hinc = max(max(height(ts, r.rhs) for r in g.rules) - 1, 0)
+    h: dict[int, int] = {}  # right-hand-side node -> height, in id order
+    for u in sorted(set().union(*g.rhs_nodes)):
+        kids = ts.children(u)
+        h[u] = 1 + max(h[c] for c in kids) if kids else 0
+    hinc = max(max(h[r.rhs] for r in g.rules) - 1, 0)
     stepinc = g.stepinc
     d0 = g.d0
     nN = len(g.arities)
     nR = len(g.rules)
     # the non-variable subterms of all right-hand sides
-    nonvar = propsize(ts, [r.rhs for r in g.rules])
+    nonvar = sum(not ts.is_var(u) for u in h)
     d1 = 2 * nN * _power(max(d0, _power(nR, d0, "d1")), m + 2, "d1")
     d2 = d0 + (1 + d0 * hinc) * (d0 - 1)
     d3 = _power(max(d0, _power(nR, d0, "d3")), 2, "d3")

@@ -32,9 +32,21 @@ APP = "app"
 # letters, digits, `_` and `'`; x followed by digits is a variable
 NAME = re.compile(r"[A-Za-z0-9_']+")
 
+# Python's int-to-decimal conversion refuses an int of more digits than
+# this by default, so no integer read or printed may exceed it
+MAX_DIGITS = 4300
+
 
 class TermError(Exception):
     pass
+
+
+def read_int(digits: str, what: str) -> int:
+    """The ASCII decimal digits as an int, refused by name past
+    MAX_DIGITS digits before `int` sees them."""
+    if len(digits) > MAX_DIGITS:
+        raise TermError("%s has more than %d digits" % (what, MAX_DIGITS))
+    return int(digits)
 
 
 def refine(nodes) -> tuple[list[int], int]:
@@ -321,13 +333,13 @@ def _parse_node(rhs: str, lineno: int):
         if not NAME.fullmatch(name):
             raise TermError("line %d: expected a name, got %r" % (lineno, name))
     if not paren and _is_var(head):
-        return (VAR, int(head[1:])), {}
+        return (VAR, read_int(head[1:], "variable index")), {}
     refs = []
     extra = {}
     for a in args:
         if _is_var(a):
             vn = "\x00v%s" % a[1:]
-            extra[vn] = (VAR, int(a[1:]))
+            extra[vn] = (VAR, read_int(a[1:], "variable index"))
             refs.append(vn)
         else:
             refs.append(a)
@@ -378,7 +390,7 @@ def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) 
         name = m.group()
         pos = m.end()
         if _is_var(name):
-            t = ts.var(int(name[1:]))
+            t = ts.var(read_int(name[1:], "variable index"))
         elif pos < len(s) and s[pos] == "(":
             pos += 1
             open_apps.append((name, []))
@@ -453,22 +465,6 @@ def pressize(ts: TermStore, roots) -> int:
     if not roots:
         raise TermError("pressize needs at least one root")
     return len(ts.reachable(roots))
-
-
-def propsize(ts: TermStore, roots) -> int:
-    """Nonterminal-node count of the least presentation."""
-    return sum(1 for t in ts.reachable(list(roots)) if not ts.is_var(t))
-
-
-def height(ts: TermStore, t: TermId) -> int:
-    """Maximal depth of a subterm occurrence; finite terms only."""
-    if not is_finite(ts, t):
-        raise TermError("height is undefined for infinite terms")
-    h: dict[TermId, int] = {}
-    for u in sorted(ts.reachable([t])):
-        kids = ts.children(u)
-        h[u] = 1 + max(h[c] for c in kids) if kids else 0
-    return h[t]
 
 
 def varin(ts: TermStore, roots) -> set[int]:

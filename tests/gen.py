@@ -1,9 +1,9 @@
-"""Random grammar/term generation and the chain-n grammar family shared
-by the test batteries."""
+"""Random grammar/term generation, the chain-n grammar family and the
+reference term walks shared by the test batteries."""
 
 import random
 
-from fogbisim.terms import TermStore
+from fogbisim.terms import TermError, TermStore, is_finite
 from fogbisim.grammar import Grammar, Rule
 
 
@@ -121,3 +121,20 @@ def deep_grammar(levels):
               for i in range(1, levels + 1)]
     lines.append("rule z1: Z -a-> Z")
     return "\n".join(lines) + "\n"
+
+
+def propsize(ts, roots):
+    """Reference: nonterminal-node count of the least presentation."""
+    return sum(1 for t in ts.reachable(list(roots)) if not ts.is_var(t))
+
+
+def height(ts, t):
+    """Reference: maximal depth of a subterm occurrence; finite terms
+    only."""
+    if not is_finite(ts, t):
+        raise TermError("height is undefined for infinite terms")
+    h = {}
+    for u in sorted(ts.reachable([t])):
+        kids = ts.children(u)
+        h[u] = 1 + max(h[c] for c in kids) if kids else 0
+    return h[t]

@@ -8,7 +8,7 @@ import random
 from contextlib import contextmanager
 
 from fogbisim.terms import (
-    TermStore, apply_subst, height, omega_iterate, parse_term,
+    TermStore, apply_subst, omega_iterate, parse_term,
     pressize, varin,
 )
 from fogbisim.grammar import (
@@ -23,7 +23,7 @@ from fogbisim.bases import (
     reduce_nsg_step, sound_candidate_search,
 )
 
-from gen import random_grammar, random_ground_term, random_finite_term
+from gen import height, random_grammar, random_ground_term, random_finite_term
 from test_grammar import bfs_sink_words, saturate_sinkable
 from test_equiv import enabled_words, eq_level_subst, witness_instances
 from test_bases import reduction_instances, stair_instances

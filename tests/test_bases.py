@@ -391,6 +391,18 @@ def test_enumerate_terms_budget(monkeypatch):
     assert interned  # and enumeration does intern through intern_minimal
 
 
+@pytest.mark.parametrize("arity", [15000, 10 ** 12])
+def test_enumeration_budget_is_checked_before_the_count(arity):
+    # k ** m past MAX_DIGITS digits is refused before it is computed,
+    # and the message names the budget, not the count
+    g = parse_grammar("nonterminals: A/%d, Z/0\nactions: a\n"
+                      "rule r1: Z -a-> Z\n" % arity)
+    with pytest.raises(BasesError) as ex:
+        enumerate_terms(g, 1, 2)
+    assert str(ex.value) == \
+        "enumeration budget exceeded (more than 2000000 graphs of 2 nodes)"
+
+
 def bfs_render(ts, t):
     """t in the graph format with its nodes named in breadth-first order
     from the root: the same text for the same term in any store."""

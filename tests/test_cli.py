@@ -420,6 +420,37 @@ def test_non_ascii_names_are_refused_by_name(capsys, term, message):
     assert err == "error: term error in %r: %s\n" % (term, message)
 
 
+def test_grammar_file_that_is_not_utf8_is_refused_by_name(tmp_path, capsys):
+    bad = tmp_path / "latin1.fog"
+    bad.write_bytes(b"# caf\xe9\nnonterminals: Z/0\nactions: a\n"
+                    b"rule r1: Z -a-> Z\n")
+    code, out, err = run(capsys, "validate", "--grammar", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read grammar file: ")
+    assert "0xe9" in err and err.count("\n") == 1
+
+
+def test_long_variable_index_is_refused_by_name(capsys):
+    term = "A(x%s)" % ("9" * 5000)
+    code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", term,
+                         "--right", "A(Z)")
+    assert (code, out) == (2, "")
+    assert err == ("error: term error in %r: variable index has more than "
+                   "4300 digits\n" % term)
+
+
+def test_base_on_a_huge_arity_names_the_budget(tmp_path, capsys):
+    # 2 ** 15000 has more digits than any count is written with
+    big = tmp_path / "big.fog"
+    big.write_text("nonterminals: A/15000, Z/0\nactions: a\n"
+                   "rule r1: Z -a-> Z\n")
+    code, out, err = run(capsys, "base", "--grammar", str(big), "--n", "1",
+                         "--s", "2", "--g", "0", "--max-size", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: enumeration budget exceeded (more than 2000000 "
+                   "graphs of 2 nodes)\n")
+
+
 def test_non_ascii_rule_variable_is_refused_by_name(tmp_path, capsys):
     bad = tmp_path / "bad.fog"
     bad.write_text("nonterminals: Z/0\nactions: a\nrule r1: Z -a-> x\u00b2\n",

@@ -420,6 +420,17 @@ def test_pruning_keeps_every_level(seed):
     audit_memo(o)
 
 
+def test_declared_arity_costs_nothing_until_a_term_uses_it():
+    # pruning reads the sink table for the children a term has, so the
+    # oracle keeps nothing per declared position
+    g = parse_grammar("nonterminals: A/%d, Y/0, Z/0\nactions: a\n"
+                      "rule r1: Z -a-> Z\nrule r2: Y -a-> Y\n" % 10 ** 12)
+    o = EqOracle(g, 12)
+    assert o.hidden
+    y, z = parse_term(g.ts, "Y"), parse_term(g.ts, "Z")
+    assert o.level(z, z) == o.level(y, z) == 12
+
+
 def test_no_hidden_position_means_no_pruning(monkeypatch):
     calls = []
     prune = EqOracle._prune
@@ -429,7 +440,7 @@ def test_no_hidden_position_means_no_pruning(monkeypatch):
         with open(GRAMMAR_DIR / name) as f:
             g = parse_grammar(f.read())
         o = EqOracle(g, 12)
-        assert o.hidden == {}
+        assert o.hidden is False
         terms = enumerate_terms(g, 1, 2)
         for t in terms:
             for u in terms:

@@ -97,10 +97,19 @@ RULE_HEAD = "nonterminals: A/1\nactions: a\n"
      "line 3: unknown nonterminal 'x' at position 1 in 'x\u00b2'"),
     (RULE_HEAD + "rule r1: A(x1) -a-> x\u0663",
      "line 3: unknown nonterminal 'x' at position 1 in 'x\u0663'"),
+    # every term reads x1 as a variable, so no nonterminal is spelled so
+    ("nonterminals: x1/0, Z/0\nactions: a\nrule r1: Z -a-> Z",
+     "line 1: nonterminal 'x1' is spelled like a variable"),
+    # integers are counted before int() sees them
+    ("nonterminals: A/" + "9" * 4301 + "\nactions: a\nrule r1: A -a-> A",
+     "line 1: arity has more than 4300 digits"),
+    (RULE_HEAD + "rule r1: A(x1) -a-> A(x" + "9" * 4301 + ")",
+     "line 3: variable index has more than 4300 digits"),
 ], ids=["lhs-unclosed", "lhs-extra-paren", "rule-no-colon", "lhs-arity",
         "decl-no-arity", "decl-arity-letter", "decl-arity-arabic-digit",
         "decl-name-accent", "action-accent", "var-superscript",
-        "var-arabic-digit"])
+        "var-arabic-digit", "decl-name-variable", "decl-arity-digits",
+        "var-index-digits"])
 def test_parse_refuses_malformed_lines_by_name(text, message):
     with pytest.raises(GrammarError) as e:
         parse_grammar(text)
@@ -113,6 +122,45 @@ def test_constructor_rejects_unknown_lhs():
     with pytest.raises(GrammarError) as e:
         Grammar(ts, {"Z": 0}, ["a"], [Rule("r1", "Q", "a", z)])
     assert str(e.value) == "rule r1: unknown nonterminal 'Q'"
+
+
+@pytest.mark.parametrize("rhs, message", [
+    # t = B(x1, t): a cycle that holds a variable
+    (lambda ts: ts.intern_raw([("app", "B", [1, 0]), ("var", 1)], [0])[0],
+     "rule r1: rhs: not finite"),
+    (lambda ts: ts.app("Q", (ts.app("Z", ()), ts.app("Z", ()))),
+     "rule r1: rhs: unknown nonterminal 'Q'"),
+    (lambda ts: ts.app("A", (ts.var(1), ts.var(1))),
+     "rule r1: rhs: arity mismatch for 'A': expected 1, got 2"),
+    (lambda ts: ts.app("A", (ts.var(2),)),
+     "rule r1: rhs uses x2 beyond arity 1 of A"),
+], ids=["cyclic", "undeclared", "child-count", "variable"])
+def test_constructor_refuses_bad_rhs_by_name(rhs, message):
+    ts = TermStore()
+    with pytest.raises(GrammarError) as e:
+        Grammar(ts, {"A": 1, "B": 2, "Z": 0}, ["a"],
+                [Rule("r1", "A", "a", rhs(ts))])
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(GRAMMAR_DIR)))
+def test_each_rhs_is_walked_once(name, monkeypatch):
+    # parsing, the oracle's sink table, stepinc and the constants all
+    # read the node lists the constructor's one walk per rule made
+    from fogbisim.equiv import EqOracle
+    calls = []
+    walk = TermStore.reachable
+    monkeypatch.setattr(TermStore, "reachable",
+                        lambda ts, roots: calls.append(1) or walk(ts, roots))
+    g = load(name)
+    EqOracle(g, 12)
+    try:
+        g.constants
+    except GrammarError:
+        pass  # gdeep's constants are refused by name
+    assert len(calls) == len(g.rules)
+    if name == "gchain.fog":
+        assert len(calls) == 10
 
 
 def test_sink_and_constants_are_cached_on_the_grammar(monkeypatch):

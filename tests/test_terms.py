@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fogbisim.terms import (
-    APP, VAR, TermStore, TermError, apply_subst, height,
-    intern_graph, is_finite, omega_iterate, parse_term, pressize, propsize,
+    APP, VAR, TermStore, TermError, apply_subst,
+    intern_graph, is_finite, omega_iterate, parse_term, pressize,
     refine, render_term, varin,
 )
+
+from gen import height, propsize
 
 
 ARITIES = {"A": 3, "B": 0, "C": 2, "D": 2}
