@@ -13,9 +13,10 @@ loop grows a candidate until every enumerated pair outside it is
 
 from __future__ import annotations
 
-import math
-
-from .terms import MAX_DIGITS, apply_subst, omega_iterate, pressize, refine, varin
+from .terms import (
+    MAX_DIGITS, TOO_LARGE, apply_subst, bounded_power, omega_iterate, pressize,
+    refine, varin,
+)
 from .grammar import Grammar
 from .lts import run_word
 from .equiv import EqOracle, Indeterminate, find_sink_witness, pair_text
@@ -128,9 +129,6 @@ def next_size(g: Grammar, s: int, growth: int, e: int) -> int:
     return 2 * s + growth * (1 + e) + e * g.stepinc
 
 
-_TOO_LARGE = 10 ** MAX_DIGITS
-
-
 def layer_thresholds(g: Grammar, params: NsgParams, entries):
     """Thresholds s_j (s_n = s) and maxima e_j for j = n..0, as dicts.
 
@@ -141,7 +139,7 @@ def layer_thresholds(g: Grammar, params: NsgParams, entries):
     s_vals, e_vals = {}, {}
     s = params.s
     for j in range(params.n, -1, -1):
-        if s >= _TOO_LARGE:
+        if s >= TOO_LARGE:
             raise BasesError("layer-%d size threshold exceeds %d digits"
                              % (j, MAX_DIGITS))
         s_vals[j] = s
@@ -197,14 +195,6 @@ def bound_of_candidate(c: Candidate) -> int:
 
 # -- enumeration of small regular terms --------------------------------------
 
-def _small_power(b: int, e: int) -> int | None:
-    """b ** e, or None, decided before it is computed, when it would
-    have about MAX_DIGITS digits or more."""
-    if b > 1 and e * math.log10(b) >= MAX_DIGITS - 1:
-        return None
-    return b ** e
-
-
 def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
                     budget: int = 2_000_000) -> list[int]:
     """All canonical regular terms with variables among x1..max_vars and
@@ -220,14 +210,14 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
     that quotient in breadth-first numbering was generated, and kept, at
     its own smaller size. The budget bounds the brute-force space of
     options**k graphs, an upper bound on the graphs generated; it is
-    checked for every k before any graph is built. A count of about
-    MAX_DIGITS digits or more is refused before it is computed, naming
-    the budget instead of the count."""
+    checked for every k before any graph is built. A count of more than
+    MAX_DIGITS digits (`bounded_power`) is refused naming the budget
+    instead of the count."""
     ts = g.ts
     for k in range(1, max_size + 1):
-        powers = [_small_power(k, m) for m in g.arities.values()]
+        powers = [bounded_power(k, m) for m in g.arities.values()]
         total = None if None in powers else \
-            _small_power(max_vars + sum(powers), k)
+            bounded_power(max_vars + sum(powers), k)
         if total is None:
             raise BasesError(
                 "enumeration budget exceeded (more than %d graphs of %d nodes)"

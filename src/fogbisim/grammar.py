@@ -12,17 +12,14 @@ at most MAX_DIGITS digits.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 from functools import cached_property
 
 from .terms import (
-    MAX_DIGITS, NAME, VAR, TermStore, TermError, _arity_error, _is_var,
-    parse_term, read_int,
+    MAX_DIGITS, NAME, TOO_LARGE, VAR, TermStore, TermError, _arity_error,
+    _is_var, bounded_power, parse_term, read_int,
 )
-
-_TOO_LARGE = 10 ** MAX_DIGITS
 
 
 class GrammarError(Exception):
@@ -251,11 +248,12 @@ GrammarConstants = namedtuple(
 
 
 def _power(b: int, e: int, name: str) -> int:
-    """b ** e for the constant `name`, refused before it is computed when
-    it would have more than MAX_DIGITS digits."""
-    if b > 1 and e * math.log10(b) > MAX_DIGITS:
+    """b ** e for the constant `name`, refused by name when it has more
+    than MAX_DIGITS digits (`bounded_power`)."""
+    v = bounded_power(b, e)
+    if v is None:
         raise GrammarError("constant %s exceeds %d digits" % (name, MAX_DIGITS))
-    return b ** e
+    return v
 
 
 def compute_constants(g: Grammar) -> GrammarConstants:
@@ -288,7 +286,7 @@ def compute_constants(g: Grammar) -> GrammarConstants:
     consts = GrammarConstants(m, hinc, stepinc, d0, d1, d2, d3, d4, d5,
                               n, s, gg, c)
     for name, v in zip(consts._fields, consts):
-        if v >= _TOO_LARGE:
+        if v >= TOO_LARGE:
             raise GrammarError("constant %s exceeds %d digits"
                                % (name, MAX_DIGITS))
     return consts

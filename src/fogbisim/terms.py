@@ -19,6 +19,7 @@ dict from variable indices to ids, applied by `apply_subst`.
 
 from __future__ import annotations
 
+import math
 import re
 
 
@@ -35,6 +36,8 @@ NAME = re.compile(r"[A-Za-z0-9_']+")
 # Python's int-to-decimal conversion refuses an int of more digits than
 # this by default, so no integer read or printed may exceed it
 MAX_DIGITS = 4300
+# the least int of more than MAX_DIGITS digits
+TOO_LARGE = 10 ** MAX_DIGITS
 
 
 class TermError(Exception):
@@ -47,6 +50,16 @@ def read_int(digits: str, what: str) -> int:
     if len(digits) > MAX_DIGITS:
         raise TermError("%s has more than %d digits" % (what, MAX_DIGITS))
     return int(digits)
+
+
+def bounded_power(b: int, e: int) -> int | None:
+    """b ** e, or None when it has more than MAX_DIGITS digits: a log
+    estimate settles the clear cases before anything is computed, an
+    exact comparison the rest."""
+    if b > 1 and e > (MAX_DIGITS + 1) / math.log10(b):
+        return None
+    v = b ** e
+    return v if v < TOO_LARGE else None
 
 
 def refine(nodes) -> tuple[list[int], int]:
@@ -258,47 +271,59 @@ class TermStore:
         return seen
 
 
+# the two statements of the term-graph format: node NAME = HEAD or
+# node NAME = HEAD(NAME,..,NAME), and root NAME = NAME
+_NODE = re.compile(r"node\s+(N)\s*=\s*(N)(?:\s*\(\s*(N(?:\s*,\s*N)*)\s*\))?"
+                   .replace("N", NAME.pattern))
+_ROOT = re.compile(r"root\s+(N)\s*=\s*(N)".replace("N", NAME.pattern))
+
+
 def intern_graph(ts: TermStore, text: str,
                  arities: dict[str, int] | None = None) -> TermId:
     """Parse the term-graph text format and intern its one root.
 
-    Lines: `node <ident> = <Nonterminal>(<arg>,...)`, `node <ident> = x<k>`,
-    and one `root <name> = <ident>`, separated by newlines or `;`; a `#`
-    comment runs to the newline; cycles allowed. With arities, every node
-    is checked against them as in `parse_term`.
+    Statements: `node NAME = HEAD`, `node NAME = HEAD(NAME,...,NAME)` and
+    one `root NAME = NAME`, separated by newlines or `;`; a `#` comment
+    runs to the newline; anything else is refused as `cannot parse`.
+    A HEAD or argument spelled x<k> is the variable x_k, so no node may
+    be spelled that way; cycles are allowed. With arities, every node is
+    checked against them as in `parse_term`.
     """
-    named: dict = {}
+    named: dict = {}  # node name, or variable spelling -> node
     roots: list[tuple[str, str]] = []
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     for lineno, line in enumerate(text.replace(";", "\n").splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        try:
-            kw, rest = line.split(None, 1)
-            name, rhs = (p.strip() for p in rest.split("=", 1))
-        except ValueError:
+        root = _ROOT.fullmatch(line)
+        if root:
+            roots.append(root.groups())
+            continue
+        m = _NODE.fullmatch(line)
+        if m is None:
             raise TermError("line %d: cannot parse %r" % (lineno, line))
-        if kw == "node":
-            if not name:
-                raise TermError("line %d: empty node name" % lineno)
-            if name in named:
-                raise TermError("line %d: duplicate node %r" % (lineno, name))
-            node, extra = _parse_node(rhs, lineno)
-            if node[0] == APP:
-                bad = _arity_error(arities, node[1], len(node[2]))
-                if bad:
-                    raise TermError("line %d: %s" % (lineno, bad))
-            named[name] = node
-            named.update(extra)
-        elif kw == "root":
-            roots.append((name, rhs))
-        else:
-            raise TermError("line %d: expected node/root, got %r" % (lineno, kw))
+        name, head, args = m.groups()
+        if _is_var(name):
+            raise TermError("line %d: node %r is spelled like a variable"
+                            % (lineno, name))
+        if name in named:
+            raise TermError("line %d: duplicate node %r" % (lineno, name))
+        if args is None and _is_var(head):
+            named[name] = (VAR, read_int(head[1:], "variable index"))
+            continue
+        refs = [a.strip() for a in args.split(",")] if args else []
+        for a in refs:
+            if _is_var(a):
+                named[a] = (VAR, read_int(a[1:], "variable index"))
+        bad = _arity_error(arities, head, len(refs))
+        if bad:
+            raise TermError("line %d: %s" % (lineno, bad))
+        named[name] = (APP, head, refs)
     if len(roots) != 1:
         raise TermError("expected exactly one root, got %d" % len(roots))
     ((name, target),) = roots
-    if target not in named:
+    if _is_var(target) or target not in named:
         raise TermError("root %r refers to undefined node %r" % (name, target))
     for name, node in named.items():
         if node[0] == APP:
@@ -320,30 +345,6 @@ def intern_graph(ts: TermStore, text: str,
             node = (APP, node[1], [index[ref] for ref in node[2]])
         nodes.append(node)
     return ts.intern_raw(nodes, [0])[0]
-
-
-def _parse_node(rhs: str, lineno: int):
-    """Returns (node, extra) where extra holds synthesized var nodes."""
-    head, paren, rest = rhs.strip().partition("(")
-    if paren and not rest.endswith(")"):
-        raise TermError("line %d: unbalanced parens in %r" % (lineno, rhs))
-    args = [a.strip() for a in rest[:-1].split(",")] if rest[:-1].strip() else []
-    head = head.strip()
-    for name in [head] + args:
-        if not NAME.fullmatch(name):
-            raise TermError("line %d: expected a name, got %r" % (lineno, name))
-    if not paren and _is_var(head):
-        return (VAR, read_int(head[1:], "variable index")), {}
-    refs = []
-    extra = {}
-    for a in args:
-        if _is_var(a):
-            vn = "\x00v%s" % a[1:]
-            extra[vn] = (VAR, read_int(a[1:], "variable index"))
-            refs.append(vn)
-        else:
-            refs.append(a)
-    return (APP, head, refs), extra
 
 
 def _arity_error(arities: dict[str, int] | None, name: str, nkids: int):
@@ -417,19 +418,28 @@ def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) 
 
 
 def render_term(ts: TermStore, t: TermId) -> str:
-    """Inline syntax for finite terms; graph format for cyclic ones."""
-    if is_finite(ts, t):
-        return _render_finite(ts, t)
+    """Inline syntax for finite terms; graph format for cyclic ones.
+
+    One walk of t's nodes in ascending id order writes the graph lines
+    and gives a node inline text once all its children have some. Every
+    arc below a finite term leads to a smaller id, so t is finite
+    exactly when it gets inline text."""
+    inline: dict[TermId, str] = {}
     lines = []
-    for tid in sorted(ts.reachable([t])):
-        node = ts.node(tid)
+    for u in sorted(ts.reachable([t])):
+        node = ts.nodes[u]
         if node[0] == VAR:
-            lines.append("node n%d = x%d" % (tid, node[1]))
-        elif node[2]:
-            lines.append("node n%d = %s(%s)"
-                         % (tid, node[1], ",".join("n%d" % c for c in node[2])))
+            inline[u] = text = "x%d" % node[1]
+        elif not node[2]:
+            inline[u] = text = node[1]
         else:
-            lines.append("node n%d = %s" % (tid, node[1]))
+            text = "%s(%s)" % (node[1], ",".join("n%d" % c for c in node[2]))
+            if all(c in inline for c in node[2]):
+                inline[u] = "%s(%s)" % (node[1],
+                                        ",".join(inline[c] for c in node[2]))
+        lines.append("node n%d = %s" % (u, text))
+    if t in inline:
+        return inline[t]
     lines.append("root t = n%d" % t)
     return "\n".join(lines)
 
@@ -438,25 +448,6 @@ def one_line(text: str) -> str:
     """A rendered term as one text row: graph lines joined by '; ', a
     form `intern_graph` reads back."""
     return text.replace("\n", "; ")
-
-
-def _render_finite(ts: TermStore, t: TermId) -> str:
-    text: dict[TermId, str] = {}
-    for u in sorted(ts.reachable([t])):
-        node = ts.nodes[u]
-        if node[0] == VAR:
-            text[u] = "x%d" % node[1]
-        elif not node[2]:
-            text[u] = node[1]
-        else:
-            text[u] = "%s(%s)" % (node[1], ",".join(text[c] for c in node[2]))
-    return text[t]
-
-
-def is_finite(ts: TermStore, t: TermId) -> bool:
-    """True iff the presentation reachable from t is acyclic, i.e. every
-    arc below t leads to a smaller id."""
-    return all(c < u for u in ts.reachable([t]) for c in ts.children(u))
 
 
 def pressize(ts: TermStore, roots) -> int:

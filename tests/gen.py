@@ -3,7 +3,7 @@ reference term walks shared by the test batteries."""
 
 import random
 
-from fogbisim.terms import TermError, TermStore, is_finite
+from fogbisim.terms import TermError, TermStore
 from fogbisim.grammar import Grammar, Rule
 
 
@@ -126,6 +126,12 @@ def deep_grammar(levels):
 def propsize(ts, roots):
     """Reference: nonterminal-node count of the least presentation."""
     return sum(1 for t in ts.reachable(list(roots)) if not ts.is_var(t))
+
+
+def is_finite(ts, t):
+    """Reference: whether the presentation reachable from t is acyclic,
+    i.e. every arc below t leads to a smaller id."""
+    return all(c < u for u in ts.reachable([t]) for c in ts.children(u))
 
 
 def height(ts, t):

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from fogbisim.terms import (
-    apply_subst, is_finite, omega_iterate, parse_term, pressize, refine,
+    apply_subst, omega_iterate, parse_term, pressize, refine,
     varin,
 )
 from fogbisim.grammar import parse_grammar
@@ -22,7 +22,9 @@ from fogbisim.bases import (
     reduce_nsg_step, sound_candidate_search, speceq_check,
 )
 
-from gen import random_grammar, random_ground_term, random_finite_term
+from gen import (
+    is_finite, random_finite_term, random_grammar, random_ground_term,
+)
 
 GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
 

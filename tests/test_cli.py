@@ -207,13 +207,27 @@ def test_unreachable_graph_nodes_do_not_change_output(capsys):
     ("node a = A(a); node b = Z; root t = a; root t = b",
      "expected exactly one root, got 2"),
     ("node n = A(m); root t = n", "dangling reference 'm' in node 'n'"),
-    ("node = Z; root t =", "line 1: empty node name"),
+    pytest.param("node = Z; root t =", "line 1: cannot parse 'node = Z'",
+                 id="node = Z; root t =-line 1: cannot parse"),
+    # an argument x1 is the variable, so no node may be spelled x1
+    ("node x1 = A(x1); root t = x1",
+     "line 1: node 'x1' is spelled like a variable"),
+    ("node n = Z(); root t = n", "line 1: cannot parse 'node n = Z()'"),
 ])
 def test_bad_graph_term_is_one_error_line(capsys, graph, why):
     code, out, err = run(capsys, "eqlevel", "--grammar", G1,
                          "--left", graph, "--right", "A(Z)")
     assert (code, out) == (2, "")
     assert err == "error: term error in %r: %s\n" % (graph, why)
+
+
+def test_step_does_not_drop_a_node_spelled_like_a_variable(capsys):
+    term = "node n = A(x1); node x1 = Z; root t = n"
+    code, out, err = run(capsys, "step", "--grammar", G1, "--term", term,
+                         "--action", "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: term error in %r: line 2: node 'x1' is spelled "
+                   "like a variable\n" % term)
 
 
 def test_readme_commands_run(capsys, monkeypatch):
@@ -411,7 +425,7 @@ def test_every_exit_3_base_run_gives_one_reason(capsys):
 @pytest.mark.parametrize("term, message", [
     ("x\u00b2", "unknown nonterminal 'x' at position 1 in 'x\u00b2'"),
     ("A(x\u0663)", "unknown nonterminal 'x' at position 3 in 'A(x\u0663)'"),
-    ("node n = x\u00b2; root t = n", "line 1: expected a name, got 'x\u00b2'"),
+    ("node n = x\u00b2; root t = n", "line 1: cannot parse 'node n = x\u00b2'"),
 ], ids=["superscript", "arabic-digit", "graph-node"])
 def test_non_ascii_names_are_refused_by_name(capsys, term, message):
     code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", term,
@@ -437,6 +451,41 @@ def test_long_variable_index_is_refused_by_name(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: term error in %r: variable index has more than "
                    "4300 digits\n" % term)
+
+
+NINES = "9" * 4300  # the longest int a flag can be
+
+
+def test_huge_cutoff_is_read_and_printed(capsys):
+    with time_limit(10):
+        code, out, err = run(capsys, "eqlevel", "--grammar", G1, "--left", "Z",
+                             "--right", "Z", "--cutoff", NINES)
+    assert (code, out, err) == (0, "at-least %s\n" % NINES, "")
+
+
+def test_longer_cutoff_is_an_argparse_error(capsys):
+    with time_limit(10), pytest.raises(SystemExit) as ex:
+        main(["eqlevel", "--grammar", G1, "--left", "Z", "--right", "Z",
+              "--cutoff", "9" * 5000])
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cutoff: invalid int value" in err
+
+
+@pytest.mark.parametrize("flags, why", [
+    (["--n", "1", "--s", NINES, "--g", "0", "--max-size", "2"],
+     "layer-0 size threshold exceeds 4300 digits"),
+    (["--n", "1", "--s", "1", "--g", NINES, "--max-size", "2"],
+     "layer-0 size threshold exceeds 4300 digits"),
+    (["--n", "0", "--s", "2", "--g", "0", "--max-size", NINES],
+     "enumeration budget exceeded (2097152 graphs of 7 nodes)"),
+    (["--n", NINES, "--s", "2", "--g", "0", "--max-size", "2"],
+     "enumeration budget exceeded (more than 2000000 graphs of 1 nodes)"),
+], ids=["s", "g", "max-size", "n"])
+def test_huge_base_flags_stop_before_the_work(capsys, flags, why):
+    with time_limit(10):
+        code, out, err = run(capsys, "base", "--grammar", G1, *flags)
+    assert (code, out, err) == (2, "", "error: %s\n" % why)
 
 
 def test_base_on_a_huge_arity_names_the_budget(tmp_path, capsys):

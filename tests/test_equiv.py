@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from fogbisim.terms import (
-    apply_subst, intern_graph, is_finite, parse_term,
+    apply_subst, intern_graph, parse_term,
 )
 from fogbisim.grammar import parse_grammar
 from fogbisim.lts import enabled_actions, run_word, step_action
@@ -16,7 +16,9 @@ from fogbisim.equiv import (
 )
 from fogbisim.bases import enumerate_terms
 
-from gen import random_grammar, random_ground_term, random_finite_term
+from gen import (
+    is_finite, random_finite_term, random_grammar, random_ground_term,
+)
 
 GRAMMAR_DIR = pathlib.Path(__file__).resolve().parent.parent / "grammars"
 

@@ -1,16 +1,17 @@
+import hashlib
 import os
 from collections import deque
 
 import pytest
 
-from fogbisim.terms import TermStore, parse_term, varin
+from fogbisim.terms import TermStore, parse_term, render_term, varin
 from fogbisim.grammar import (
     Grammar, GrammarError, Rule, compute_constants, compute_sink_table,
     parse_grammar,
 )
 from fogbisim.lts import enabled_actions, step_action, step_rule
 
-from gen import chain_grammar, deep_grammar, random_grammar
+from gen import chain_grammar, deep_grammar, is_finite, random_grammar
 
 GRAMMAR_DIR = os.path.join(os.path.dirname(__file__), "..", "grammars")
 
@@ -388,7 +389,8 @@ def test_gdeep_sink_word_doubles_per_level():
     assert "constants" not in vars(g)
 
 
-@pytest.mark.parametrize("levels, name", [(6, "d4"), (12, "d1")])
+@pytest.mark.parametrize("levels, name", [(k, "d4") for k in range(5, 10)]
+                         + [(k, "d1") for k in range(10, 14)])
 def test_oversize_constants_are_refused_by_name(levels, name):
     # d0 = 2^(levels+1); at six levels d4 would have about 35,000 digits,
     # at twelve nR^d0 in d1 about 9,400, and each power is refused
@@ -398,6 +400,25 @@ def test_oversize_constants_are_refused_by_name(levels, name):
                        match="constant %s exceeds 4300 digits" % name):
         g.constants
     assert g.d0 == 2 ** (levels + 1)
+
+
+# sha256 over repr((seed, sorted(g.sink.items()), g.d0, g.stepinc, c)) for
+# seeds 0..2999 in order, c the constants or the GrammarError message
+RANDOM_FACTS_DIGEST = \
+    "71c4ed5c5f6b3075771069a86460cf812d80042b46bf2e698c9d8026bd762016"
+
+
+def test_derived_facts_of_random_grammars_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(3000):
+        g = random_grammar(seed, max_rules=12, max_depth=3)
+        try:
+            c = tuple(g.constants)
+        except GrammarError as e:
+            c = str(e)
+        digest.update(repr((seed, sorted(g.sink.items()), g.d0, g.stepinc,
+                            c)).encode())
+    assert digest.hexdigest() == RANDOM_FACTS_DIGEST
 
 
 def exposed_positions(g, nt, state_cap=3000):
@@ -454,7 +475,6 @@ def test_constants_monotone_under_added_rules(seed):
         if arities[r.lhs] != extra.arities[r.lhs]:
             continue
         # re-intern rhs into g's store via rendering
-        from fogbisim.terms import render_term, is_finite
         assert is_finite(extra.ts, r.rhs)
         rhs = parse_term(ts, render_term(extra.ts, r.rhs), arities)
         rules.append(Rule("e%d" % len(rules), r.lhs, r.action, rhs))

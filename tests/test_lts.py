@@ -3,14 +3,14 @@ import random
 import pytest
 
 from fogbisim.terms import (
-    apply_subst, is_finite, parse_term, pressize, varin,
+    apply_subst, parse_term, pressize, varin,
 )
 from fogbisim.grammar import (
     GrammarError, parse_grammar, compute_constants, compute_sink_table,
 )
 from fogbisim.lts import d0_sinking_split, run_word, step_action, step_rule
 
-from gen import height, random_grammar, random_ground_term
+from gen import height, is_finite, random_grammar, random_ground_term
 
 FIG1 = (
     "nonterminals: A/3, B/0, C/2, D/2\n"

@@ -1,3 +1,5 @@
+import hashlib
+import pathlib
 import sys
 import time
 
@@ -6,14 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from fogbisim.terms import (
     APP, VAR, TermStore, TermError, apply_subst,
-    intern_graph, is_finite, omega_iterate, parse_term, pressize,
+    intern_graph, omega_iterate, one_line, parse_term, pressize,
     refine, render_term, varin,
 )
+from fogbisim.bases import enumerate_terms
+from fogbisim.grammar import parse_grammar
 
-from gen import height, propsize
+from gen import height, is_finite, propsize
 
 
 ARITIES = {"A": 3, "B": 0, "C": 2, "D": 2}
+GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
 
 
 def fig1_terms(ts):
@@ -119,8 +124,49 @@ def test_intern_graph_interns_only_what_the_root_reaches():
     # every node of the text is still checked
     with pytest.raises(TermError, match="dangling reference 'q' in node 'b'"):
         intern_graph(ts, "node a = Z; node b = A(q); root t = a")
-    with pytest.raises(TermError, match="line 1: empty node name"):
+    with pytest.raises(TermError, match="line 1: cannot parse 'node = Z'"):
         intern_graph(ts, "node = Z; root t =")
+
+
+@pytest.mark.parametrize("text, why", [
+    # a variable argument is the variable, so a node of that spelling
+    # could never be referred to
+    ("node x1 = A(x1); root t = x1",
+     "line 1: node 'x1' is spelled like a variable"),
+    ("node n = A(x1); node x1 = Z; root t = n",
+     "line 2: node 'x1' is spelled like a variable"),
+    ("node x01 = Z; root t = x01",
+     "line 1: node 'x01' is spelled like a variable"),
+    # node and root names are NAMEs
+    ("node \u00e9 = Z; root t = \u00e9", "line 1: cannot parse 'node \u00e9 = Z'"),
+    ("node a b = Z; root t = a b", "line 1: cannot parse 'node a b = Z'"),
+    ("node n = Z; root = n", "line 2: cannot parse 'root = n'"),
+    ("node n = Z; root t = a b", "line 2: cannot parse 'root t = a b'"),
+    # an application has at least one argument, as in the inline syntax
+    ("node n = Z(); root t = n", "line 1: cannot parse 'node n = Z()'"),
+    ("node n = A( ); root t = n", "line 1: cannot parse 'node n = A( )'"),
+    ("node n = A(m,); node m = Z; root t = n",
+     "line 1: cannot parse 'node n = A(m,)'"),
+    ("node n = A(m)); root t = n", "line 1: cannot parse 'node n = A(m))'"),
+    ("nodes n = Z; root t = n", "line 1: cannot parse 'nodes n = Z'"),
+])
+def test_intern_graph_refuses_what_is_not_a_statement(text, why):
+    with pytest.raises(TermError) as ex:
+        intern_graph(TermStore(), text)
+    assert str(ex.value) == why
+
+
+def test_intern_graph_reads_variables_by_their_spelling():
+    ts = TermStore()
+    want = parse_term(ts, "A(x1,B(x1,x2))")
+    for text in ["node n = A(x1, m); node m = B(x01,x2); root t = n",
+                 "node n = A ( v , m ) ; node m=B(x1 ,w); node v = x1;"
+                 " node w = x2 ; root\tt = n",
+                 "node n = A(x1,m)\n# m = Z\nnode m = B(x1,x2)\nroot t = n"]:
+        assert intern_graph(ts, text) == want
+    # a root is a node, never a variable
+    with pytest.raises(TermError, match="root 't' refers to undefined node 'x1'"):
+        intern_graph(ts, "node n = A(x1); root t = x1")
 
 
 def test_finite_graph_form_is_hash_consed_before_refining():
@@ -747,6 +793,45 @@ def test_is_finite():
     e1, _, e3 = fig1_terms(ts)
     assert is_finite(ts, e1)
     assert not is_finite(ts, e3)
+
+
+def test_render_term_walks_the_term_once(monkeypatch):
+    ts = TermStore()
+    e1, _, e3 = fig1_terms(ts)
+    walks = []
+    real = TermStore.reachable
+    monkeypatch.setattr(TermStore, "reachable",
+                        lambda self, roots: walks.append(roots) or real(self, roots))
+    assert render_term(ts, e1) == "A(D(x5,C(x2,B)),x5,B)"
+    assert len(walks) == 1
+    text = render_term(ts, e3)
+    assert len(walks) == 2
+    assert text.endswith("root t = n%d" % e3)
+    assert intern_graph(ts, text) == e3
+
+
+# sha256 over repr((file name, id, text)) of every rendered term below
+RENDER_DIGEST = "f92559e48817011194561c7deb579ce1bc09a928a4d515496ce3b026e253c7e8"
+
+
+def test_rendered_terms_read_back_to_themselves():
+    """Every term of up to 5 (g1) or 3 (gchain, gnull) nodes over x1, x2,
+    cyclic ones included, renders to a text that reads back to the same
+    id, also in its one-line form; the texts themselves are pinned."""
+    digest = hashlib.sha256()
+    cyclic = 0
+    for name, size in (("g1.fog", 5), ("gchain.fog", 3), ("gnull.fog", 3)):
+        g = parse_grammar((GRAMMARS / name).read_text())
+        for t in enumerate_terms(g, 2, size):
+            text = render_term(g.ts, t)
+            digest.update(repr((name, t, text)).encode())
+            finite = is_finite(g.ts, t)
+            cyclic += not finite
+            read = parse_term if finite else intern_graph
+            assert read(g.ts, text, g.arities) == t
+            assert read(g.ts, one_line(text), g.arities) == t
+    assert cyclic == 607
+    assert digest.hexdigest() == RENDER_DIGEST
 
 
 def test_deep_finite_term_walkers_are_iterative():
