@@ -420,28 +420,27 @@ def parse_term(ts: TermStore, text: str, arities: dict[str, int] | None = None) 
 def render_term(ts: TermStore, t: TermId) -> str:
     """Inline syntax for finite terms; graph format for cyclic ones.
 
-    One walk of t's nodes in ascending id order writes the graph lines
-    and gives a node inline text once all its children have some. Every
-    arc below a finite term leads to a smaller id, so t is finite
-    exactly when it gets inline text."""
-    inline: dict[TermId, str] = {}
-    lines = []
-    for u in sorted(ts.reachable([t])):
+    t is finite exactly when every arc below it leads to a smaller id.
+    One walk of its nodes in ascending id order then gives each node its
+    text, naming a child by its inline text if t is finite and by its
+    graph node if not, so a cyclic term builds no inline text, whose
+    length can double with each level of shared children."""
+    order = sorted(ts.reachable([t]))
+    finite = all(c < u for u in order for c in ts.children(u))
+    text: dict[TermId, str] = {}
+    for u in order:
         node = ts.nodes[u]
         if node[0] == VAR:
-            inline[u] = text = "x%d" % node[1]
+            text[u] = "x%d" % node[1]
         elif not node[2]:
-            inline[u] = text = node[1]
+            text[u] = node[1]
         else:
-            text = "%s(%s)" % (node[1], ",".join("n%d" % c for c in node[2]))
-            if all(c in inline for c in node[2]):
-                inline[u] = "%s(%s)" % (node[1],
-                                        ",".join(inline[c] for c in node[2]))
-        lines.append("node n%d = %s" % (u, text))
-    if t in inline:
-        return inline[t]
-    lines.append("root t = n%d" % t)
-    return "\n".join(lines)
+            kids = (text[c] if finite else "n%d" % c for c in node[2])
+            text[u] = "%s(%s)" % (node[1], ",".join(kids))
+    if finite:
+        return text[t]
+    return "\n".join(["node n%d = %s" % (u, text[u]) for u in order]
+                     + ["root t = n%d" % t])
 
 
 def one_line(text: str) -> str:

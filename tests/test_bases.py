@@ -405,6 +405,26 @@ def test_enumeration_budget_is_checked_before_the_count(arity):
         "enumeration budget exceeded (more than 2000000 graphs of 2 nodes)"
 
 
+@pytest.mark.parametrize("max_vars", [
+    pytest.param(10 ** 4299, id="count of 4300 digits"),
+    pytest.param(10 ** 4300 - 2, id="largest count of 4300 digits"),
+    pytest.param(10 ** 4300 - 1, id="count of 4301 digits"),
+])
+def test_enumeration_budget_names_counts_of_up_to_max_digits(max_vars):
+    # one node is a variable or Z: max_vars + 1 graphs, named in full
+    # up to 4,300 digits, the most Python prints
+    g = parse_grammar("nonterminals: Z/0\nactions: a\nrule r1: Z -a-> Z\n")
+    with pytest.raises(BasesError) as ex:
+        enumerate_terms(g, max_vars, 1)
+    count = max_vars + 1
+    if count < 10 ** 4300:
+        assert str(ex.value) == \
+            "enumeration budget exceeded (%d graphs of 1 nodes)" % count
+    else:
+        assert str(ex.value) == \
+            "enumeration budget exceeded (more than 2000000 graphs of 1 nodes)"
+
+
 def bfs_render(ts, t):
     """t in the graph format with its nodes named in breadth-first order
     from the root: the same text for the same term in any store."""

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
 import pathlib
+import resource
+import signal
 import sys
 import time
 
@@ -808,6 +811,51 @@ def test_render_term_walks_the_term_once(monkeypatch):
     assert len(walks) == 2
     assert text.endswith("root t = n%d" % e3)
     assert intern_graph(ts, text) == e3
+
+
+class Expired(BaseException):
+    pass
+
+
+@contextlib.contextmanager
+def bounded(seconds, extra_mb):
+    """Fail with Expired past the given seconds, and with MemoryError
+    past the given megabytes beyond the address space in use now."""
+    def expire(signum, frame):
+        raise Expired("took more than %d s" % seconds)
+
+    in_use = int(pathlib.Path("/proc/self/statm").read_text().split()[0]) \
+        * resource.getpagesize()
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (in_use + extra_mb * 2 ** 20, limits[1]))
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+def test_render_term_builds_no_inline_text_for_a_cyclic_term():
+    # n = C(n, d40), where d40 is a finite term of 2**40 leaves on 41
+    # shared nodes: its inline text could not be built, its graph lines
+    # are a few hundred characters
+    depth = 40
+    text = "; ".join(
+        ["node d0 = Z"]
+        + ["node d%d = B(d%d,d%d)" % (i, i - 1, i - 1)
+           for i in range(1, depth + 1)]
+        + ["node n = C(n,d%d)" % depth, "root t = n"])
+    ts = TermStore()
+    t = intern_graph(ts, text)
+    with bounded(seconds=10, extra_mb=256):
+        out = render_term(ts, t)
+    assert len(out.splitlines()) == depth + 3
+    assert out.endswith("root t = n%d" % t)
+    assert intern_graph(ts, one_line(out)) == t
 
 
 # sha256 over repr((file name, id, text)) of every rendered term below
