@@ -332,7 +332,6 @@ def _build_parser():
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--grammar", required=True, help="grammar file")
-        p.add_argument("--cutoff", type=int, default=12)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
         return p
@@ -360,10 +359,12 @@ def _build_parser():
             ("pipeline", cmd_pipeline,
              "balance, refine, verify, and check stair sequences")):
         p = add(name, fn, help=hlp)
+        p.add_argument("--cutoff", type=int, default=12)
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
 
     p = add("base", cmd_base, help="build a capped candidate base")
+    p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--g", dest="g_param", type=int, required=True)

@@ -154,7 +154,7 @@ class EqOracle:
         g = self.g
         nt, nu = g.ts.nodes[t], g.ts.nodes[u]
         if (nt[0] == VAR or nu[0] == VAR
-                or g.actions_by_lhs[nt[1]] != g.actions_by_lhs[nu[1]]):
+                or g.firing[nt[1]].keys() != g.firing[nu[1]].keys()):
             self.exact[key] = 0
             return 0
         return None

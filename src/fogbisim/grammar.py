@@ -57,14 +57,13 @@ class Grammar:
                 raise GrammarError("duplicate rule id %r" % r.rid)
             self.rule_by_id[r.rid] = r
         self.rhs_nodes = self._validate()
-        self.rules_by_lhs: dict[str, list[Rule]] = {a: [] for a in arities}
-        for r in rules:
-            self.rules_by_lhs[r.lhs].append(r)
-        # enabled actions per nonterminal, in declaration order
-        order = {act: i for i, act in enumerate(self.actions)}
-        self.actions_by_lhs: dict[str, list[str]] = {
-            a: sorted({r.action for r in rs}, key=order.get)
-            for a, rs in self.rules_by_lhs.items()}
+        # firing[A][a]: (rule id, rhs nodes) of A's a-rules; actions and
+        # rules in declaration order (the sort by action is stable)
+        self.firing: dict[str, dict[str, list]] = {nt: {} for nt in arities}
+        rank = {act: i for i, act in enumerate(self.actions)}
+        for r, below in sorted(zip(self.rules, self.rhs_nodes),
+                               key=lambda rb: rank[rb[0].action]):
+            self.firing[r.lhs].setdefault(r.action, []).append((r.rid, below))
         # (term, action) -> successors; filled by lts.step_action
         self.successors: dict[tuple[int, str], tuple[tuple[str, int], ...]] = {}
 

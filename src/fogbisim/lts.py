@@ -8,7 +8,7 @@ d0-sinking factorization that the balanced-play checks use.
 
 from __future__ import annotations
 
-from .terms import apply_subst
+from .terms import instantiate
 from .grammar import Grammar, GrammarError
 
 
@@ -26,9 +26,9 @@ def step_rule(g: Grammar, t: int, rid: str):
 
 def step_action(g: Grammar, t: int, action: str) -> tuple[tuple[str, int], ...]:
     """All (rule id, successor) pairs under rules with the given label,
-    in declaration order. This is the only place a rule fires: memoized
-    in `g.successors`, as hash-consing keeps term ids stable, so each
-    (term, action) is stepped once per grammar.
+    in declaration order. The only place a rule fires, from its nodes in
+    `g.firing`; memoized in `g.successors`, as hash-consing keeps term
+    ids stable, so each (term, action) is stepped once per grammar.
     """
     key = (t, action)
     out = g.successors.get(key)
@@ -37,16 +37,17 @@ def step_action(g: Grammar, t: int, action: str) -> tuple[tuple[str, int], ...]:
             raise GrammarError("unknown action %r" % action)
         g.ts.node(t)  # rejects an unknown id
         binding = dict(enumerate(g.ts.children(t), 1))
-        out = tuple((r.rid, apply_subst(g.ts, r.rhs, binding))
-                    for r in g.rules_by_lhs.get(g.ts.root(t), ())
-                    if r.action == action)
+        rules = g.firing.get(g.ts.root(t), {}).get(action, ())
+        out = tuple((rid, instantiate(g.ts, below, binding) if binding
+                     else below[-1])  # nothing bound: the rhs, last node
+                    for rid, below in rules)
         g.successors[key] = out
     return out
 
 
 def enabled_actions(g: Grammar, t: int) -> list[str]:
     node = g.ts.node(t)
-    return [] if node[0] == "var" else g.actions_by_lhs[node[1]]
+    return [] if node[0] == "var" else list(g.firing[node[1]])
 
 
 def run_word(g: Grammar, t: int, word) -> list[int] | None:

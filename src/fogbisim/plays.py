@@ -432,13 +432,12 @@ def refine_segments(g: Grammar, bp: BalancedPlay,
 
 def crucial_segment_length(bp: BalancedPlay, seg: Segmentation,
                            kj: int, kj1: int) -> int:
-    """length(rho'_{kj} ... mu^usink_{kj1 - 1})."""
+    """length(rho'_{kj} ... mu^usink_{kj1 - 1}). No close-sinking part
+    lies inside: one would make the next pivot close."""
     d0 = bp.balances[0].rho.length()
     total = 0
     for j in range(kj, kj1):
         total += d0 + bp.mu_unc(j).length() + seg.usink_len[j]
-        if kj <= j < kj1 - 1:
-            total += seg.csink_len[j]  # empty inside crucial segments
     return total
 
 

@@ -110,7 +110,7 @@ class TermStore:
     below a finite term leads to a smaller id, while every cycle has an
     arc to an id no smaller than its source. Finite terms can therefore
     be built and walked in ascending id order by plain hash-consing
-    (`app`, `apply_subst`); `intern_raw` is needed only for input that
+    (`app`, `instantiate`); `intern_raw` is needed only for input that
     creates a cycle.
 
     `intern_minimal` is the step that matches a graph against the store:
@@ -466,16 +466,21 @@ def apply_subst(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
     """Eσ, where the substitution σ is a plain dict from variable
     indices to ids; a binding x_i -> x_i is no binding.
 
-    A finite E is built in ascending id order, so each node's children
-    are already canonical and plain hash-consing finds any existing
-    node, cyclic ones included. A cyclic E goes through `_redirect`.
+    A finite E goes through `instantiate`, a cyclic E through `_redirect`.
     """
     if not binding:
         return t
     order = sorted(ts.reachable([t]))
-    nodes = ts.nodes
-    if any(c >= u for u in order if nodes[u][0] == APP for c in nodes[u][2]):
+    if any(c >= u for u in order for c in ts.children(u)):
         return _redirect(ts, t, binding, binding.values())
+    return instantiate(ts, order, binding)
+
+
+def instantiate(ts: TermStore, order, binding: dict[int, TermId]) -> TermId:
+    """Eσ for a finite E given by its nodes in ascending id order, E
+    last: each is hash-consed after its children, so any stored node
+    is found, cyclic ones included."""
+    nodes = ts.nodes
     out: dict[TermId, TermId] = {}
     for u in order:
         node = nodes[u]
@@ -483,7 +488,7 @@ def apply_subst(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
             out[u] = binding.get(node[1], u)
         else:
             out[u] = ts._intern((APP, node[1], tuple(out[c] for c in node[2])))
-    return out[t]
+    return out[order[-1]]
 
 
 def _redirect(ts: TermStore, t: TermId, target: dict, below=()) -> TermId:

@@ -59,6 +59,50 @@ def test_validate_rejects_lhs_arity_mismatch(tmp_path, capsys):
                    "its arity is 1\n")
 
 
+@pytest.mark.parametrize("actions, line, why", [
+    ("a", "rule r1: Q -a-> Z", "line 3: unknown lhs 'Q'"),
+    ("a", "rule r1: A(x2) -a-> Z",
+     "line 3: lhs arguments must be x1..xm in order"),
+    ("a, a", "rule r1: Z -a-> Z", "duplicate action 'a'"),
+    ("a", "foo", "line 3: cannot parse 'foo'"),
+    ("a", "rule r1: Z -b-> Z", "rule r1: unknown action 'b'"),
+])
+def test_grammar_refusals_are_named(tmp_path, capsys, actions, line, why):
+    bad = tmp_path / "bad.fog"
+    bad.write_text("nonterminals: A/1, Z/0\nactions: %s\n%s\n" % (actions, line))
+    code, out, err = run(capsys, "validate", "--grammar", str(bad))
+    assert (code, out, err) == (2, "", "error: grammar error: %s\n" % why)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["eqlevel", "--left", "A(Z", "--right", "Z"], 2,
+     "error: term error in 'A(Z': unbalanced parens at position 3 in 'A(Z'"),
+    (["eqlevel", "--left", "A(x0)", "--right", "Z"], 2,
+     "error: term error in 'A(x0)': variable indices are positive: x0"),
+    (["eqlevel", "--left", "node n = Z; node n = Z; root t = n", "--right",
+      "Z"], 2, "error: term error in 'node n = Z; node n = Z; root t = n': "
+     "line 2: duplicate node 'n'"),
+    (["eqlevel", "--left", "Z", "--right", "Z", "--cutoff", "0"], 2,
+     "error: cutoff must be >= 1"),
+    (["step", "--term", "Z", "--action", "b"], 1, "action b not enabled"),
+])
+def test_command_refusals_are_named(capsys, argv, code, err):
+    got = run(capsys, argv[0], "--grammar", G1, *argv[1:])
+    assert got == (code, "", err + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["constants"], ["step", "--term", "Z", "--action", "a"],
+    ["run", "--term", "Z", "--word", "r3"]])
+def test_cutoff_is_refused_where_nothing_reads_it(capsys, argv):
+    # only the pair commands and base search the game up to a cutoff
+    with pytest.raises(SystemExit) as ex:
+        main(argv[:1] + ["--grammar", G1, "--cutoff", "5"] + argv[1:])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
+    assert run(capsys, argv[0], "--grammar", G1, *argv[1:])[0] == 0
+
+
 def test_constants_match_module(capsys):
     from fogbisim.grammar import parse_grammar, compute_constants
     code, out, _ = run(capsys, "constants", "--grammar", G1, "--json")
@@ -635,16 +679,16 @@ def command_lines(draw):
     command = draw(st.sampled_from(
         ["eqlevel", "decide", "play", "balance", "verify", "pipeline",
          "step", "run"]))
-    argv = [command, "--grammar", grammar,
-            "--cutoff", str(draw(st.integers(1, 8)))]
+    argv = [command, "--grammar", grammar]
     if command == "step":
         argv.append("--term=" + draw(terms))
         argv.append(draw(st.sampled_from(["--rule=", "--action="]))
                     + draw(st.sampled_from(RULE_IDS + ["a", "b", "c", ""])))
     elif command == "run":
         argv += ["--term=" + draw(terms), "--word=" + draw(words)]
-    else:
-        argv += ["--left=" + draw(terms), "--right=" + draw(terms)]
+    else:  # only the pair commands and base take a cutoff
+        argv += ["--cutoff", str(draw(st.integers(1, 8))),
+                 "--left=" + draw(terms), "--right=" + draw(terms)]
     if draw(st.booleans()):
         argv.append("--json")
     return argv

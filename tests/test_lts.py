@@ -3,14 +3,16 @@ import random
 import pytest
 
 from fogbisim.terms import (
-    apply_subst, parse_term, pressize, varin,
+    apply_subst, instantiate, parse_term, pressize, varin,
 )
 from fogbisim.grammar import (
     GrammarError, parse_grammar, compute_constants, compute_sink_table,
 )
 from fogbisim.lts import d0_sinking_split, run_word, step_action, step_rule
 
-from gen import height, is_finite, random_grammar, random_ground_term
+from gen import (
+    chain_grammar, height, is_finite, random_grammar, random_ground_term,
+)
 
 FIG1 = (
     "nonterminals: A/3, B/0, C/2, D/2\n"
@@ -93,11 +95,11 @@ def test_rule_steps_are_answered_from_the_table(seed, monkeypatch):
     import fogbisim.lts as lts
     calls = []
 
-    def counted(ts, t, binding):
-        calls.append(t)
-        return apply_subst(ts, t, binding)
+    def counted(ts, order, binding):
+        calls.append(order)
+        return instantiate(ts, order, binding)
 
-    monkeypatch.setattr(lts, "apply_subst", counted)
+    monkeypatch.setattr(lts, "instantiate", counted)
     rng = random.Random(seed)
     g = random_grammar(seed)
     starts = [random_ground_term(rng, g, rng.randint(0, 3)) for _ in range(5)]
@@ -112,14 +114,46 @@ def test_rule_steps_are_answered_from_the_table(seed, monkeypatch):
 
     steps()
     first = len(calls)
-    # one call per successor in the table, none for a repeated step
-    assert first == sum(len(out) for out in g.successors.values()) > 0
+    # one firing per successor of a term with children, none for a
+    # repeated step; a nullary term's successor is the rhs itself
+    assert first == sum(len(out) for (t, _), out in g.successors.items()
+                        if g.ts.children(t))
+    assert first > 0 or all(g.arities[r.lhs] == 0 for r in g.rules)
     steps()
     for (t, a), out in list(g.successors.items()):
         assert step_action(g, t, a) is out
         for rid, succ in out:
             assert step_rule(g, t, rid) == succ
     assert len(calls) == first
+
+
+@pytest.mark.parametrize("case", list(range(20)) + ["chain-8"])
+def test_firing_walks_no_rhs_again(case, monkeypatch):
+    # every rule fires from the nodes the constructor's one walk kept:
+    # filling the table makes no reachable walk and no apply_subst call
+    import fogbisim.terms as terms
+    from fogbisim.terms import TermStore
+    rng = random.Random(0)
+    if case == "chain-8":
+        g = parse_grammar(chain_grammar(8))
+        starts = [parse_term(g.ts, x, g.arities)
+                  for x in ("A(A(Z))", "B(B(Z))", "P3(R8(Z))")]
+    else:
+        g = random_grammar(case)
+        starts = [random_ground_term(rng, g, d) for d in range(4)]
+    starts += [g.lhs_term(nt) for nt in g.arities]
+    calls = []
+    walk, subst = TermStore.reachable, terms.apply_subst
+    monkeypatch.setattr(TermStore, "reachable",
+                        lambda ts, roots: calls.append(1) or walk(ts, roots))
+    monkeypatch.setattr(terms, "apply_subst",
+                        lambda *a: calls.append(2) or subst(*a))
+    frontier = starts
+    for _ in range(4):
+        frontier = [t2 for t in frontier for a in g.actions
+                    for _, t2 in step_action(g, t, a)][:60]
+    assert sum(map(len, g.successors.values())) > 0
+    assert calls == []
 
 
 def test_run_word():
@@ -280,7 +314,7 @@ def random_walk(rng, g, t, steps):
         node = g.ts.node(cur)
         if node[0] == "var":
             break
-        rules = [r for r in g.rules_by_lhs.get(node[1], [])]
+        rules = [r for r in g.rules if r.lhs == node[1]]
         if not rules:
             break
         r = rng.choice(rules)
@@ -345,11 +379,11 @@ def restart_walk(rng, g, steps):
     word = []
     cur = None
     for _ in range(steps):
-        rules = [] if cur is None or g.ts.is_var(cur) \
-            else g.rules_by_lhs[g.ts.root(cur)]
+        rules = [] if cur is None else [r for r in g.rules
+                                        if r.lhs == g.ts.root(cur)]
         if not rules:
             cur = g.lhs_term(rng.choice(g.rules).lhs)
-            rules = g.rules_by_lhs[g.ts.root(cur)]
+            rules = [r for r in g.rules if r.lhs == g.ts.root(cur)]
         r = rng.choice(rules)
         word.append(r.rid)
         cur = step_rule(g, cur, r.rid)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle, Indeterminate
 from fogbisim import plays
 from fogbisim.plays import (
-    BalanceInfo, BalancedPlay, PivotPath, Play, PlaysError,
+    BalanceInfo, BalancedPlay, PivotPath, Play, PlaysError, Segmentation,
     balance_step, build_optimal_play, crucial_segment_length,
     enables_balancing, label_matched_reachable, p_top_form,
     pivot_top_presentation, refine_segments, transform_to_balanced,
@@ -657,6 +658,89 @@ def test_pruning_bounds_the_balancing_games(monkeypatch):
     bp, _ = transform_to_balanced(o, t, u)
     assert bp.ell > 1
     assert sum(ev[0] == "open" for ev in log) <= 2 * n
+
+
+# -- every named check can fail ----------------------------------------------
+
+def failures(rep):
+    return [(name, detail) for name, ok, detail in rep.checks if not ok]
+
+
+@pytest.mark.parametrize("check", [
+    "unclear-bounded-by-d2", "balancing-preserves-eqlevel",
+    "balresult-top-shape/mismatch", "balresult-top-shape/size",
+    "pivot-path-stitches"])
+def test_each_check_fails_on_a_corrupted_gchain_play(check):
+    """gchain's A(Z), B(Z) at d0 = 2: B(Z) balances the left side, with
+    E' = Q(x1), to the bal-result (Q(Z), S(Z)) at level 0. Each copy is
+    corrupted just past one bound, and only that check fails."""
+    g = parse_grammar(GCHAIN)
+
+    def term(text):
+        return parse_term(g.ts, text, g.arities)
+
+    o, c, bp, pp, seg, rep = pipeline(g, term("A(Z)"), term("B(Z)"))
+    assert rep.ok() and (c.d2, c.m, c.stepinc) == (3, 1, 1)
+    info = copy.copy(bp.balances[0])
+    detail = ""
+    if check == "unclear-bounded-by-d2":
+        # segment 1 claims one unclear rule more than rho'_1 and
+        # mu^unc_1 have together
+        pp = PivotPath(pp.terms, [pp.segments[0], (pp.segments[1][0], 3)])
+        detail = "j=1 w_unc=3 len=2 d2=3"
+    elif check == "balancing-preserves-eqlevel":
+        # rho'_1 ends at (Q(Z), R(Z)), one level above the bal-result
+        info.rho = Play(info.rho.pairs[:-1] + [(term("Q(Z)"), term("R(Z)"))],
+                        info.rho.moves)
+    elif check.endswith("mismatch"):
+        # E' = P(x1): P(Z) is not the bal-result's left term
+        info.e_prime = term("P(x1)")
+        detail = "j=1 presentation mismatch"
+    elif check.endswith("size"):
+        # E' = Q^7(x1) with the bal-result it gives, still at level 0: 9
+        # nodes against pressize(B(Z)) + (m + 2) * d0 * stepinc = 8
+        info.e_prime = term("Q(Q(Q(Q(Q(Q(Q(x1)))))))")
+        info.bal_pair = (apply_subst(g.ts, info.e_prime, info.sigma_pp),
+                         info.bal_pair[1])
+        detail = "j=1 bal-result size 9 > 8"
+    else:
+        # W_2 is R(Z), but the path from B(Z) ends at S(Z)
+        pp = PivotPath(pp.terms[:2] + [term("R(Z)")], pp.segments)
+    bp = BalancedPlay(bp.start_pair, bp.mu0, [info], bp.mus, bp.splits)
+    rep = verify_balanced(o, bp, pp, seg)
+    assert failures(rep) == [(check.split("/")[0], detail)]
+
+
+def verified_chain_case(n):
+    """chain-n's balanced play, pivot path and segmentation, verified."""
+    g, o, t, u = chain_case(n)
+    bp, pp = transform_to_balanced(o, t, u)
+    seg = refine_segments(g, bp, pp)
+    assert verify_balanced(o, bp, pp, seg).ok()
+    return g, o, bp, pp, seg
+
+
+def test_crucial_length_fails_on_a_corrupted_chain6_segmentation():
+    # the crucial segment (2, 4) spans two pivots, d0 + 0 + 0 rules each;
+    # nine more rules of mu^usink_3 put it one past d5 * (1 + 4 - 2) = 12
+    g, o, bp, pp, seg = verified_chain_case(6)
+    assert seg.crucial == [(1, 2), (2, 4)] and g.constants.d5 == 4
+    assert crucial_segment_length(bp, seg, 2, 4) == 4
+    usink = dict(seg.usink_len)
+    usink[3] += 9
+    bad = Segmentation(seg.close, usink, seg.csink_len, seg.crucial)
+    assert failures(verify_balanced(o, bp, pp, bad)) == [
+        ("crucial-length", "k=2..4 len=13 bound=12")]
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_no_close_sinking_inside_crucial_segments(n):
+    """A close-sinking part of mu_j visits a subterm of the start pair
+    on the pivot path's side, so W_{j+1} is close: inside a crucial
+    segment, whose inner pivots are not close, there is none."""
+    seg = verified_chain_case(n)[4]
+    inner = [j for kj, kj1 in seg.crucial for j in range(kj, kj1 - 1)]
+    assert inner and all(seg.csink_len[j] == 0 for j in inner)
 
 
 # -- pivot paths -------------------------------------------------------------
