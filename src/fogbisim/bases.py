@@ -195,8 +195,10 @@ def bound_of_candidate(c: Candidate) -> int:
 
 # -- enumeration of small regular terms --------------------------------------
 
-def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
-                    budget: int = 2_000_000) -> list[int]:
+# the most graphs of one size `enumerate_terms` may generate
+ENUMERATION_BUDGET = 2_000_000
+
+def enumerate_terms(g: Grammar, max_vars: int, max_size: int) -> list[int]:
     """All canonical regular terms with variables among x1..max_vars and
     at most max_size distinct subterms (cyclic ones included).
 
@@ -208,11 +210,11 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
     two bisimilar nodes can be skipped: its quotient by bisimulation is
     the same term on fewer nodes, all still reachable from the root, and
     that quotient in breadth-first numbering was generated, and kept, at
-    its own smaller size. The budget bounds the brute-force space of
-    options**k graphs, an upper bound on the graphs generated; it is
-    checked for every k before any graph is built. A count of more than
-    MAX_DIGITS digits (`bounded_power`) is refused naming the budget
-    instead of the count."""
+    its own smaller size. ENUMERATION_BUDGET bounds the brute-force
+    space of options**k graphs, an upper bound on the graphs generated;
+    it is checked for every k before any graph is built. A count of more
+    than MAX_DIGITS digits (`bounded_power`) is refused naming the
+    budget instead of the count."""
     ts = g.ts
     for k in range(1, max_size + 1):
         powers = [bounded_power(k, m) for m in g.arities.values()]
@@ -221,8 +223,8 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
         if total is None:
             raise BasesError(
                 "enumeration budget exceeded (more than %d graphs of %d nodes)"
-                % (budget, k))
-        if total > budget:
+                % (ENUMERATION_BUDGET, k))
+        if total > ENUMERATION_BUDGET:
             raise BasesError(
                 "enumeration budget exceeded (%d graphs of %d nodes)"
                 % (total, k))
@@ -234,7 +236,7 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int,
             nodes, n_ref = stack.pop()
             if len(nodes) == n_ref:  # closed: every referenced node filled
                 if n_ref == k and refine(nodes)[1] == k:
-                    out.add(ts.intern_minimal(nodes)[0])
+                    out.add(ts.intern_minimal(nodes))
                 continue
             stack += [(nodes + (("var", i),), n_ref)
                       for i in range(1, max_vars + 1)]

@@ -5,13 +5,13 @@ subterms) is represented by an integer handle (TermId) into a TermStore.
 The store keeps exactly one node per distinct subterm, so handle
 equality is term equality and pressize is a reachable-node count.
 
-A term graph is a list of nodes whose children are list indices.
+A term graph is a list of nodes whose children are list indices,
+rooted at node 0 and numbered by one breadth-first walk, `closed_graph`.
 Finite terms over canonical children are interned by plain
-hash-consing. Graphs that may contain cycles go through a
-canonicalization routine that quotients the graph by bisimulation
-(`refine`) and then matches the quotient against the store: finite
-nodes by hash-consing, every node that reaches a cycle by a key, the
-serialization of the part of the graph below it that reaches a cycle.
+hash-consing. Graphs that may contain cycles are quotiented by
+bisimulation (`refine`), and the quotient is matched against the store:
+finite nodes by hash-consing, every node that reaches a cycle by a key,
+the same walk from that node with each node that has an id as a leaf.
 The quotient is minimal, so the key depends on the graph alone and no
 strongly connected components are computed. A substitution is a plain
 dict from variable indices to ids, applied by `apply_subst`.
@@ -84,20 +84,23 @@ def refine(nodes) -> tuple[list[int], int]:
     return block, len(blocks)
 
 
-def _key(nodes, b, assign) -> tuple:
-    """Preorder serialization, children left to right, of the id-less
-    nodes reachable from b; a child with an id is the atom ("ext", id),
-    an id-less one its preorder number."""
-    numbering: dict = {}
-    stack = [b]
-    while stack:
-        v = stack.pop()
-        if v not in numbering:
-            numbering[v] = len(numbering)
-            stack.extend(c for c in reversed(nodes[v][2]) if assign[c] is None)
-    return tuple((nodes[v][1], tuple(("ext", assign[c]) if assign[c] is not None
-                                     else numbering[c] for c in nodes[v][2]))
-                 for v in numbering)
+def closed_graph(root, node_of) -> list[tuple]:
+    """The nodes root reaches, numbered breadth first with root at
+    index 0. node_of(name) gives (VAR, index), (APP, head, child names)
+    or any other leaf; each child name becomes the index of its node."""
+    index = {root: 0}
+    order = [root]
+    nodes = []
+    for name in order:
+        node = node_of(name)
+        if node[0] == APP:
+            for c in node[2]:
+                if c not in index:
+                    index[c] = len(order)
+                    order.append(c)
+            node = (APP, node[1], tuple(index[c] for c in node[2]))
+        nodes.append(node)
+    return nodes
 
 
 class TermStore:
@@ -119,13 +122,15 @@ class TermStore:
     alone. It requires a closed graph in which no two nodes are
     bisimilar: `intern_raw` calls it on the quotient `refine` gives, and
     `bases.enumerate_terms` on each generated graph that `refine` leaves
-    with one block per node.
+    with one block per node. Every other graph the store takes, from
+    the graph format, `apply_subst` and `omega_iterate`, is built by
+    `closed_graph`, as is every key.
     """
 
     def __init__(self):
         self.nodes: list[tuple] = []
         self._hashcons: dict[tuple, TermId] = {}
-        # key (`_key`) of a term that reaches a cycle -> its id
+        # key (see `intern_minimal`) of a term that reaches a cycle -> its id
         self._cyclic_index: dict[tuple, TermId] = {}
 
     # -- basic constructors -------------------------------------------------
@@ -182,8 +187,9 @@ class TermStore:
 
     # -- canonicalization of term graphs ------------------------------------
 
-    def intern_raw(self, nodes, roots) -> list[TermId]:
-        """Canonicalize a term graph and return ids for the given roots.
+    def intern_raw(self, nodes) -> TermId:
+        """Canonicalize a term graph rooted at node 0; returns the id of
+        the root.
 
         nodes is a closed term graph: node k is (VAR, index) or (APP,
         nonterminal, children), and every child is an index into nodes,
@@ -202,23 +208,26 @@ class TermStore:
             if b == len(quotient):
                 quotient.append(node if node[0] == VAR else
                                 (APP, node[1], [block[c] for c in node[2]]))
-        assign = self.intern_minimal(quotient)
-        return [assign[block[r]] for r in roots]
+        return self.intern_minimal(quotient)
 
-    def intern_minimal(self, nodes) -> list[TermId]:
-        """Map the nodes of a closed term graph with no two bisimilar
-        nodes to canonical store ids; returns the id of each.
+    def intern_minimal(self, nodes) -> TermId:
+        """Intern a term graph rooted at node 0 in which no two nodes are
+        bisimilar; returns the id of the root.
 
         nodes is as for `intern_raw`. Nothing is refined: two bisimilar
         nodes would be stored twice. Finite nodes are hash-consed. Every
-        other node reaches a cycle, and all their keys (`_key`) are
-        computed before any is looked up, so a key depends on the graph
-        alone. After a hit, hash-consing again finds the nodes above it
-        that `app` or `apply_subst` stored. What is left is new.
+        other node b reaches a cycle, and its key is `closed_graph` from
+        b with each node that has an id as the leaf ("ext", id). All keys
+        are computed before any is looked up, so a key depends on the
+        graph alone. After a hit, hash-consing again finds the nodes
+        above it that `app` or `apply_subst` stored. What is left is new.
         """
         assign: list = [None] * len(nodes)
         self._intern_ready(nodes, assign)
-        keys = {b: _key(nodes, b, assign)
+
+        def known_as_leaf(v):
+            return nodes[v] if assign[v] is None else ("ext", assign[v])
+        keys = {b: tuple(closed_graph(b, known_as_leaf))
                 for b, a in enumerate(assign) if a is None}
         for b, key in keys.items():
             assign[b] = self._cyclic_index.get(key)
@@ -232,7 +241,7 @@ class TermStore:
             stored = (APP, node[1], tuple(assign[c] for c in node[2]))
             self._hashcons[stored] = self._cyclic_index[keys[b]] = assign[b]
             self.nodes.append(stored)
-        return assign
+        return assign[0]
 
     def _intern_ready(self, nodes, assign):
         """Hash-cons, children first, every node of the graph whose
@@ -331,20 +340,7 @@ def intern_graph(ts: TermStore, text: str,
                 if ref not in named:
                     raise TermError("dangling reference %r in node %r"
                                     % (ref, name))
-    # only the nodes the root reaches, numbered breadth first
-    order = [target]
-    index = {target: 0}
-    nodes = []
-    for name in order:
-        node = named[name]
-        if node[0] == APP:
-            for ref in node[2]:
-                if ref not in index:
-                    index[ref] = len(order)
-                    order.append(ref)
-            node = (APP, node[1], [index[ref] for ref in node[2]])
-        nodes.append(node)
-    return ts.intern_raw(nodes, [0])[0]
+    return ts.intern_raw(closed_graph(target, named.__getitem__))
 
 
 def _arity_error(arities: dict[str, int] | None, name: str, nkids: int):
@@ -472,7 +468,7 @@ def apply_subst(ts: TermStore, t: TermId, binding: dict[int, TermId]) -> TermId:
         return t
     order = sorted(ts.reachable([t]))
     if any(c >= u for u in order for c in ts.children(u)):
-        return _redirect(ts, t, binding, binding.values())
+        return _redirect(ts, t, binding)
     return instantiate(ts, order, binding)
 
 
@@ -491,41 +487,29 @@ def instantiate(ts: TermStore, order, binding: dict[int, TermId]) -> TermId:
     return out[order[-1]]
 
 
-def _redirect(ts: TermStore, t: TermId, target: dict, below=()) -> TermId:
+def _redirect(ts: TermStore, t: TermId, target: dict) -> TermId:
     """Intern t with every arc into a variable x_i of `target` turned
-    toward the node named target[i]. t's nodes are named ("t", id); the
-    stored nodes reachable from `below` join the graph under their own
-    ids, so the graph is closed and a new cycle that runs through them
-    is matched with the stored term it equals."""
-    names = [("t", u) for u in sorted(ts.reachable([t]))
-             if not (ts.nodes[u][0] == VAR and ts.nodes[u][1] in target)]
-    names += sorted(ts.reachable(below))
-    index = {name: k for k, name in enumerate(names)}
-
+    toward the node named target[i]. t's nodes are named ("t", id) and
+    stored nodes by their ids, so `closed_graph` takes in a stored node
+    only when the root reaches it, and a new cycle that runs through
+    stored nodes is matched with the stored term it equals."""
     def ref(u):
         node = ts.nodes[u]
         if node[0] == VAR and node[1] in target:
-            return index[target[node[1]]]
-        return index[("t", u)]
+            return target[node[1]]
+        return ("t", u)
 
-    nodes = []
-    for name in names:
-        if type(name) is tuple:
-            node, kid = ts.nodes[name[1]], ref
-        else:
-            node, kid = ts.nodes[name], index.__getitem__
-        nodes.append(node if node[0] == VAR else
-                     (APP, node[1], [kid(c) for c in node[2]]))
-    return ts.intern_raw(nodes, [ref(t)])[0]
+    def node_of(name):
+        if type(name) is not tuple:
+            return ts.nodes[name]
+        node = ts.nodes[name[1]]
+        return node if node[0] == VAR else (APP, node[1], list(map(ref, node[2])))
+
+    return ts.intern_raw(closed_graph(ref(t), node_of))
 
 
 def omega_iterate(ts: TermStore, h: TermId, i: int) -> TermId:
-    """Limit of H[x_i/H][x_i/H]...: redirect arcs to x_i toward the root."""
-    node = ts.node(h)
-    if node[0] == VAR:
-        # H = x_i gives x_i; H = x_j (j != i) has no x_i occurrence
-        return h
-    if i not in varin(ts, [h]):
-        return h
-    # arcs to x_i turn into arcs back to the root
+    """Limit of H[x_i/H][x_i/H]...: redirect arcs to x_i toward the root,
+    which gives h itself when x_i does not occur in it."""
+    ts.node(h)
     return _redirect(ts, h, {i: ("t", h)})

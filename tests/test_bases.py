@@ -15,6 +15,7 @@ from fogbisim.plays import (
     Play, PlaysError, balance_step, build_optimal_play, refine_segments,
     transform_to_balanced,
 )
+from fogbisim import bases
 from fogbisim.bases import (
     BasesError, Candidate, NsgParams, NsgSequence,
     bound_of_candidate, build_full_base_capped, check_nsg_sequence,
@@ -317,10 +318,10 @@ def test_is_finite_matches_dfs_on_enumerated_terms():
         assert is_finite(g.ts, t) == (not has_cycle(g.ts, t))
 
 
-def reference_enumerate_terms(g, max_vars, max_size, budget=2_000_000):
+def reference_enumerate_terms(g, max_vars, max_size):
     """Brute-force reference for enumerate_terms: every assignment of
     options to k numbered nodes, kept when all nodes are reachable from
-    node 0, deduplicated by interning."""
+    node 0, deduplicated by interning; ENUMERATION_BUDGET as there."""
     ts = g.ts
     out = set()
     for k in range(1, max_size + 1):
@@ -329,7 +330,7 @@ def reference_enumerate_terms(g, max_vars, max_size, budget=2_000_000):
             for kids in product(range(k), repeat=g.arities[nt]):
                 options.append(("app", nt, kids))
         total = len(options) ** k
-        if total > budget:
+        if total > bases.ENUMERATION_BUDGET:
             raise BasesError(
                 "enumeration budget exceeded (%d graphs of %d nodes)"
                 % (total, k))
@@ -345,21 +346,21 @@ def reference_enumerate_terms(g, max_vars, max_size, budget=2_000_000):
                             stack.append(child)
             if len(seen) != k:
                 continue
-            out.add(ts.intern_raw(assignment, [0])[0])
+            out.add(ts.intern_raw(assignment))
     return sorted(out)
 
 
-def assert_same_enumeration(g, max_vars, max_size, budget=2_000_000):
+def assert_same_enumeration(g, max_vars, max_size):
     """Reference and enumerate_terms in one store: equal id lists, or
     the same BasesError."""
     try:
-        want = reference_enumerate_terms(g, max_vars, max_size, budget)
+        want = reference_enumerate_terms(g, max_vars, max_size)
     except BasesError as ex:
         with pytest.raises(BasesError) as got:
-            enumerate_terms(g, max_vars, max_size, budget)
+            enumerate_terms(g, max_vars, max_size)
         assert str(got.value) == str(ex)
         return
-    assert enumerate_terms(g, max_vars, max_size, budget) == want
+    assert enumerate_terms(g, max_vars, max_size) == want
 
 
 @pytest.mark.parametrize("name", ["g1.fog", "gchain.fog", "gnull.fog"])
@@ -370,12 +371,13 @@ def test_enumerate_terms_matches_reference(name):
             assert_same_enumeration(g, max_vars, size)
 
 
-def test_enumerate_terms_matches_reference_on_random_grammars():
+def test_enumerate_terms_matches_reference_on_random_grammars(monkeypatch):
+    monkeypatch.setattr(bases, "ENUMERATION_BUDGET", 4000)
     for seed in range(20):
         g = random_grammar(seed)
         for max_vars in range(3):
             for size in range(1, 4):
-                assert_same_enumeration(g, max_vars, size, budget=4000)
+                assert_same_enumeration(g, max_vars, size)
 
 
 def test_enumerate_terms_budget(monkeypatch):
@@ -454,26 +456,26 @@ def enumeration_cases():
         yield (lambda seed=seed: random_grammar(seed)), 4000
 
 
-def test_enumerate_terms_keeps_the_store_minimal():
+def test_enumerate_terms_keeps_the_store_minimal(monkeypatch):
     """Enumeration in a fresh store adds no two bisimilar nodes (refining
     the whole store leaves singleton blocks), and yields the terms the
     brute-force reference yields in a store of its own."""
     checked = 0
     for fresh, budget in enumeration_cases():
+        monkeypatch.setattr(bases, "ENUMERATION_BUDGET", budget)
         for max_vars in range(3):
             for size in range(1, 4):
                 g = fresh()
                 try:
-                    got = enumerate_terms(g, max_vars, size, budget)
+                    got = enumerate_terms(g, max_vars, size)
                 except BasesError:
                     with pytest.raises(BasesError):
-                        reference_enumerate_terms(fresh(), max_vars, size,
-                                                  budget)
+                        reference_enumerate_terms(fresh(), max_vars, size)
                     continue
                 ts = g.ts
                 assert refine(ts.nodes)[1] == len(ts.nodes), (max_vars, size)
                 ref = fresh()
-                want = reference_enumerate_terms(ref, max_vars, size, budget)
+                want = reference_enumerate_terms(ref, max_vars, size)
                 assert sorted(bfs_render(ts, t) for t in got) == \
                     sorted(bfs_render(ref.ts, t) for t in want)
                 checked += 1

@@ -9,8 +9,13 @@ import signal
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fogbisim import cli
+from fogbisim.bases import BasesError, NsgSequence
 from fogbisim.cli import main
 from fogbisim.grammar import parse_grammar
+from fogbisim.terms import parse_term
+
+from gen import chain_grammar
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GRAMMARS = ROOT / "grammars"
@@ -85,10 +90,24 @@ def test_grammar_refusals_are_named(tmp_path, capsys, actions, line, why):
     (["eqlevel", "--left", "Z", "--right", "Z", "--cutoff", "0"], 2,
      "error: cutoff must be >= 1"),
     (["step", "--term", "Z", "--action", "b"], 1, "action b not enabled"),
+    (["eqlevel", "--left", "A(Z Z)", "--right", "Z"], 2,
+     "error: term error in 'A(Z Z)': expected ',' or ')' at position 4 in "
+     "'A(Z Z)'"),
+    (["step", "--term", "Z", "--action", "q"], 2,
+     "error: unknown action 'q'"),
 ])
 def test_command_refusals_are_named(capsys, argv, code, err):
     got = run(capsys, argv[0], "--grammar", G1, *argv[1:])
     assert got == (code, "", err + "\n")
+
+
+def test_play_of_a_pair_distinguished_at_once(capsys):
+    # a variable against a term has eq-level 0: the play has no steps
+    argv = ["play", "--grammar", G1, "--left", "x1", "--right", "Z"]
+    assert run(capsys, *argv) == (0, "eqlevel 0: immediately distinguished\n",
+                                  "")
+    assert run(capsys, *argv, "--json") == (
+        0, '{"command": "play", "eqlevel": 0, "schema": 1, "steps": []}\n', "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -391,6 +410,37 @@ def test_pipeline_indeterminate(capsys):
     code, _, err = run(capsys, "pipeline", "--grammar", G1, "--cutoff", "5",
                        "--left", "Z", "--right", "Z")
     assert code == 3
+
+
+def test_pipeline_reduces_a_stair_where_the_precondition_holds(
+        tmp_path, monkeypatch, capsys):
+    # no bundled or chain-n stair has k < ell < cutoff and z > k + 1, so
+    # each stair is presented as the tops (x1, B(B(Z))) and (x1, Z) under
+    # x1 := A(A(Z)): k = 0, ell = 6 and z = 2
+    chain = tmp_path / "chain-6.fog"
+    chain.write_text(chain_grammar(6))
+
+    def present(o, bp, pp, seg, idx):
+        def term(text):
+            return parse_term(o.g.ts, text, o.g.arities)
+        return NsgSequence([(term("x1"), term("B(B(Z))")),
+                            (term("x1"), term("Z"))], {1: term("A(A(Z))")})
+
+    monkeypatch.setattr(cli, "present_stair_as_nsg", present)
+    argv = ["pipeline", "--grammar", str(chain), "--left", "A(A(Z))",
+            "--right", "B(B(Z))", "--cutoff", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "\nstair-0-reduction\tok\t\n" in out
+
+    def refuse(o, seq, params):
+        raise BasesError("no sink witness")
+
+    monkeypatch.setattr(cli, "reduce_nsg_step", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "\nstair-0-reduction\tFAIL\tno sink witness\n" in out
+    assert out.endswith("\nresult\tFAIL\n")
 
 
 BASE_4 = ["base", "--grammar", GCHAIN, "--cutoff", "12", "--n", "1", "--s",

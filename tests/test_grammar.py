@@ -127,7 +127,7 @@ def test_constructor_rejects_unknown_lhs():
 
 @pytest.mark.parametrize("rhs, message", [
     # t = B(x1, t): a cycle that holds a variable
-    (lambda ts: ts.intern_raw([("app", "B", [1, 0]), ("var", 1)], [0])[0],
+    (lambda ts: ts.intern_raw([("app", "B", [1, 0]), ("var", 1)]),
      "rule r1: rhs: not finite"),
     (lambda ts: ts.app("Q", (ts.app("Z", ()), ts.app("Z", ()))),
      "rule r1: rhs: unknown nonterminal 'Q'"),

@@ -9,8 +9,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fogbisim import terms
 from fogbisim.terms import (
-    APP, VAR, TermStore, TermError, apply_subst,
+    APP, VAR, TermStore, TermError, apply_subst, closed_graph,
     intern_graph, omega_iterate, one_line, parse_term, pressize,
     refine, render_term, varin,
 )
@@ -365,8 +366,7 @@ def subst_by_raw_graph(ts, t, binding):
     nodes = [node if node[0] == "var" else
              ("app", node[1], [index[name] for name in node[2]])
              for node in raw.values()]
-    [out] = ts.intern_raw(nodes, [index[ref(t)]])
-    return out
+    return ts.intern_raw(closed_graph(index[ref(t)], nodes.__getitem__))
 
 
 def test_apply_subst_finds_stored_cycle():
@@ -376,6 +376,45 @@ def test_apply_subst_finds_stored_cycle():
     h = intern_graph(ts, "node b = A(b,x)\nnode x = x1\nroot t = b")
     got = apply_subst(ts, h, {1: w})
     assert (got, pressize(ts, [got])) == (w, 1)
+
+
+def test_unused_binding_keeps_the_graph_small(monkeypatch):
+    # h = B(h, x1) with x2 bound to a 600-node stored cycle S: the graph
+    # holds only the nodes the root reaches, so S is not refined again
+    ts = TermStore()
+    n = 600
+    s = intern_graph(ts, "; ".join(
+        ["node n0 = P(n1)"]
+        + ["node n%d = A(n%d)" % (k, (k + 1) % n) for k in range(1, n)]
+        + ["root t = n0"]))
+    h = intern_graph(ts, "node h = B(h,x); node x = x1; root t = h")
+    sigma = {1: ts.app("Z", ()), 2: s}
+    sizes = []
+    real = terms.refine
+    monkeypatch.setattr(terms, "refine",
+                        lambda nodes: sizes.append(len(nodes)) or real(nodes))
+    got = apply_subst(ts, h, sigma)
+    assert sizes and max(sizes) <= 3
+    monkeypatch.setattr(terms, "refine", real)
+    assert got == subst_by_raw_graph(ts, h, sigma)
+    stored = len(ts.nodes)
+    assert omega_iterate(ts, got, 1) == got
+    assert omega_iterate(ts, s, 1) == s
+    assert len(ts.nodes) == stored
+
+
+def test_enumerated_graphs_are_closed_graphs(monkeypatch):
+    # enumerate_terms generates each graph in the breadth-first numbering
+    # closed_graph gives it
+    g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
+    graphs = []
+    real = g.ts.intern_minimal
+    monkeypatch.setattr(g.ts, "intern_minimal",
+                        lambda graph: graphs.append(graph) or real(graph))
+    enumerate_terms(g, 1, 3)
+    assert len(graphs) > 100
+    for graph in graphs:
+        assert list(graph) == closed_graph(0, graph.__getitem__)
 
 
 @st.composite
@@ -409,7 +448,7 @@ def test_store_holds_one_node_per_class(steps):
     ts = TermStore()
     terms = []
     for raw, i, a, b in steps:
-        terms.append(ts.intern_raw(raw, [0])[0])
+        terms.append(ts.intern_raw(raw))
         terms.append(omega_iterate(ts, terms[a % len(terms)], i))
         t, img = terms[a % len(terms)], terms[b % len(terms)]
         sigma = {i: img}
@@ -512,7 +551,7 @@ class ReferenceStore(TermStore):
     order, acyclic nodes hash-consed, and each cyclic SCC serialized
     with everything outside it as ("ext", id) atoms."""
 
-    def intern_minimal(self, nodes) -> list:
+    def intern_minimal(self, nodes) -> int:
         # Tarjan condensation, processed in reverse topological order.
         assign: list = [None] * len(nodes)
         for scc in self._sccs(nodes):
@@ -525,7 +564,7 @@ class ReferenceStore(TermStore):
                 assign[b] = self._intern((APP, node[1], kids))
             else:
                 self._assign_cyclic(nodes, scc, assign)
-        return assign
+        return assign[0]
 
     def _sccs(self, nodes) -> list[list]:
         """SCCs of the graph in reverse topological order."""
@@ -665,7 +704,8 @@ def session_step(ts, terms, step):
     kind = step[0]
     if kind == "raw":
         nodes = step[1]
-        return ts.intern_raw(nodes, [step[2] % len(nodes)])[0]
+        return ts.intern_raw(closed_graph(step[2] % len(nodes),
+                                          nodes.__getitem__))
     if kind == "subst":
         return apply_subst(ts, pick(step[1]), {step[2]: pick(step[3])})
     if kind == "omega":
@@ -692,9 +732,12 @@ def test_keys_are_computed_before_any_hit():
     # the second graph's A-cycle is stored, so looking it up first must
     # not change the key of the B node above it
     ts = TermStore()
-    [b] = ts.intern_raw([(APP, "B", [0, 1]), (APP, "A", [1])], [0])
-    assert ts.intern_raw([(APP, "A", [0]), (APP, "B", [1, 0])], [1]) == [b]
-    assert len(ts.nodes) == 2
+    b = ts.intern_raw([(APP, "B", [0, 1]), (APP, "A", [1])])
+    a = ts.children(b)[1]
+    c = ts.intern_raw([(APP, "C", [1, 2]), (APP, "A", [1]),
+                       (APP, "B", [2, 1])])
+    assert ts.nodes[c] == (APP, "C", (a, b))
+    assert len(ts.nodes) == 3
 
 
 def test_node_above_a_stored_cycle_is_found_by_hash_consing():
