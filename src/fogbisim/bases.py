@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .terms import (
     MAX_DIGITS, TOO_LARGE, apply_subst, bounded_power, omega_iterate, pressize,
-    refine, varin,
+    varin,
 )
 from .grammar import Grammar
 from .lts import run_word
@@ -205,16 +205,13 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int) -> list[int]:
     Each graph of k nodes, all reachable from root node 0, is built once,
     in breadth-first numbering: nodes are filled in index order and each
     child is a node already referenced or exactly the next unreferenced
-    index. Only minimal graphs, with no two bisimilar nodes, are kept,
-    and each goes straight to `TermStore.intern_minimal`. A graph with
-    two bisimilar nodes can be skipped: its quotient by bisimulation is
-    the same term on fewer nodes, all still reachable from the root, and
-    that quotient in breadth-first numbering was generated, and kept, at
-    its own smaller size. ENUMERATION_BUDGET bounds the brute-force
-    space of options**k graphs, an upper bound on the graphs generated;
-    it is checked for every k before any graph is built. A count of more
-    than MAX_DIGITS digits (`bounded_power`) is refused naming the
-    budget instead of the count."""
+    index. Every closed graph of k nodes goes to `TermStore.intern_raw`;
+    one with two bisimilar nodes gets the id its quotient got at a
+    smaller size. ENUMERATION_BUDGET bounds the brute-force space of
+    options**k graphs, an upper bound on the graphs generated; it is
+    checked for every k before any graph is built. A count of more than
+    MAX_DIGITS digits (`bounded_power`) is refused naming the budget
+    instead of the count."""
     ts = g.ts
     for k in range(1, max_size + 1):
         powers = [bounded_power(k, m) for m in g.arities.values()]
@@ -235,8 +232,8 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int) -> list[int]:
         while stack:
             nodes, n_ref = stack.pop()
             if len(nodes) == n_ref:  # closed: every referenced node filled
-                if n_ref == k and refine(nodes)[1] == k:
-                    out.add(ts.intern_minimal(nodes))
+                if n_ref == k:
+                    out.add(ts.intern_raw(nodes))
                 continue
             stack += [(nodes + (("var", i),), n_ref)
                       for i in range(1, max_vars + 1)]

@@ -8,13 +8,13 @@ equality is term equality and pressize is a reachable-node count.
 A term graph is a list of nodes whose children are list indices,
 rooted at node 0 and numbered by one breadth-first walk, `closed_graph`.
 Finite terms over canonical children are interned by plain
-hash-consing. Graphs that may contain cycles are quotiented by
-bisimulation (`refine`), and the quotient is matched against the store:
-finite nodes by hash-consing, every node that reaches a cycle by a key,
-the same walk from that node with each node that has an id as a leaf.
-The quotient is minimal, so the key depends on the graph alone and no
-strongly connected components are computed. A substitution is a plain
-dict from variable indices to ids, applied by `apply_subst`.
+hash-consing. Every graph that may contain a cycle enters the store
+through `TermStore.intern_raw`: its finite nodes are hash-consed, the
+rest quotiented by bisimulation (`refine`) and matched by a key, the
+same walk from a node with each finite node as a leaf. The quotient is
+minimal, so the key depends on the graph alone and no strongly
+connected components are computed. A substitution is a plain dict from
+variable indices to ids, applied by `apply_subst`.
 """
 
 from __future__ import annotations
@@ -114,23 +114,20 @@ class TermStore:
     arc to an id no smaller than its source. Finite terms can therefore
     be built and walked in ascending id order by plain hash-consing
     (`app`, `instantiate`); `intern_raw` is needed only for input that
-    creates a cycle.
+    may create a cycle.
 
-    `intern_minimal` is the step that matches a graph against the store:
-    hash-consing, and a key lookup for the nodes that reach a cycle. No
-    SCC condensation is needed, because the key depends on the graph
-    alone. It requires a closed graph in which no two nodes are
-    bisimilar: `intern_raw` calls it on the quotient `refine` gives, and
-    `bases.enumerate_terms` on each generated graph that `refine` leaves
-    with one block per node. Every other graph the store takes, from
-    the graph format, `apply_subst` and `omega_iterate`, is built by
-    `closed_graph`, as is every key.
+    `intern_raw` is the one way a graph enters the store: hash-consing,
+    and a key lookup for the nodes that reach a cycle. No SCC
+    condensation is needed, because the key depends on the graph alone.
+    It takes every graph `bases.enumerate_terms` generates, and the
+    graphs `closed_graph` builds from the graph format, `apply_subst`
+    and `omega_iterate`; every key is built by `closed_graph` too.
     """
 
     def __init__(self):
         self.nodes: list[tuple] = []
         self._hashcons: dict[tuple, TermId] = {}
-        # key (see `intern_minimal`) of a term that reaches a cycle -> its id
+        # key (see `intern_raw`) of a term that reaches a cycle -> its id
         self._cyclic_index: dict[tuple, TermId] = {}
 
     # -- basic constructors -------------------------------------------------
@@ -194,41 +191,43 @@ class TermStore:
         nodes is a closed term graph: node k is (VAR, index) or (APP,
         nonterminal, children), and every child is an index into nodes,
         so refinement sees every node a cycle could be bisimilar to.
-        Cycles are allowed. The finite nodes are hash-consed first and
-        enter the refinement as leaves labelled by their ids, so a
-        finite graph costs one round instead of one per level.
-        """
-        settled: list = [None] * len(nodes)
-        self._intern_ready(nodes, settled)
-        block, _ = refine([(APP, ("fin", a), ()) if a is not None and node[0] == APP
-                           else node for node, a in zip(nodes, settled)])
-        # quotient graph: the first node of each block stands for it
-        quotient = []
-        for node, b in zip(nodes, block):
-            if b == len(quotient):
-                quotient.append(node if node[0] == VAR else
-                                (APP, node[1], [block[c] for c in node[2]]))
-        return self.intern_minimal(quotient)
+        Cycles are allowed, and so are bisimilar nodes.
 
-    def intern_minimal(self, nodes) -> TermId:
-        """Intern a term graph rooted at node 0 in which no two nodes are
-        bisimilar; returns the id of the root.
-
-        nodes is as for `intern_raw`. Nothing is refined: two bisimilar
-        nodes would be stored twice. Finite nodes are hash-consed. Every
-        other node b reaches a cycle, and its key is `closed_graph` from
-        b with each node that has an id as the leaf ("ext", id). All keys
-        are computed before any is looked up, so a key depends on the
-        graph alone. After a hit, hash-consing again finds the nodes
-        above it that `app` or `apply_subst` stored. What is left is new.
+        The finite nodes are hash-consed first; a finite root is done.
+        Otherwise they enter the refinement as leaves labelled by their
+        ids, so they cost one round instead of one per level, and a
+        graph with bisimilar nodes is replaced by its quotient.
+        Every other node b reaches a cycle, and its key is `closed_graph`
+        from b with each finite node as the leaf ("ext", id). A hit on
+        the root's key is the answer. Otherwise all other keys are
+        computed before any is looked up, so a key depends on the graph
+        alone. After a hit, hash-consing again finds the nodes above it
+        that `app` or `apply_subst` stored. What is left is new.
         """
         assign: list = [None] * len(nodes)
         self._intern_ready(nodes, assign)
+        if assign[0] is not None:
+            return assign[0]
+        block, n_blocks = refine([(APP, ("fin", a), ()) if a is not None and node[0] == APP
+                                  else node for node, a in zip(nodes, assign)])
+        if n_blocks < len(nodes):
+            # quotient graph: the first node of each block stands for it
+            quotient, settled = [], []
+            for node, a, b in zip(nodes, assign, block):
+                if b == len(quotient):
+                    quotient.append(node if node[0] == VAR else
+                                    (APP, node[1], [block[c] for c in node[2]]))
+                    settled.append(a)
+            nodes, assign = quotient, settled
 
         def known_as_leaf(v):
             return nodes[v] if assign[v] is None else ("ext", assign[v])
-        keys = {b: tuple(closed_graph(b, known_as_leaf))
-                for b, a in enumerate(assign) if a is None}
+        keys = {0: tuple(closed_graph(0, known_as_leaf))}
+        hit = self._cyclic_index.get(keys[0])
+        if hit is not None:
+            return hit
+        keys.update((b, tuple(closed_graph(b, known_as_leaf)))
+                    for b, a in enumerate(assign) if a is None and b)
         for b, key in keys.items():
             assign[b] = self._cyclic_index.get(key)
         if any(assign[b] is not None for b in keys):

@@ -383,8 +383,8 @@ def test_enumerate_terms_matches_reference_on_random_grammars(monkeypatch):
 def test_enumerate_terms_budget(monkeypatch):
     g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
     interned = []
-    real = g.ts.intern_minimal
-    monkeypatch.setattr(g.ts, "intern_minimal",
+    real = g.ts.intern_raw
+    monkeypatch.setattr(g.ts, "intern_raw",
                         lambda graph: interned.append(graph) or real(graph))
     with pytest.raises(BasesError) as ex:
         enumerate_terms(g, 1, 5)
@@ -392,7 +392,7 @@ def test_enumerate_terms_budget(monkeypatch):
         "enumeration budget exceeded (33554432 graphs of 5 nodes)"
     assert interned == []  # the budget is checked before any graph is built
     enumerate_terms(g, 1, 2)
-    assert interned  # and enumeration does intern through intern_minimal
+    assert interned  # and enumeration does intern through intern_raw
 
 
 @pytest.mark.parametrize("arity", [15000, 10 ** 12])

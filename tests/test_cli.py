@@ -516,6 +516,23 @@ def test_every_exit_3_base_run_gives_one_reason(capsys):
                    "distinguished below it\n")
 
 
+def test_base_reason_prints_enumerated_store_ids(capsys):
+    # the pair named is two cyclic terms enumeration stored, so its node
+    # names are store ids and follow the interning order
+    argv = ("base", "--grammar", GCHAIN, "--n", "1", "--s", "2", "--g", "0",
+            "--max-size", "2", "--sound-c", "1", "--json")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == (
+        '{"E_B": 6, "command": "base", "layers": [{"e": 2, "level": 1, '
+        '"pairs": 13, "s": 2}, {"e": 2, "level": 0, "pairs": 68, "s": 6}], '
+        '"schema": 1, "status": "indeterminate"}\n')
+    assert err == ("indeterminate: threshold 16 is at/above the cutoff 12 "
+                   "and node n8 = Q(n8); root t = n8 vs node n9 = P(n9); "
+                   "root t = n9 is not distinguished below it\n")
+    assert run(capsys, *argv[:-1])[0::2] == (3, err)
+
+
 @pytest.mark.parametrize("term, message", [
     ("x\u00b2", "unknown nonterminal 'x' at position 1 in 'x\u00b2'"),
     ("A(x\u0663)", "unknown nonterminal 'x' at position 3 in 'A(x\u0663)'"),

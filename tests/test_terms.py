@@ -405,16 +405,50 @@ def test_unused_binding_keeps_the_graph_small(monkeypatch):
 
 def test_enumerated_graphs_are_closed_graphs(monkeypatch):
     # enumerate_terms generates each graph in the breadth-first numbering
-    # closed_graph gives it
+    # closed_graph gives it, and hands the store every one of them, those
+    # with bisimilar nodes included
     g = parse_grammar(open(GRAMMARS / "gchain.fog").read())
     graphs = []
-    real = g.ts.intern_minimal
-    monkeypatch.setattr(g.ts, "intern_minimal",
+    real = g.ts.intern_raw
+    monkeypatch.setattr(g.ts, "intern_raw",
                         lambda graph: graphs.append(graph) or real(graph))
-    enumerate_terms(g, 1, 3)
-    assert len(graphs) > 100
+    got = enumerate_terms(g, 1, 3)
     for graph in graphs:
         assert list(graph) == closed_graph(0, graph.__getitem__)
+    non_minimal = [graph for graph in graphs if refine(graph)[1] < len(graph)]
+    assert (len(graphs), len(non_minimal), len(got)) == (812, 120, 692)
+
+
+def test_intern_raw_exits_early(monkeypatch):
+    ts = TermStore()
+    refined = []
+    keyed = []
+    real_refine, real_walk = terms.refine, terms.closed_graph
+    monkeypatch.setattr(terms, "refine",
+                        lambda nodes: refined.append(nodes) or real_refine(nodes))
+    monkeypatch.setattr(terms, "closed_graph",
+                        lambda root, node_of: keyed.append(root)
+                        or real_walk(root, node_of))
+    # a finite graph is hash-consed, and nothing is refined or keyed
+    t = ts.intern_raw([(APP, "A", [1]), (VAR, 1)])
+    assert t == parse_term(ts, "A(x1)") and (refined, keyed) == ([], [])
+    # three A nodes in a cycle are one node, A^omega: the quotient's root
+    # key hits
+    a = ts.intern_raw([(APP, "A", [0])])
+    stored = len(ts.nodes)
+    refined.clear()
+    assert ts.intern_raw([(APP, "A", [1]), (APP, "A", [2]),
+                          (APP, "A", [0])]) == a
+    assert len(ts.nodes) == stored
+    assert [len(nodes) for nodes in refined] == [3]
+    # the rotation of a stored P-Q cycle is its stored Q node, found by
+    # the root's key alone
+    p = ts.intern_raw([(APP, "P", [1]), (APP, "Q", [0])])
+    q = ts.children(p)[0]
+    stored = len(ts.nodes)
+    keyed.clear()
+    assert ts.intern_raw([(APP, "Q", [1]), (APP, "P", [0])]) == q
+    assert len(ts.nodes) == stored and keyed == [0]
 
 
 @st.composite
@@ -547,11 +581,22 @@ def test_refine_matches_reference(nodes):
 
 class ReferenceStore(TermStore):
     """The store's matching step before keys depended on the graph
-    alone, kept as a reference: Tarjan's SCCs in reverse topological
-    order, acyclic nodes hash-consed, and each cyclic SCC serialized
-    with everything outside it as ("ext", id) atoms."""
+    alone, kept as a reference: the graph quotiented by `refine`, then
+    Tarjan's SCCs in reverse topological order, acyclic nodes
+    hash-consed, and each cyclic SCC serialized with everything outside
+    it as ("ext", id) atoms. `matched` counts the graphs it matched."""
 
-    def intern_minimal(self, nodes) -> int:
+    matched = 0
+
+    def intern_raw(self, nodes) -> int:
+        block, _ = refine(nodes)
+        quotient = []
+        for node, b in zip(nodes, block):
+            if b == len(quotient):
+                quotient.append(node if node[0] == VAR else
+                                (APP, node[1], [block[c] for c in node[2]]))
+        nodes = quotient
+        self.matched += 1
         # Tarjan condensation, processed in reverse topological order.
         assign: list = [None] * len(nodes)
         for scc in self._sccs(nodes):
@@ -726,6 +771,8 @@ def test_store_matches_reference_store(first, steps):
         assert serialize(ref, terms[0][-1]) == serialize(new, terms[1][-1])
         assert len(ref.nodes) == len(new.nodes)
         assert refine(new.nodes)[1] == len(new.nodes)
+    # the first step at least went through the reference's own matching
+    assert stores[0].matched
 
 
 def test_keys_are_computed_before_any_hit():
