@@ -14,16 +14,13 @@ loop grows a candidate until every enumerated pair outside it is
 from __future__ import annotations
 
 from .terms import (
-    MAX_DIGITS, TOO_LARGE, apply_subst, bounded_power, omega_iterate, pressize,
-    varin,
+    APP, MAX_DIGITS, TOO_LARGE, VAR, apply_subst, bounded_power,
+    omega_iterate, pressize, varin,
 )
 from .grammar import Grammar
 from .lts import run_word
 from .equiv import EqOracle, Indeterminate, find_sink_witness, pair_text
-from .plays import (
-    BalancedPlay, PivotPath, Segmentation, by_side, p_top_form,
-    present_over_top,
-)
+from .plays import BalancedPlay, by_side, p_top_form, present_over_top
 
 
 class BasesError(Exception):
@@ -41,19 +38,18 @@ class NsgParams:
 
 
 class NsgSequence:
-    """Tops (E_j, F_j) for j in [1,z] plus the shared tail sigma."""
+    """Tops (E_j, F_j) for j in [1,z] plus the shared tail sigma, and
+    the elements (E_j sigma, F_j sigma), instantiated once."""
 
-    def __init__(self, tops, sigma: dict[int, int]):
+    def __init__(self, ts, tops, sigma: dict[int, int]):
         self.tops = list(tops)
         self.sigma = sigma
+        self.elements = [(apply_subst(ts, e, sigma), apply_subst(ts, f, sigma))
+                         for e, f in self.tops]
 
     @property
     def z(self) -> int:
         return len(self.tops)
-
-    def element(self, ts, j) -> tuple[int, int]:
-        e, f = self.tops[j]
-        return (apply_subst(ts, e, self.sigma), apply_subst(ts, f, self.sigma))
 
 
 def check_nsg_sequence(o: EqOracle, seq: NsgSequence, p: NsgParams) -> bool:
@@ -65,7 +61,7 @@ def check_nsg_sequence(o: EqOracle, seq: NsgSequence, p: NsgParams) -> bool:
             return False
         if pressize(ts, [e, f]) > p.s + p.g * (j - 1):
             return False
-        lv = o.finite_level(*seq.element(ts, j - 1), "element %d of the "
+        lv = o.finite_level(*seq.elements[j - 1], "element %d of the "
                             "sequence needs a finite level" % j)
         if prev is not None and lv >= prev:
             return False
@@ -89,7 +85,7 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
         raise BasesError("cannot reduce an empty sequence")
     e1, f1 = seq.tops[0]
     k = o.level(e1, f1)
-    ell = o.finite_level(*seq.element(ts, 0), "the reduction needs a "
+    ell = o.finite_level(*seq.elements[0], "the reduction needs a "
                          "finite level of the first element")
     if k >= ell:
         raise BasesError(
@@ -110,10 +106,10 @@ def reduce_nsg_step(o: EqOracle, seq: NsgSequence, p: NsgParams):
     if i != p.n:
         new_sigma[i] = seq.sigma.get(p.n, ts.var(p.n))
     new_p = NsgParams(p.n - 1, next_size(g, p.s, p.g, k), p.g)
-    new_seq = NsgSequence(new_tops, new_sigma)
-    for jj, (e, f) in enumerate(retained):
-        old = o.level(*seq.element(ts, k + 1 + jj))
-        new = o.level(*new_seq.element(ts, jj))
+    new_seq = NsgSequence(ts, new_tops, new_sigma)
+    for jj in range(len(retained)):
+        old = o.level(*seq.elements[k + 1 + jj])
+        new = o.level(*new_seq.elements[jj])
         if old != new:
             raise BasesError(
                 "reduction changed the eq-level of element %d: %d -> %d"
@@ -235,7 +231,7 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int) -> list[int]:
                 if n_ref == k:
                     out.add(ts.intern_raw(nodes))
                 continue
-            stack += [(nodes + (("var", i),), n_ref)
+            stack += [(nodes + ((VAR, i),), n_ref)
                       for i in range(1, max_vars + 1)]
             for nt, m in g.arities.items():
                 # child tuples, each with the count referenced after it
@@ -243,7 +239,7 @@ def enumerate_terms(g: Grammar, max_vars: int, max_size: int) -> list[int]:
                 for _ in range(m):
                     opts = [(kids + (c,), max(d, c + 1)) for kids, d in opts
                             for c in range(min(d + 1, k))]
-                stack += [(nodes + (("app", nt, kids),), d) for kids, d in opts]
+                stack += [(nodes + ((APP, nt, kids),), d) for kids, d in opts]
     return sorted(out)
 
 
@@ -373,23 +369,19 @@ def sound_candidate_search(o: EqOracle, params: NsgParams, c: int, cap: int):
 
 # -- stair presentation of crucial-segment bal-results -----------------------
 
-def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
-                         seg: Segmentation, idx: int) -> NsgSequence:
+def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay,
+                         idx: int) -> NsgSequence:
     """Present the bal-result chain of one crucial segment as an
-    (n,s,g)-sequence: the stair from the last initial-pair subterm V on
-    the preceding pivot-path segment is replayed abstractly from
-    A(x1..xm), the d0-top form of V supplies the shared tail, and each
-    bal-result splits into a top over that tail."""
+    (n,s,g)-sequence: the stair from its base V, the last initial-pair
+    subterm on the preceding pivot-path segment, is replayed abstractly
+    from A(x1..xm), the d0-top form of V supplies the shared tail, and
+    each bal-result splits into a top over that tail."""
     g = o.g
     ts = g.ts
+    pp, seg = bp.pivot_path, bp.segmentation
     kj, kj1 = seg.crucial[idx]
-    subs = set(ts.reachable(list(bp.start_pair)))
-
-    word = pp.segments[kj - 1][0]
-    terms = run_word(g, pp.terms[kj - 1], word)
-    last = max(q for q, t in enumerate(terms) if t in subs)
-    v = terms[last]
-    w2 = word[last:]
+    last, v = seg.bases[kj]
+    w2 = pp.segments[kj - 1][0][last:]
     if ts.is_var(v):
         raise BasesError("stair base is a dead variable (classifier bug)")
     a_name = ts.root(v)
@@ -406,18 +398,16 @@ def present_stair_as_nsg(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
         cur = path[-1]
         g_primes.append(cur)
 
+    infos = bp.balances[kj - 1:kj1 - 1]
     tops = []
-    for i, gp in enumerate(g_primes):
+    for gp, info in zip(g_primes, infos):
         g_i = apply_subst(ts, gp, sbb)
-        info = bp.balances[kj + i - 1]
         if apply_subst(ts, g_i, sigma) != info.pivot:
             raise BasesError("stair presentation misses the pivot "
                              "(internal bug)")
-        e_top, f_top = present_over_top(g, info, g_i)
-        pair = by_side(info.side, e_top, f_top)
-        got = (apply_subst(ts, pair[0], sigma), apply_subst(ts, pair[1], sigma))
-        if got != info.bal_pair:
-            raise BasesError("presented tops do not instantiate to the "
-                             "bal-result (internal bug)")
-        tops.append(pair)
-    return NsgSequence(tops, sigma)
+        tops.append(by_side(info.side, *present_over_top(g, info, g_i)))
+    seq = NsgSequence(ts, tops, sigma)
+    if seq.elements != [info.bal_pair for info in infos]:
+        raise BasesError("presented tops do not instantiate to the "
+                         "bal-result (internal bug)")
+    return seq

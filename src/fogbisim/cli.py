@@ -20,8 +20,7 @@ from .grammar import GrammarError, parse_grammar
 from .lts import run_word, step_action, step_rule
 from .equiv import EqOracle, EquivError, Indeterminate
 from .plays import (
-    PlaysError, build_optimal_play, refine_segments, transform_to_balanced,
-    verify_balanced,
+    PlaysError, build_optimal_play, transform_to_balanced, verify_balanced,
 )
 from .bases import (
     BasesError, NsgParams, build_full_base_capped, check_nsg_sequence,
@@ -127,11 +126,11 @@ def cmd_step(args):
         if not results:
             print("action %s not enabled" % args.action, file=sys.stderr)
             return EXIT_DISTINGUISHED
+    texts = [(rid, render_term(g.ts, r)) for rid, r in results]
     _emit(args, {"command": "step",
-                 "results": [{"rule": rid, "term": render_term(g.ts, r)}
-                             for rid, r in results]},
-          ["%s\t%s" % (rid, one_line(render_term(g.ts, r)))
-           for rid, r in results])
+                 "results": [{"rule": rid, "term": text}
+                             for rid, text in texts]},
+          ["%s\t%s" % (rid, one_line(text)) for rid, text in texts])
     return EXIT_OK
 
 
@@ -143,15 +142,13 @@ def cmd_run(args):
     if terms is None:
         print("word does not apply", file=sys.stderr)
         return EXIT_DISTINGUISHED
+    texts = [render_term(g.ts, x) for x in terms]
     lines = []
     if args.trace:
-        lines += ["%d\t%s\t%s"
-                  % (i, rid, one_line(render_term(g.ts, terms[i + 1])))
+        lines += ["%d\t%s\t%s" % (i, rid, one_line(texts[i + 1]))
                   for i, rid in enumerate(word)]
-    lines.append(one_line(render_term(g.ts, terms[-1])))
-    _emit(args, {"command": "run",
-                 "trace": [render_term(g.ts, x) for x in terms],
-                 "end": render_term(g.ts, terms[-1])}, lines)
+    lines.append(one_line(texts[-1]))
+    _emit(args, {"command": "run", "trace": texts, "end": texts[-1]}, lines)
     return EXIT_OK
 
 
@@ -200,11 +197,6 @@ def cmd_play(args):
     return EXIT_OK
 
 
-def _run_balance(o, t, u):
-    bp, pp = transform_to_balanced(o, t, u)
-    return bp, pp, refine_segments(o.g, bp, pp)
-
-
 def _balance_rows(g, bp):
     rows = [{"kind": "mu", "j": 0, "unc": 0, "dsink": bp.mu0.length()}]
     for j in range(1, bp.ell + 1):
@@ -221,7 +213,8 @@ def _balance_rows(g, bp):
 
 def cmd_balance(args):
     g, o, t, u, e = _load_pair(args)
-    bp, pp, seg = _run_balance(o, t, u)
+    bp = transform_to_balanced(o, t, u)
+    seg = bp.segmentation
     rows = _balance_rows(g, bp)
     lines = ["ell=%d length=%d eqlevel=%d" % (bp.ell, bp.length(), e)]
     for r in rows:
@@ -242,7 +235,7 @@ def cmd_balance(args):
 
 def cmd_verify(args):
     _, o, t, u, _ = _load_pair(args)
-    rep = verify_balanced(o, *_run_balance(o, t, u))
+    rep = verify_balanced(o, transform_to_balanced(o, t, u))
     lines = ["%s\t%s\t%s" % (name, "ok" if ok else "FAIL", detail)
              for name, ok, detail in rep.checks]
     _emit(args, {"command": "verify", "ok": rep.ok(),
@@ -286,19 +279,19 @@ def cmd_base(args):
 
 def cmd_pipeline(args):
     g, o, t, u, e = _load_pair(args)
-    bp, pp, seg = _run_balance(o, t, u)
-    rep = verify_balanced(o, bp, pp, seg)
+    bp = transform_to_balanced(o, t, u)
+    rep = verify_balanced(o, bp)
     checks = [{"name": n, "ok": ok, "detail": d} for n, ok, d in rep.checks]
     c = g.constants
     params = NsgParams(c.n, c.s, c.g)
-    for idx in range(len(seg.crucial)):
-        seq = present_stair_as_nsg(o, bp, pp, seg, idx)
+    for idx in range(len(bp.segmentation.crucial)):
+        seq = present_stair_as_nsg(o, bp, idx)
         ok = check_nsg_sequence(o, seq, params)
         checks.append({"name": "stair-%d-nsg-sequence" % idx, "ok": ok,
                        "detail": "z=%d" % seq.z})
         # reduce one step where the reduction precondition holds
         k = o.level(*seq.tops[0])
-        ell = o.level(*seq.element(g.ts, 0))
+        ell = o.level(*seq.elements[0])
         if params.n > 0 and k < ell < o.cutoff and seq.z > k + 1:
             try:
                 reduce_nsg_step(o, seq, params)

@@ -8,7 +8,7 @@ d0-sinking factorization that the balanced-play checks use.
 
 from __future__ import annotations
 
-from .terms import instantiate
+from .terms import VAR, instantiate
 from .grammar import Grammar, GrammarError
 
 
@@ -19,7 +19,7 @@ def step_rule(g: Grammar, t: int, rid: str):
         raise GrammarError("unknown rule id %r" % rid)
     r = g.rule_by_id[rid]
     node = g.ts.node(t)
-    if node[0] == "var" or node[1] != r.lhs:
+    if node[0] == VAR or node[1] != r.lhs:
         return None
     return dict(step_action(g, t, r.action))[rid]
 
@@ -47,7 +47,7 @@ def step_action(g: Grammar, t: int, action: str) -> tuple[tuple[str, int], ...]:
 
 def enabled_actions(g: Grammar, t: int) -> list[str]:
     node = g.ts.node(t)
-    return [] if node[0] == "var" else list(g.firing[node[1]])
+    return [] if node[0] == VAR else list(g.firing[node[1]])
 
 
 def run_word(g: Grammar, t: int, word) -> list[int] | None:

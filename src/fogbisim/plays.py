@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .terms import apply_subst, pressize
+from .terms import VAR, apply_subst, pressize
 from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
 from .equiv import (
@@ -105,7 +105,7 @@ def enables_balancing(g: Grammar, rho: Play, side: int, d0: int):
     if rho.length() != d0:
         return None
     node = g.ts.node(rho.start[side])
-    if node[0] == "var":
+    if node[0] == VAR:
         return None
     path = run_word(g, g.lhs_term(node[1]), rho.word(side))
     if path is None:
@@ -179,6 +179,9 @@ class BalancedPlay:
         self.mus = list(mus)             # mu_j, j = 1..ell
         self.splits = list(splits)       # j = 1..ell
         assert len(self.balances) == len(self.mus) == len(self.splits)
+        # both set by transform_to_balanced
+        self.pivot_path: PivotPath | None = None
+        self.segmentation: Segmentation | None = None
 
     @property
     def ell(self) -> int:
@@ -229,10 +232,11 @@ class PivotPath:
         return path
 
 
-def transform_to_balanced(o: EqOracle, t: int, u: int):
-    """The full phase procedure; returns (BalancedPlay, PivotPath). One
-    loop runs every phase, the first with no previous step (prev None);
-    a pair at the cutoff stops it in `optimal_steps`."""
+def transform_to_balanced(o: EqOracle, t: int, u: int) -> BalancedPlay:
+    """The full phase procedure; returns the BalancedPlay with its pivot
+    path and segmentation. One loop runs every phase, the first with no
+    previous step (prev None); a pair at the cutoff stops it in
+    `optimal_steps`."""
     g = o.g
     ts = g.ts
     d0 = g.d0
@@ -288,7 +292,9 @@ def transform_to_balanced(o: EqOracle, t: int, u: int):
         pair = prev.bal_pair
 
     bp = BalancedPlay((t, u), mus[0], balances, mus[1:], splits[1:])
-    return bp, _build_pivot_path(bp)
+    bp.pivot_path = _build_pivot_path(bp)
+    bp.segmentation = refine_segments(g, bp)
+    return bp
 
 
 def _build_pivot_path(bp: BalancedPlay) -> PivotPath:
@@ -337,8 +343,8 @@ def p_top_form(ts, w: int, p: int):
             continue
         t, depth = item
         node = ts.node(t)
-        if node[0] == "var" or depth == 0:
-            key = ("v", node[1]) if node[0] == "var" else ("t", t)
+        if node[0] == VAR or depth == 0:
+            key = ("v", node[1]) if node[0] == VAR else ("t", t)
             if key not in mapping:
                 mapping[key] = len(mapping) + 1
                 binding[mapping[key]] = t
@@ -372,30 +378,23 @@ def present_over_top(g: Grammar, info: BalanceInfo, top: int):
             pf[-1])
 
 
-def pivot_top_presentation(g: Grammar, info: BalanceInfo):
-    """Presentation of a bal-result over the d0-top form of the
-    pivot: returns (G, sigma, E, F) with bal-result = (E sigma, F sigma)
-    on the balanced side."""
-    g_top, sigma = p_top_form(g.ts, info.pivot, info.rho.length())
-    e_top, f_top = present_over_top(g, info, g_top)
-    return g_top, sigma, e_top, f_top
-
-
 # -- segmentation ------------------------------------------------------------
 
 class Segmentation:
-    def __init__(self, close, usink_len, csink_len, crucial):
+    def __init__(self, close, usink_len, csink_len, crucial, bases):
         self.close = close            # j in [1,ell] with W_j close
         self.usink_len = usink_len    # j -> length of mu^usink_j
         self.csink_len = csink_len    # j -> length of mu^csink_j (0..ell)
         self.crucial = crucial        # list of (k_j, k_{j+1}) index pairs
+        self.bases = bases            # close j -> stair base (q, V)
 
 
-def refine_segments(g: Grammar, bp: BalancedPlay,
-                    pp: PivotPath) -> Segmentation:
+def refine_segments(g: Grammar, bp: BalancedPlay) -> Segmentation:
     """Split sinking parts at the first visit of a subterm of the
     initial pair on both sides; mark close pivots; extract crucial
-    segments."""
+    segments. W_j is close when the path W_{j-1} -> W_j visits a
+    subterm of the initial pair; the last such visit, V at index q of
+    that path, is the base of the stair from W_j."""
     subterms = g.ts.reachable(bp.start_pair)
     ell = bp.ell
     csink = {0: bp.mu0.length()}
@@ -421,24 +420,25 @@ def refine_segments(g: Grammar, bp: BalancedPlay,
         else:
             usink[j] = cut
             csink[j] = dsink.length() - cut
-    close = []
+    bases = {}
     for j in range(1, ell + 1):
-        visited = pp.visit_terms(g, j - 1)
-        if any(v in subterms for v in visited):
-            close.append(j)
+        visited = bp.pivot_path.visit_terms(g, j - 1)
+        for q in range(len(visited) - 1, -1, -1):
+            if visited[q] in subterms:
+                bases[j] = (q, visited[q])
+                break
+    close = list(bases)
     crucial = list(zip(close, close[1:] + [ell + 1]))
-    return Segmentation(close, usink, csink, crucial)
+    return Segmentation(close, usink, csink, crucial, bases)
 
 
-def crucial_segment_length(bp: BalancedPlay, seg: Segmentation,
-                           kj: int, kj1: int) -> int:
+def crucial_segment_length(bp: BalancedPlay, kj: int, kj1: int) -> int:
     """length(rho'_{kj} ... mu^usink_{kj1 - 1}). No close-sinking part
     lies inside: one would make the next pivot close."""
     d0 = bp.balances[0].rho.length()
-    total = 0
-    for j in range(kj, kj1):
-        total += d0 + bp.mu_unc(j).length() + seg.usink_len[j]
-    return total
+    usink = bp.segmentation.usink_len
+    return sum(d0 + bp.mu_unc(j).length() + usink[j]
+               for j in range(kj, kj1))
 
 
 # -- the proof-checking harness ----------------------------------------------
@@ -454,9 +454,9 @@ class VerifyReport:
         return all(c[1] for c in self.checks)
 
 
-def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
-                    seg: Segmentation) -> VerifyReport:
+def verify_balanced(o: EqOracle, bp: BalancedPlay) -> VerifyReport:
     g = o.g
+    pp, seg = bp.pivot_path, bp.segmentation
     ts = g.ts
     consts = g.constants
     rep = VerifyReport()
@@ -506,7 +506,7 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     p24_ok = True
     detail = []
     for kj, kj1 in seg.crucial:
-        ln = crucial_segment_length(bp, seg, kj, kj1)
+        ln = crucial_segment_length(bp, kj, kj1)
         bound = consts.d5 * (1 + kj1 - kj)
         if ln > bound:
             p24_ok = False
@@ -527,7 +527,8 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay, pp: PivotPath,
     for idx, info in enumerate(bp.balances, 1):
         if o.level(*info.bal_pair) != o.level(*info.rho.finish):
             sound_ok = False
-        g_top, sigma, e_top, f_top = pivot_top_presentation(g, info)
+        g_top, sigma = p_top_form(ts, info.pivot, info.rho.length())
+        e_top, f_top = present_over_top(g, info, g_top)
         if by_side(info.side, apply_subst(ts, e_top, sigma),
                    apply_subst(ts, f_top, sigma)) != info.bal_pair:
             shape_ok = False

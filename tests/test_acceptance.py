@@ -16,7 +16,7 @@ from fogbisim.grammar import (
 )
 from fogbisim.lts import run_word, step_rule
 from fogbisim.equiv import EqOracle, find_sink_witness
-from fogbisim.plays import refine_segments, transform_to_balanced, verify_balanced
+from fogbisim.plays import transform_to_balanced, verify_balanced
 from fogbisim.bases import (
     NsgParams, NsgSequence, bound_of_candidate, build_full_base_capped,
     check_nsg_sequence, enumerate_pairs, present_stair_as_nsg,
@@ -190,8 +190,7 @@ def bundled_pairs():
 
 
 def run_pipeline(g, o, t, u):
-    bp, pp = transform_to_balanced(o, t, u)
-    return g.constants, bp, pp, refine_segments(g, bp, pp)
+    return g.constants, transform_to_balanced(o, t, u)
 
 
 def test_criterion_06_balanced_play_harness():
@@ -199,8 +198,8 @@ def test_criterion_06_balanced_play_harness():
         pairs = bundled_pairs()
         assert len(pairs) >= 200
         for g, o, t, u in pairs:
-            c, bp, pp, seg = run_pipeline(g, o, t, u)
-            rep = verify_balanced(o, bp, pp, seg)
+            c, bp = run_pipeline(g, o, t, u)
+            rep = verify_balanced(o, bp)
             assert rep.ok(), ([c for c in rep.checks if not c[1]], t, u)
 
 
@@ -215,10 +214,10 @@ def test_criterion_07_stair_sequences():
                 g, o, t, u = sources.pop() if sources else next(extra)
             except StopIteration:
                 break
-            c, bp, pp, seg = run_pipeline(g, o, t, u)
+            c, bp = run_pipeline(g, o, t, u)
             params = NsgParams(c.n, c.s, c.g)
-            for idx, (kj, kj1) in enumerate(seg.crucial):
-                seq = present_stair_as_nsg(o, bp, pp, seg, idx)
+            for idx, (kj, kj1) in enumerate(bp.segmentation.crucial):
+                seq = present_stair_as_nsg(o, bp, idx)
                 assert check_nsg_sequence(o, seq, params)
                 for i, top in enumerate(seq.tops):
                     assert pressize(g.ts, list(top)) <= c.s + i * c.g
@@ -255,7 +254,7 @@ def test_criterion_08_bound_mechanization():
                     tops.append(pair)
             if not tops:
                 continue
-            seq = NsgSequence(tops, sigma)
+            seq = NsgSequence(ts, tops, sigma)
             assert check_nsg_sequence(o, seq, p)
             assert seq.z <= bound
             built += 1

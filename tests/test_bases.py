@@ -12,8 +12,7 @@ from fogbisim.terms import (
 from fogbisim.grammar import parse_grammar
 from fogbisim.equiv import EqOracle, Indeterminate
 from fogbisim.plays import (
-    Play, PlaysError, balance_step, build_optimal_play, refine_segments,
-    transform_to_balanced,
+    Play, PlaysError, balance_step, build_optimal_play, transform_to_balanced,
 )
 from fogbisim import bases
 from fogbisim.bases import (
@@ -24,7 +23,8 @@ from fogbisim.bases import (
 )
 
 from gen import (
-    is_finite, random_finite_term, random_grammar, random_ground_term,
+    chain_grammar, is_finite, random_finite_term, random_grammar,
+    random_ground_term,
 )
 
 GRAMMARS = pathlib.Path(__file__).resolve().parent.parent / "grammars"
@@ -57,7 +57,7 @@ def test_check_nsg_sequence_basic():
     sigma = {1: tower(g, 1)}
     x1 = ts.var(1)
     # (x1 sigma, A(x1) sigma) = (A(Z), A(A(Z))): eq-level 1
-    seq = NsgSequence([(x1, ts.app("A", (x1,)))], sigma)
+    seq = NsgSequence(ts, [(x1, ts.app("A", (x1,)))], sigma)
     assert check_nsg_sequence(o, seq, NsgParams(1, 2, 0))
     # size violation
     assert not check_nsg_sequence(o, seq, NsgParams(1, 1, 0))
@@ -74,11 +74,11 @@ def test_check_nsg_sequence_strict_decrease():
     a2 = ts.app("A", (a1,))
     a3 = ts.app("A", (a2,))
     # levels: (A2 x1, A3 x1) -> 2, (A1 x1, A2 x1) -> 1
-    good = NsgSequence([(a2, a3), (a1, a2)], sigma)
+    good = NsgSequence(ts, [(a2, a3), (a1, a2)], sigma)
     assert check_nsg_sequence(o, good, NsgParams(1, 4, 0))
-    bad = NsgSequence([(a1, a2), (a2, a3)], sigma)
+    bad = NsgSequence(ts, [(a1, a2), (a2, a3)], sigma)
     assert not check_nsg_sequence(o, bad, NsgParams(1, 4, 0))
-    same = NsgSequence([(a1, a2), (a1, a2)], sigma)
+    same = NsgSequence(ts, [(a1, a2), (a1, a2)], sigma)
     assert not check_nsg_sequence(o, same, NsgParams(1, 4, 0))
 
 
@@ -91,7 +91,7 @@ def test_check_nsg_sequence_cutoff_breach():
     mu = omega_iterate(ts, ts.app("A", (ts.var(1),)), 1)
     # eqlevel(Z sigma, mu sigma) may exceed the cutoff? Z vs mu is 0;
     # use a genuinely deep pair instead
-    seq = NsgSequence([(tower(g, 6), tower(g, 7))], sigma)
+    seq = NsgSequence(ts, [(tower(g, 6), tower(g, 7))], sigma)
     with pytest.raises(Indeterminate):
         check_nsg_sequence(o, seq, NsgParams(1, 20, 0))
 
@@ -106,7 +106,7 @@ def test_every_cutoff_check_raises_indeterminate():
     z = parse_term(ts, "Z", g.arities)
     a1 = ts.app("A", (ts.var(1),))
     # one element, A^7(Z) vs A^8(Z): eq-level 7, above the cutoff
-    seq = NsgSequence([(a1, ts.app("A", (a1,)))], {1: tower(g, 6)})
+    seq = NsgSequence(ts, [(a1, ts.app("A", (a1,)))], {1: tower(g, 6)})
     gc = parse_grammar((GRAMMARS / "gchain.fog").read_text())
     oc = EqOracle(gc, 6)
     # a window whose left word is root-performable from A and whose
@@ -165,7 +165,7 @@ def reduction_instances(seed, count, cutoff=7):
                 tops.append((e, f))
                 prev = lv
         if len(tops) > k + 1:
-            out.append((g, o, NsgSequence(tops, sigma), k, ell))
+            out.append((g, o, NsgSequence(ts, tops, sigma), k, ell))
     return out
 
 
@@ -195,7 +195,7 @@ def test_reduce_nsg_step_errors():
     sigma = {1: parse_term(ts, "Z", g.arities)}
     a1 = ts.app("A", (ts.var(1),))
     a2 = ts.app("A", (a1,))
-    seq = NsgSequence([(a1, a2)], sigma)
+    seq = NsgSequence(ts, [(a1, a2)], sigma)
     with pytest.raises(BasesError):
         reduce_nsg_step(o, seq, NsgParams(0, 4, 0))  # n = 0
     with pytest.raises(BasesError):
@@ -754,24 +754,24 @@ GNULL = (
 
 def full_pipeline(g, t, u, cutoff=8):
     o = EqOracle(g, cutoff)
-    bp, pp = transform_to_balanced(o, t, u)
-    return o, g.constants, bp, pp, refine_segments(g, bp, pp)
+    return o, g.constants, transform_to_balanced(o, t, u)
 
 
 def test_present_stair_nullary():
     g = parse_grammar(GNULL)
     t = parse_term(g.ts, "P0", g.arities)
     u = parse_term(g.ts, "Q0", g.arities)
-    o, c, bp, pp, seg = full_pipeline(g, t, u)
+    o, c, bp = full_pipeline(g, t, u)
+    seg = bp.segmentation
     assert len(seg.crucial) == 2
     params = NsgParams(c.n, c.s, c.g)
     for idx in range(len(seg.crucial)):
-        seq = present_stair_as_nsg(o, bp, pp, seg, idx)
+        seq = present_stair_as_nsg(o, bp, idx)
         assert seq.z == seg.crucial[idx][1] - seg.crucial[idx][0] == 1
         assert check_nsg_sequence(o, seq, params)
         # tops instantiate to the bal-results, levels matching
         j = seg.crucial[idx][0]
-        assert seq.element(g.ts, 0) == bp.balances[j - 1].bal_pair
+        assert seq.elements[0] == bp.balances[j - 1].bal_pair
 
 
 def stair_instances():
@@ -794,21 +794,43 @@ def test_present_stair_battery():
         if checked >= 8:
             break
         c = g.constants
-        bp, pp = transform_to_balanced(o, t, u)
+        bp = transform_to_balanced(o, t, u)
         if bp.ell == 0:
             continue
-        seg = refine_segments(g, bp, pp)
+        seg = bp.segmentation
         params = NsgParams(c.n, c.s, c.g)
         for idx in range(len(seg.crucial)):
-            seq = present_stair_as_nsg(o, bp, pp, seg, idx)
+            seq = present_stair_as_nsg(o, bp, idx)
             assert check_nsg_sequence(o, seq, params)
             kj, kj1 = seg.crucial[idx]
             assert seq.z == kj1 - kj
             for i, top in enumerate(seq.tops):
                 assert pressize(g.ts, list(top)) <= c.s + i * c.g
-                assert seq.element(g.ts, i) == bp.balances[kj - 1 + i].bal_pair
+                assert seq.elements[i] == bp.balances[kj - 1 + i].bal_pair
             checked += 1
     assert checked >= 8
+
+
+def test_checking_a_presented_stair_substitutes_nothing(monkeypatch):
+    """A presented stair carries its elements (E_j sigma, F_j sigma), so
+    checking it asks no substitution."""
+    stairs = []
+    for g, t, u in [(parse_grammar(GNULL), "P0", "Q0")] + [
+            (parse_grammar(chain_grammar(n)), "A(A(Z))", "B(B(Z))")
+            for n in range(6, 9)]:
+        o, c, bp = full_pipeline(g, parse_term(g.ts, t, g.arities),
+                                 parse_term(g.ts, u, g.arities), 16)
+        stairs += [(o, present_stair_as_nsg(o, bp, idx),
+                    NsgParams(c.n, c.s, c.g))
+                   for idx in range(len(bp.segmentation.crucial))]
+    assert len(stairs) >= 8 and max(seq.z for _, seq, _ in stairs) > 1
+
+    def refuse(*args):
+        raise AssertionError("check_nsg_sequence substituted")
+
+    monkeypatch.setattr(bases, "apply_subst", refuse)
+    for o, seq, params in stairs:
+        assert check_nsg_sequence(o, seq, params)
 
 
 # -- sequence bound end-to-end -----------------------------------------------
@@ -839,7 +861,7 @@ def test_sequence_bound_on_g1():
                 tops.append(pair)
         if not tops:
             continue
-        seq = NsgSequence(tops, sigma)
+        seq = NsgSequence(ts, tops, sigma)
         assert check_nsg_sequence(o, seq, p)
         assert seq.z <= bound
         built += 1

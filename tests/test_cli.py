@@ -420,10 +420,10 @@ def test_pipeline_reduces_a_stair_where_the_precondition_holds(
     chain = tmp_path / "chain-6.fog"
     chain.write_text(chain_grammar(6))
 
-    def present(o, bp, pp, seg, idx):
+    def present(o, bp, idx):
         def term(text):
             return parse_term(o.g.ts, text, o.g.arities)
-        return NsgSequence([(term("x1"), term("B(B(Z))")),
+        return NsgSequence(o.g.ts, [(term("x1"), term("B(B(Z))")),
                             (term("x1"), term("Z"))], {1: term("A(A(Z))")})
 
     monkeypatch.setattr(cli, "present_stair_as_nsg", present)

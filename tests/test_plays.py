@@ -13,9 +13,8 @@ from fogbisim import plays
 from fogbisim.plays import (
     BalanceInfo, BalancedPlay, PivotPath, Play, PlaysError, Segmentation,
     balance_step, build_optimal_play, crucial_segment_length,
-    enables_balancing, label_matched_reachable, p_top_form,
-    pivot_top_presentation, refine_segments, transform_to_balanced,
-    verify_balanced, _build_pivot_path,
+    enables_balancing, label_matched_reachable, p_top_form, present_over_top,
+    transform_to_balanced, verify_balanced, _build_pivot_path,
 )
 
 from gen import chain_grammar, deep_grammar, random_grammar, random_ground_term
@@ -70,10 +69,9 @@ def tower(g, n):
 
 def pipeline(g, t, u, cutoff=8):
     o = EqOracle(g, cutoff)
-    bp, pp = transform_to_balanced(o, t, u)
-    seg = refine_segments(g, bp, pp)
-    rep = verify_balanced(o, bp, pp, seg)
-    return o, g.constants, bp, pp, seg, rep
+    bp = transform_to_balanced(o, t, u)
+    rep = verify_balanced(o, bp)
+    return o, g.constants, bp, bp.pivot_path, bp.segmentation, rep
 
 
 # -- optimal plays -----------------------------------------------------------
@@ -363,7 +361,8 @@ def test_balance_step_balresult_size():
     t = parse_term(g.ts, "A(Z)", g.arities)
     u = parse_term(g.ts, "B(Z)", g.arities)
     info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), 0)
-    g_top, sigma, e_top, f_top = pivot_top_presentation(g, info)
+    g_top, sigma = p_top_form(g.ts, info.pivot, info.rho.length())
+    e_top, f_top = present_over_top(g, info, g_top)
     assert apply_subst(g.ts, e_top, sigma) == info.bal_pair[0]
     assert apply_subst(g.ts, f_top, sigma) == info.bal_pair[1]
     bound = pressize(g.ts, [g_top]) + (c.m + 2) * c.d0 * c.stepinc
@@ -421,10 +420,9 @@ def test_verify_refuses_oversize_constants():
     t = parse_term(g.ts, "A1(Z)", g.arities)
     u = parse_term(g.ts, "A2(Z)", g.arities)
     o = EqOracle(g, 12)
-    bp, pp = transform_to_balanced(o, t, u)
-    seg = refine_segments(g, bp, pp)
+    bp = transform_to_balanced(o, t, u)
     with pytest.raises(GrammarError, match="constant d4 exceeds 4300 digits"):
-        verify_balanced(o, bp, pp, seg)
+        verify_balanced(o, bp)
 
 
 def test_transform_chain_grammar():
@@ -496,7 +494,9 @@ def reference_transform_to_balanced(o, t, u):
 
     got = scan(pi, None, None)
     if got is None:
-        return BalancedPlay((t, u), pi, [], [], []), PivotPath([], [])
+        bp = BalancedPlay((t, u), pi, [], [], [])
+        bp.pivot_path = PivotPath([], [])
+        return bp
     q, side = got
     mu0 = pi.subplay(0, q)
     balances = [balance_step(o, pi.subplay(q, q + d0), side)]
@@ -517,11 +517,13 @@ def reference_transform_to_balanced(o, t, u):
                       else None)
         balances.append(balance_step(o, cont.subplay(q2, q2 + d0), side2))
     bp = BalancedPlay((t, u), mu0, balances, mus, splits)
-    return bp, reference_build_pivot_path(g, bp)
+    bp.pivot_path = reference_build_pivot_path(g, bp)
+    return bp
 
 
-def transformation_summary(bp, pp):
+def transformation_summary(bp):
     """Everything the transformation decides, as comparable values."""
+    pp = bp.pivot_path
     return ((bp.mu0.pairs, bp.mu0.moves),
             [(mu.pairs, mu.moves) for mu in bp.mus], bp.splits,
             [(i.side, i.rho.pairs, i.rho.moves, i.pivot, i.e_prime,
@@ -530,8 +532,8 @@ def transformation_summary(bp, pp):
 
 
 def assert_matches_reference(o, t, u):
-    got = transformation_summary(*transform_to_balanced(o, t, u))
-    ref = transformation_summary(*reference_transform_to_balanced(o, t, u))
+    got = transformation_summary(transform_to_balanced(o, t, u))
+    ref = transformation_summary(reference_transform_to_balanced(o, t, u))
     assert got == ref, (t, u)
     return got
 
@@ -554,7 +556,7 @@ def test_balancing_reads_d0_without_the_constants(monkeypatch):
 
     monkeypatch.setattr(grammar, "compute_constants", refuse)
     g, o, t, u = chain_case(8)
-    bp, pp = transform_to_balanced(o, t, u)
+    bp = transform_to_balanced(o, t, u)
     assert bp.length() == o.level(t, u) == 8
     assert g.d0 == 2 and "constants" not in vars(g)
 
@@ -624,8 +626,7 @@ def test_transform_matches_reference_replay(case):
     t, u = (intern_graph(g.ts, x, g.arities) if "=" in x
             else parse_term(g.ts, x, g.arities) for x in (left, right))
     assert assert_matches_reference(o, t, u)[2] == splits
-    bp, pp = transform_to_balanced(o, t, u)
-    rep = verify_balanced(o, bp, pp, refine_segments(g, bp, pp))
+    rep = verify_balanced(o, transform_to_balanced(o, t, u))
     assert rep.ok(), [c for c in rep.checks if not c[1]]
 
 
@@ -643,7 +644,7 @@ def test_transform_builds_only_the_steps_it_keeps(monkeypatch):
     cases = [chain_case(n) for n in range(8, 41)] + bundled_pairs()
     for g, o, t, u in cases:
         calls.clear()
-        bp, _ = transform_to_balanced(o, t, u)
+        bp = transform_to_balanced(o, t, u)
         assert len(calls) == bp.length(), (t, u)
 
 
@@ -655,7 +656,7 @@ def test_pruning_bounds_the_balancing_games(monkeypatch):
     g, o, t, u = chain_case(n)
     assert o.level(t, u) == n
     log = log_games(monkeypatch)
-    bp, _ = transform_to_balanced(o, t, u)
+    bp = transform_to_balanced(o, t, u)
     assert bp.ell > 1
     assert sum(ev[0] == "open" for ev in log) <= 2 * n
 
@@ -707,29 +708,32 @@ def test_each_check_fails_on_a_corrupted_gchain_play(check):
         # W_2 is R(Z), but the path from B(Z) ends at S(Z)
         pp = PivotPath(pp.terms[:2] + [term("R(Z)")], pp.segments)
     bp = BalancedPlay(bp.start_pair, bp.mu0, [info], bp.mus, bp.splits)
-    rep = verify_balanced(o, bp, pp, seg)
+    bp.pivot_path, bp.segmentation = pp, seg
+    rep = verify_balanced(o, bp)
     assert failures(rep) == [(check.split("/")[0], detail)]
 
 
 def verified_chain_case(n):
-    """chain-n's balanced play, pivot path and segmentation, verified."""
+    """chain-n's balanced play, with its pivot path and segmentation,
+    verified."""
     g, o, t, u = chain_case(n)
-    bp, pp = transform_to_balanced(o, t, u)
-    seg = refine_segments(g, bp, pp)
-    assert verify_balanced(o, bp, pp, seg).ok()
-    return g, o, bp, pp, seg
+    bp = transform_to_balanced(o, t, u)
+    assert verify_balanced(o, bp).ok()
+    return g, o, bp
 
 
 def test_crucial_length_fails_on_a_corrupted_chain6_segmentation():
     # the crucial segment (2, 4) spans two pivots, d0 + 0 + 0 rules each;
     # nine more rules of mu^usink_3 put it one past d5 * (1 + 4 - 2) = 12
-    g, o, bp, pp, seg = verified_chain_case(6)
+    g, o, bp = verified_chain_case(6)
+    seg = bp.segmentation
     assert seg.crucial == [(1, 2), (2, 4)] and g.constants.d5 == 4
-    assert crucial_segment_length(bp, seg, 2, 4) == 4
+    assert crucial_segment_length(bp, 2, 4) == 4
     usink = dict(seg.usink_len)
     usink[3] += 9
-    bad = Segmentation(seg.close, usink, seg.csink_len, seg.crucial)
-    assert failures(verify_balanced(o, bp, pp, bad)) == [
+    bp.segmentation = Segmentation(seg.close, usink, seg.csink_len,
+                                   seg.crucial, seg.bases)
+    assert failures(verify_balanced(o, bp)) == [
         ("crucial-length", "k=2..4 len=13 bound=12")]
 
 
@@ -738,9 +742,43 @@ def test_no_close_sinking_inside_crucial_segments(n):
     """A close-sinking part of mu_j visits a subterm of the start pair
     on the pivot path's side, so W_{j+1} is close: inside a crucial
     segment, whose inner pivots are not close, there is none."""
-    seg = verified_chain_case(n)[4]
+    seg = verified_chain_case(n)[2].segmentation
     inner = [j for kj, kj1 in seg.crucial for j in range(kj, kj1 - 1)]
     assert inner and all(seg.csink_len[j] == 0 for j in inner)
+
+
+def reference_stair_base(g, bp, j):
+    """The base of the stair from close pivot W_j, derived by replaying
+    the pivot-path segment W_{j-1} -> W_j: its last subterm of the
+    initial pair, with that subterm's index on the segment."""
+    pp = bp.pivot_path
+    subs = g.ts.reachable(list(bp.start_pair))
+    terms = run_word(g, pp.terms[j - 1], pp.segments[j - 1][0])
+    last = max(q for q, t in enumerate(terms) if t in subs)
+    return last, terms[last]
+
+
+def test_stair_bases_match_the_replayed_segments():
+    # the random pair's first pivot-path segment visits two subterms of
+    # the initial pair, and the base is the later one
+    g = random_grammar(450445, max_nonterminals=3, max_arity=2,
+                       max_rules=6, max_depth=1)
+    t, u = (intern_graph(g.ts, A_LOOP + text, g.arities) for text in (
+        "node b = B(n); node bb = B(b); node bbb = B(bb); root t = bbb",
+        "node b = B(n); node bb = B(b); root t = bb"))
+    o = EqOracle(g, 7)
+    assert transform_to_balanced(o, t, u).segmentation.bases[1][0] == 1
+    cases = [(g, o, t, u)] + bundled_pairs() + [
+        chain_case(n) for n in range(6, 21)]
+    checked = 0
+    for g, o, t, u in cases:
+        bp = transform_to_balanced(o, t, u)
+        seg = bp.segmentation
+        assert list(seg.bases) == seg.close
+        for j in seg.close:
+            assert seg.bases[j] == reference_stair_base(g, bp, j), (t, u, j)
+            checked += 1
+    assert checked >= 40
 
 
 # -- pivot paths -------------------------------------------------------------
@@ -834,7 +872,8 @@ def test_pivot_path_matches_reference_hand_built(sides, splits):
 
 def test_pivot_path_matches_reference_bundled():
     for g, o, t, u in bundled_pairs():
-        bp, pp = transform_to_balanced(o, t, u)
+        bp = transform_to_balanced(o, t, u)
+        pp = bp.pivot_path
         ref = reference_build_pivot_path(g, bp)
         assert pp.terms == ref.terms and pp.segments == ref.segments
 
@@ -863,9 +902,8 @@ def test_transform_random_battery(seed):
     instances = battery_instances(seed, 15)
     assert len(instances) >= 8
     for g, o, t, u in instances:
-        bp, pp = transform_to_balanced(o, t, u)
-        seg = refine_segments(g, bp, pp)
-        rep = verify_balanced(o, bp, pp, seg)
+        bp = transform_to_balanced(o, t, u)
+        rep = verify_balanced(o, bp)
         assert rep.ok(), ([c for c in rep.checks if not c[1]], g.rules, t, u)
         seq = bp.pair_sequence()
         assert len(seq) == len(set(seq))
@@ -875,6 +913,5 @@ def test_battery_hits_balancing_overall():
     total = 0
     for seed in range(6):
         for g, o, t, u in battery_instances(seed, 15):
-            bp, _ = transform_to_balanced(o, t, u)
-            total += bp.ell
+            total += transform_to_balanced(o, t, u).ell
     assert total >= 5
