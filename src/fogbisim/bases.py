@@ -13,6 +13,8 @@ loop grows a candidate until every enumerated pair outside it is
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .terms import (
     APP, MAX_DIGITS, TOO_LARGE, VAR, apply_subst, bounded_power,
     omega_iterate, pressize, varin,
@@ -27,14 +29,7 @@ class BasesError(Exception):
     pass
 
 
-class NsgParams:
-    def __init__(self, n: int, s: int, g: int):
-        self.n = n
-        self.s = s
-        self.g = g
-
-    def __repr__(self):
-        return "NsgParams(n=%d, s=%d, g=%d)" % (self.n, self.s, self.g)
+NsgParams = namedtuple("NsgParams", "n s g")
 
 
 class NsgSequence:

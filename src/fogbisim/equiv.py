@@ -338,8 +338,6 @@ def find_sink_witness(o: EqOracle, e_term: int, f_term: int,
 
     def validate(cand):
         x_t, h_t, w = cand
-        if not ts.is_var(x_t):
-            return False
         i = ts.var_index(x_t)
         if h_t == x_t or sigma.get(i, x_t) == x_t:
             return False

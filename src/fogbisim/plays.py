@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .terms import VAR, apply_subst, pressize
+from .terms import APP, VAR, apply_subst, closed_graph, pressize
 from .grammar import Grammar
 from .lts import run_word, d0_sinking_split, step_action, step_rule
 from .equiv import (
@@ -89,12 +89,12 @@ def build_optimal_play(o: EqOracle, t: int, u: int) -> Play:
 class BalanceInfo:
     """Everything produced by one balancing step."""
 
-    def __init__(self, side, rho, pivot, e_prime, sigma_pp, vbar, bal_pair):
+    def __init__(self, side, rho, pivot, e_prime, vpaths, vbar, bal_pair):
         self.side = side            # the balanced side, 0 or 1
         self.rho = rho              # the length-d0 play that was balanced
         self.pivot = pivot          # rho's start term on side 1 - side
         self.e_prime = e_prime      # abstract E' with A(x..) -u-> E'
-        self.sigma_pp = sigma_pp    # sigma'' with x_i sigma'' = V_i
+        self.vpaths = vpaths        # i -> the terms from pivot to V_i
         self.vbar = vbar            # i -> rule word from pivot to V_i
         self.bal_pair = bal_pair
 
@@ -105,8 +105,6 @@ def enables_balancing(g: Grammar, rho: Play, side: int, d0: int):
     if rho.length() != d0:
         return None
     node = g.ts.node(rho.start[side])
-    if node[0] == VAR:
-        return None
     path = run_word(g, g.lhs_term(node[1]), rho.word(side))
     if path is None:
         return None
@@ -114,11 +112,12 @@ def enables_balancing(g: Grammar, rho: Play, side: int, d0: int):
 
 
 def label_matched_reachable(g: Grammar, t: int, labels):
-    """All (rule word, end) with the given labels, words in declaration order."""
-    out = [((), t)]
+    """All (rule word, the terms it visits from t) with the given labels,
+    words in declaration order."""
+    out = [((), (t,))]
     for a in labels:
-        out = [(w + (rid,), v)
-               for w, cur in out for rid, v in step_action(g, cur, a)]
+        out = [(w + (rid,), path + (v,))
+               for w, path in out for rid, v in step_action(g, path[-1], a)]
     return out
 
 
@@ -135,32 +134,32 @@ def balance_step(o: EqOracle, rho: Play, side: int) -> BalanceInfo:
                             "a balancing step needs a finite level")
     m = g.arities[a_name]
     vbar = {}
-    sigma_pp = {}
+    vpaths = {}
     for i in range(1, m + 1):
         w_ai = g.sink.get((a_name, i))
         if w_ai is None:
-            vbar[i] = ()
-            sigma_pp[i] = pivot
+            vbar[i], vpaths[i] = (), (pivot,)
             continue
         labels = [g.rule_by_id[r].action for r in w_ai]
         best = None
-        for w, v in label_matched_reachable(g, pivot, labels):
-            lv = o.level(kids[i - 1], v)
+        for w, path in label_matched_reachable(g, pivot, labels):
+            lv = o.level(kids[i - 1], path[-1])
             if lv <= e_pair:
                 continue
             if best is None or lv > best[0]:
-                best = (lv, w, v)
+                best = (lv, w, path)
         if best is None:
             raise Indeterminate(
                 "cutoff starvation: no qualifying V_%d for pivot below the "
                 "cutoff %d: %s" % (i, o.cutoff, pair_text(ts, *rho.finish)))
-        vbar[i] = best[1]
-        sigma_pp[i] = best[2]
+        _, vbar[i], vpaths[i] = best
+    # sigma'' with x_i sigma'' = V_i, the end of the v-bar path
+    sigma_pp = {i: path[-1] for i, path in vpaths.items()}
     new_side_term = apply_subst(ts, e_prime, sigma_pp)
     bal_pair = by_side(side, new_side_term, rho.finish[1 - side])
     if o.level(*bal_pair) != e_pair:
         raise PlaysError("balancing changed the eq-level (internal bug)")
-    return BalanceInfo(side, rho, pivot, e_prime, sigma_pp, vbar, bal_pair)
+    return BalanceInfo(side, rho, pivot, e_prime, vpaths, vbar, bal_pair)
 
 
 class BalancedPlay:
@@ -215,21 +214,14 @@ class PivotPath:
 
     segments[j] is (word, unc_len) taking W_j to W_{j+1}; the first
     unc_len rules are the unclear part (for j >= 1; segment 0 is all
-    sinking). Empty when the balanced play has no balancing step.
+    sinking). visits[j] is every term w_j visits, read off the play:
+    W_j first and W_{j+1} last. Empty when the balanced play has no
+    balancing step.
     """
 
-    def __init__(self, terms, segments):
-        self.terms = list(terms)        # W_0 .. W_{ell+1}
+    def __init__(self, visits, segments):
+        self.visits = list(visits)      # terms W_j .. W_{j+1}, j = 0..ell
         self.segments = list(segments)  # (word, unc_len), j = 0..ell
-
-    def visit_terms(self, g: Grammar, j):
-        """All terms on the path W_j -w_j-> W_{j+1}."""
-        path = run_word(g, self.terms[j], self.segments[j][0])
-        if path is None:
-            raise PlaysError("pivot path does not replay (internal bug)")
-        if path[-1] != self.terms[j + 1]:
-            raise PlaysError("pivot path mismatch (internal bug)")
-        return path
 
 
 def transform_to_balanced(o: EqOracle, t: int, u: int) -> BalancedPlay:
@@ -298,66 +290,56 @@ def transform_to_balanced(o: EqOracle, t: int, u: int) -> BalancedPlay:
 
 
 def _build_pivot_path(bp: BalancedPlay) -> PivotPath:
-    """Assemble the pivot path from a balanced play."""
+    """Assemble the pivot path from a balanced play, with the terms each
+    segment visits read off the play and the v-bar paths."""
     if bp.ell == 0:
         return PivotPath([], [])
     s = 1 - bp.balances[0].side
-    terms = [bp.start_pair[s]]
+    visits = [bp.mu0.terms(s)]
     segments = [(bp.mu0.word(s), 0)]
     for j, (info, mu, split) in enumerate(
             zip(bp.balances, bp.mus, bp.splits), 1):
-        terms.append(info.pivot)
         # case b): the next step balances the other side, so the path
-        # takes a v-bar word from the pivot and the balanced side's tail;
-        # otherwise (and at the halt) it stays on the pivot's side
+        # takes a v-bar path from the pivot to V_i, which the balanced
+        # side reaches after p steps, and that side's tail; otherwise
+        # (and at the halt) it stays on the pivot's side, which
+        # balancing leaves unchanged
         switched = j < bp.ell and bp.balances[j].side != info.side
         s = info.side if switched else 1 - info.side
         if switched:
             p, i = split  # case b) guarantees the split exists
             head, tail = info.vbar[i], mu.word(s)[p:]
             unc = len(head)
+            visits.append(list(info.vpaths[i]) + mu.terms(s)[p + 1:])
         else:
             head, tail = info.rho.word(s), mu.word(s)
             unc = len(head) + (split[0] if split is not None else len(tail))
+            visits.append(info.rho.terms(s) + mu.terms(s)[1:])
         segments.append((head + tail, unc))
-    terms.append(mu.finish[s])
-    return PivotPath(terms, segments)
+    return PivotPath(visits, segments)
 
 
 # -- canonical p-top forms ---------------------------------------------------
 
 def p_top_form(ts, w: int, p: int):
     """Deterministic p-top form G sigma of W: cut every branch at depth
-    p, numbering the cut points left-to-right depth-first (one variable
-    per distinct cut subterm)."""
-    mapping: dict = {}
+    p, numbering the cut points breadth first, as the walk first reaches
+    them (one variable per distinct cut subterm)."""
+    number: dict = {}  # ("v", index) or ("t", cut subterm) -> k
     binding: dict = {}
-    cut: dict = {}  # (t, depth) -> t cut at that depth
-    stack = [(w, p)]
-    # explicit depth-first walk, children left to right; a cut point is
-    # numbered when first reached, a node is built once its children are
-    while stack:
-        item = stack[-1]
-        if item in cut:
-            stack.pop()
-            continue
-        t, depth = item
+
+    def cut(name):
+        t, depth = name
         node = ts.node(t)
-        if node[0] == VAR or depth == 0:
-            key = ("v", node[1]) if node[0] == VAR else ("t", t)
-            if key not in mapping:
-                mapping[key] = len(mapping) + 1
-                binding[mapping[key]] = t
-            cut[item] = ts.var(mapping[key])
-            stack.pop()
-            continue
-        todo = [(c, depth - 1) for c in node[2] if (c, depth - 1) not in cut]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        cut[item] = ts.app(node[1], tuple(cut[(c, depth - 1)] for c in node[2]))
-    return cut[(w, p)], binding
+        if node[0] != VAR and depth > 0:
+            return (APP, node[1], [(c, depth - 1) for c in node[2]])
+        key = ("v", node[1]) if node[0] == VAR else ("t", t)
+        if key not in number:
+            number[key] = len(number) + 1
+            binding[number[key]] = t
+        return (VAR, number[key])
+
+    return ts.intern_raw(closed_graph((w, p), cut)), binding
 
 
 def present_over_top(g: Grammar, info: BalanceInfo, top: int):
@@ -394,7 +376,8 @@ def refine_segments(g: Grammar, bp: BalancedPlay) -> Segmentation:
     initial pair on both sides; mark close pivots; extract crucial
     segments. W_j is close when the path W_{j-1} -> W_j visits a
     subterm of the initial pair; the last such visit, V at index q of
-    that path, is the base of the stair from W_j."""
+    that path, is the base of the stair from W_j. The visits are the
+    ones the pivot path recorded; nothing is replayed."""
     subterms = g.ts.reachable(bp.start_pair)
     ell = bp.ell
     csink = {0: bp.mu0.length()}
@@ -422,7 +405,7 @@ def refine_segments(g: Grammar, bp: BalancedPlay) -> Segmentation:
             csink[j] = dsink.length() - cut
     bases = {}
     for j in range(1, ell + 1):
-        visited = bp.pivot_path.visit_terms(g, j - 1)
+        visited = bp.pivot_path.visits[j - 1]
         for q in range(len(visited) - 1, -1, -1):
             if visited[q] in subterms:
                 bases[j] = (q, visited[q])
@@ -541,13 +524,13 @@ def verify_balanced(o: EqOracle, bp: BalancedPlay) -> VerifyReport:
     rep.add("balancing-preserves-eqlevel", sound_ok)
     rep.add("balresult-top-shape", shape_ok, "; ".join(detail))
 
-    # pivot-path stitching
-    stitch_ok = True
-    if bp.ell >= 1:
-        try:
-            for j in range(0, bp.ell + 1):
-                pp.visit_terms(g, j)
-        except PlaysError:
-            stitch_ok = False
-    rep.add("pivot-path-stitches", stitch_ok)
+    # pivot-path stitching, the one replay of the pivot path: each
+    # segment's word visits exactly the recorded terms, and each segment
+    # starts where the previous one ended
+    visits = pp.visits
+    rep.add("pivot-path-stitches",
+            len(visits) == len(pp.segments)
+            and all(run_word(g, path[0], word) == path
+                    for path, (word, _) in zip(visits, pp.segments))
+            and all(a[-1] == b[0] for a, b in zip(visits, visits[1:])))
     return rep

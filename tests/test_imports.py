@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every parameter of its functions is read, and every function, class and
-method it defines is read somewhere in the package (or by perfbench)."""
+method it defines is read somewhere in the package (or by perfbench),
+and so is every attribute its classes write."""
 
 import ast
 import pathlib
@@ -160,3 +161,49 @@ def test_no_unreferenced_definitions():
     for p in PERFBENCH.glob("*.py"):
         exempt |= mentioned_names(p.read_text())
     assert unreferenced_definitions(sources, exempt) == []
+
+
+def write_only_attributes(sources, readers=()):
+    """(module, line, name) for each `self.X` a class in `sources`
+    (module name -> source) writes, by assignment or augmented
+    assignment, while no `.X` load in `sources` or in the `readers`
+    sources reads X."""
+    reads = set()
+    for source in [*sources.values(), *readers]:
+        reads |= {n.attr for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load)}
+    out = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                out += [(module, n.lineno, n.attr) for n in ast.walk(cls)
+                        if isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self" and n.attr not in reads]
+    return sorted(set(out))
+
+
+def test_scanner_flags_a_write_only_attribute():
+    sources = {
+        "a.py": ("class C:\n"
+                 "    def __init__(self, other):\n"
+                 "        self.read = 1\n"
+                 "        self.unread: int = 2\n"
+                 "        self.bumped = 0\n"
+                 "        other.elsewhere = 3\n"
+                 "    def bump(self):\n"
+                 "        self.bumped += 1\n"
+                 "        self.traced, self.pair = self.read, 4\n"),
+        "b.py": ("def f(c):\n"
+                 "    return c.pair\n"),
+    }
+    assert write_only_attributes(sources, ["def g(c):\n    c.traced\n"]) == [
+        ("a.py", 4, "unread"), ("a.py", 5, "bumped"), ("a.py", 8, "bumped")]
+
+
+def test_no_write_only_attributes():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert write_only_attributes(sources, readers) == []

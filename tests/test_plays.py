@@ -67,6 +67,12 @@ def tower(g, n):
     return t
 
 
+def pivots(pp):
+    """W_0 .. W_{ell+1}: where each pivot-path segment starts, and where
+    the last one ends."""
+    return [v[0] for v in pp.visits] + pp.visits[-1][-1:] if pp.visits else []
+
+
 def pipeline(g, t, u, cutoff=8):
     o = EqOracle(g, cutoff)
     bp = transform_to_balanced(o, t, u)
@@ -225,7 +231,7 @@ def test_label_matched_reachable():
     g = parse_grammar(GCHAIN)
     t = parse_term(g.ts, "B(Z)", g.arities)
     got = label_matched_reachable(g, t, ["a"])
-    assert got == [(("b1",), parse_term(g.ts, "Z", g.arities))]
+    assert got == [(("b1",), (t, parse_term(g.ts, "Z", g.arities)))]
     assert label_matched_reachable(g, t, ["c"]) == []
 
 
@@ -275,8 +281,24 @@ def test_p_top_form_round_trip_and_numbering():
     assert top1 == parse_term(ts, "A(x1,x2,x3)", g.arities)
 
 
+def test_p_top_form_numbers_breadth_first():
+    # x3 sits one level above the cut subterm B, so it is reached first
+    g = parse_grammar("nonterminals: B/0, C/2, D/2\n"
+                      "actions: a\n"
+                      "rule r1: B -a-> B\n")
+    ts = g.ts
+
+    def term(text):
+        return parse_term(ts, text, g.arities)
+
+    top, sigma = p_top_form(ts, term("C(D(B,B),x3)"), 2)
+    assert top == term("C(D(x2,x2),x1)")
+    assert sigma == {1: term("x3"), 2: term("B")}
+
+
 def test_p_top_form_deep_term():
-    # the cut walks an explicit stack: depth is not bounded by recursion
+    # the cut walks a queue, not the call stack: depth is not bounded by
+    # recursion
     g = g1()
     ts = g.ts
     w = parse_term(ts, "A(" * 3000 + "Z" + ")" * 3000, g.arities)
@@ -321,7 +343,7 @@ def test_balance_step_chain_grammar():
     z = parse_term(ts, "Z", g.arities)
     assert info.pivot == u
     assert info.vbar == {1: ("b1",)}
-    assert info.sigma_pp[1] == z
+    assert info.vpaths[1] == (u, z)
     assert info.bal_pair == rho.finish  # Q(Z) already had the Z argument
     assert o.level(*info.bal_pair) == 0
 
@@ -342,7 +364,7 @@ def test_balance_step_tie_goes_to_the_first_declared_word():
     assert o.level(t, u) == 2 and g.constants.d0 == 2
     info = balance_step(o, build_optimal_play(o, t, u).subplay(0, 2), 0)
     assert info.vbar == {1: ("b9",)}
-    assert info.sigma_pp[1] == w
+    assert info.vpaths[1] == (u, w)
 
 
 def test_balance_step_not_enabled():
@@ -377,7 +399,7 @@ def test_transform_no_balancing_towers():
     o, c, bp, pp, seg, rep = pipeline(g, t, u)
     assert bp.ell == 0
     assert bp.length() == 2 == o.level(t, u)
-    assert pp.terms == [] and pp.segments == []
+    assert pp.visits == [] and pp.segments == []
     assert seg.crucial == []
     assert seg.csink_len == {0: 2}
     assert rep.ok(), [c for c in rep.checks if not c[1]]
@@ -405,7 +427,7 @@ def test_transform_nullary_chains():
     assert all(info.side == 0 for info in bp.balances)
     q1 = parse_term(g.ts, "Q1", g.arities)
     dead = parse_term(g.ts, "DEAD", g.arities)
-    assert pp.terms == [u, u, q1, dead]
+    assert pivots(pp) == [u, u, q1, dead]
     assert [s[0] for s in pp.segments] == [(), ("q0",), ("q1",)]
     assert seg.close == [1, 2]
     assert rep.ok(), [c for c in rep.checks if not c[1]]
@@ -437,7 +459,7 @@ def test_transform_chain_grammar():
     assert bp.length() == 2 == o.level(t, u)
     # pivot path: whole right-hand path from the pivot B(Z)
     s = parse_term(g.ts, "S(Z)", g.arities)
-    assert pp.terms == [u, u, s]
+    assert pivots(pp) == [u, u, s]
     assert pp.segments[1][0] == ("b2", "r1")
     assert rep.ok(), [c for c in rep.checks if not c[1]]
 
@@ -527,8 +549,8 @@ def transformation_summary(bp):
     return ((bp.mu0.pairs, bp.mu0.moves),
             [(mu.pairs, mu.moves) for mu in bp.mus], bp.splits,
             [(i.side, i.rho.pairs, i.rho.moves, i.pivot, i.e_prime,
-              i.vbar, i.bal_pair) for i in bp.balances],
-            pp.terms, pp.segments)
+              i.vpaths, i.vbar, i.bal_pair) for i in bp.balances],
+            pp.visits, pp.segments)
 
 
 def assert_matches_reference(o, t, u):
@@ -648,6 +670,26 @@ def test_transform_builds_only_the_steps_it_keeps(monkeypatch):
         assert len(calls) == bp.length(), (t, u)
 
 
+def test_transform_replays_no_concrete_path(monkeypatch):
+    # the pivot path is read off the play and the v-bar paths, so the
+    # only words the transformation replays are the windows' abstract
+    # ones, each from a nonterminal's A(x1..xm)
+    starts = []
+    real = plays.run_word
+
+    def recording(g, t, word):
+        starts.append((g, t))
+        return real(g, t, word)
+
+    monkeypatch.setattr(plays, "run_word", recording)
+    cases = bundled_pairs() + [chain_case(n) for n in range(6, 21)]
+    for g, o, t, u in cases:
+        transform_to_balanced(o, t, u)
+    assert len(starts) > 100
+    for g, t in starts:
+        assert t in {g.lhs_term(a) for a in g.arities}
+
+
 def test_pruning_bounds_the_balancing_games(monkeypatch):
     # each balancing step builds a pair over a new child no rule word of
     # the P and R chains exposes; pruned, every such pair meets the one
@@ -670,7 +712,7 @@ def failures(rep):
 @pytest.mark.parametrize("check", [
     "unclear-bounded-by-d2", "balancing-preserves-eqlevel",
     "balresult-top-shape/mismatch", "balresult-top-shape/size",
-    "pivot-path-stitches"])
+    "pivot-path-stitches", "pivot-path-stitches/inner"])
 def test_each_check_fails_on_a_corrupted_gchain_play(check):
     """gchain's A(Z), B(Z) at d0 = 2: B(Z) balances the left side, with
     E' = Q(x1), to the bal-result (Q(Z), S(Z)) at level 0. Each copy is
@@ -687,7 +729,7 @@ def test_each_check_fails_on_a_corrupted_gchain_play(check):
     if check == "unclear-bounded-by-d2":
         # segment 1 claims one unclear rule more than rho'_1 and
         # mu^unc_1 have together
-        pp = PivotPath(pp.terms, [pp.segments[0], (pp.segments[1][0], 3)])
+        pp = PivotPath(pp.visits, [pp.segments[0], (pp.segments[1][0], 3)])
         detail = "j=1 w_unc=3 len=2 d2=3"
     elif check == "balancing-preserves-eqlevel":
         # rho'_1 ends at (Q(Z), R(Z)), one level above the bal-result
@@ -701,12 +743,19 @@ def test_each_check_fails_on_a_corrupted_gchain_play(check):
         # E' = Q^7(x1) with the bal-result it gives, still at level 0: 9
         # nodes against pressize(B(Z)) + (m + 2) * d0 * stepinc = 8
         info.e_prime = term("Q(Q(Q(Q(Q(Q(Q(x1)))))))")
-        info.bal_pair = (apply_subst(g.ts, info.e_prime, info.sigma_pp),
+        sigma_pp = {i: path[-1] for i, path in info.vpaths.items()}
+        info.bal_pair = (apply_subst(g.ts, info.e_prime, sigma_pp),
                          info.bal_pair[1])
         detail = "j=1 bal-result size 9 > 8"
-    else:
+    elif check == "pivot-path-stitches":
         # W_2 is R(Z), but the path from B(Z) ends at S(Z)
-        pp = PivotPath(pp.terms[:2] + [term("R(Z)")], pp.segments)
+        pp = PivotPath([pp.visits[0], pp.visits[1][:-1] + [term("R(Z)")]],
+                       pp.segments)
+    else:
+        # the path from B(Z) passes R(Z), not P(Z), on its way to S(Z)
+        assert pp.visits[1] == [term("B(Z)"), term("R(Z)"), term("S(Z)")]
+        pp = PivotPath([pp.visits[0], [term("B(Z)"), term("P(Z)"),
+                                       term("S(Z)")]], pp.segments)
     bp = BalancedPlay(bp.start_pair, bp.mu0, [info], bp.mus, bp.splits)
     bp.pivot_path, bp.segmentation = pp, seg
     rep = verify_balanced(o, bp)
@@ -753,7 +802,7 @@ def reference_stair_base(g, bp, j):
     initial pair, with that subterm's index on the segment."""
     pp = bp.pivot_path
     subs = g.ts.reachable(list(bp.start_pair))
-    terms = run_word(g, pp.terms[j - 1], pp.segments[j - 1][0])
+    terms = run_word(g, pp.visits[j - 1][0], pp.segments[j - 1][0])
     last = max(q for q, t in enumerate(terms) if t in subs)
     return last, terms[last]
 
@@ -788,16 +837,15 @@ def reference_build_pivot_path(g, bp):
     spelled as 0 (left) and 1 (right)."""
     if bp.ell == 0:
         return PivotPath([], [])
-    terms = []
+    visits = []
     segments = []
     first = bp.balances[0]
     w0_side = 1 if first.side == 0 else 0
-    terms.append(bp.start_pair[w0_side])
+    visits.append([pair[w0_side] for pair in bp.mu0.pairs])
     segments.append((bp.mu0.word(1) if first.side == 0
                      else bp.mu0.word(0), 0))
     for j in range(1, bp.ell + 1):
         info = bp.balances[j - 1]
-        terms.append(info.pivot)
         mu = bp.mus[j - 1]
         split = bp.splits[j - 1]
         if j < bp.ell:
@@ -814,7 +862,11 @@ def reference_build_pivot_path(g, bp):
                       else mu.word(0))
             word = u_word + v_word
             unc = len(u_word) + (split[0] if split is not None else len(v_word))
-            end = (mu.finish[1] if info.side == 0 else mu.finish[0])
+            # from the pivot along rho'_j, then mu_j from the bal-result,
+            # whose pivot-side term is rho'_j's last
+            pivot_side = 1 if info.side == 0 else 0
+            path = ([pair[pivot_side] for pair in info.rho.pairs]
+                    + [pair[pivot_side] for pair in mu.pairs[1:]])
         else:
             p, i = split  # case b) guarantees the split exists
             vbar = info.vbar[i]
@@ -822,11 +874,12 @@ def reference_build_pivot_path(g, bp):
                     else mu.word(1))[p:]
             word = tuple(vbar) + tuple(tail)
             unc = len(vbar)
-            end = (mu.finish[0] if info.side == 0 else mu.finish[1])
+            # from the pivot to V_i, then mu_j past its p-th term, V_i
+            path = list(info.vpaths[i]) + [pair[info.side]
+                                           for pair in mu.pairs[p + 1:]]
         segments.append((word, unc))
-        if j == bp.ell:
-            terms.append(end)
-    return PivotPath(terms, segments)
+        visits.append(path)
+    return PivotPath(visits, segments)
 
 
 def hand_built_balanced_play(sides, splits):
@@ -843,9 +896,11 @@ def hand_built_balanced_play(sides, splits):
     balances, mus = [], []
     for j, side in enumerate(sides, 1):
         rho = play(2, "rho%d" % j)
+        pivot = rho.start[1 - side]
         vbar = {1: ("v%d" % j,), 2: ("v%d" % j, "w%d" % j)}
-        balances.append(BalanceInfo(side, rho, rho.start[1 - side], None,
-                                    None, vbar, None))
+        vpaths = {1: (pivot, next(ids)), 2: (pivot, next(ids), next(ids))}
+        balances.append(BalanceInfo(side, rho, pivot, None, vpaths, vbar,
+                                    None))
         mus.append(play(3, "mu%d" % j))
     return BalancedPlay(mu0.start, mu0, balances, mus, splits)
 
@@ -860,14 +915,16 @@ def test_pivot_path_matches_reference_hand_built(sides, splits):
     bp = hand_built_balanced_play(sides, splits)
     pp = _build_pivot_path(bp)
     ref = reference_build_pivot_path(None, bp)
-    assert pp.terms == ref.terms and pp.segments == ref.segments
-    assert len(pp.segments) == bp.ell + 1 and len(pp.terms) == bp.ell + 2
+    assert pp.visits == ref.visits and pp.segments == ref.segments
+    assert len(pp.segments) == len(pp.visits) == bp.ell + 1
     if sides[0] != sides[1]:
         # switched: the v-bar word, then the balanced side's tail from p
         p, i = splits[0]
         vbar = bp.balances[0].vbar[i]
         assert pp.segments[1] == (
             vbar + bp.mus[0].word(sides[0])[p:], len(vbar))
+        assert pp.visits[1] == (list(bp.balances[0].vpaths[i])
+                                + bp.mus[0].terms(sides[0])[p + 1:])
 
 
 def test_pivot_path_matches_reference_bundled():
@@ -875,7 +932,7 @@ def test_pivot_path_matches_reference_bundled():
         bp = transform_to_balanced(o, t, u)
         pp = bp.pivot_path
         ref = reference_build_pivot_path(g, bp)
-        assert pp.terms == ref.terms and pp.segments == ref.segments
+        assert pp.visits == ref.visits and pp.segments == ref.segments
 
 
 # -- randomized battery ------------------------------------------------------
